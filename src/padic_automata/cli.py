@@ -322,7 +322,7 @@ def cmd_transitivity(args) -> int:
     subject = load_subject(args)
     if not isinstance(subject, SyncTransducer):
         raise FormatError("transitivity needs a synchronous transducer subject")
-    report = family_transitivity(subject, args.resolution, args.depth)
+    report = family_transitivity(subject, args.resolution, args.depth, args.budget)
     lines = [f"family transitivity for {subject_label(args)}",
              f"word length {report.level}, depth {report.depth}, "
              f"{report.states_examined} state(s)"]

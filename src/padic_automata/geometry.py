@@ -15,20 +15,25 @@ cell of its prefix.
 The (p+1)-ary machine graph uses the same first-letter-most-significant
 rule with symbols renumbered 1..p, landing in [1, p+1]^2.
 
-All coordinates are exact rationals; cover fractions are exact; the PGM
-rasterizer is byte-deterministic.
+Points are integer numerators over one denominator per point set: the
+mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1}
+over p^L, scaled up to the set's ``den``.  Dedup, sorting, gridding and
+rasterizing are integer work; ``Fraction``s appear only at the boundary,
+in the ``PointSet2D.points`` view and in ``CoverReport.fraction``.  Cover
+fractions are exact; the PGM rasterizer is byte-deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .oracle import FunctionOracle
-from .transducer import SyncTransducer, reachable_states, run_sync, word_of
+from .transducer import SyncTransducer, reachable_states
 
 __all__ = [
     "CoverReport",
@@ -62,74 +67,93 @@ def mirror_fraction(value: int, length: int, p: int) -> Fraction:
 class PointSet2D:
     """Deduplicated exact points in a declared bounding square.
 
-    ``square`` is (lo, hi); run-image sets live in [0, 1], machine graphs
-    in [1, p+1].  ``levels`` records which word lengths / reduction levels
-    contributed.
+    Point i is (X/den, Y/den) for ``coords[i] = (X, Y)``; ``coords`` is
+    sorted and free of duplicates.  ``square`` is (lo, hi); run-image sets
+    live in [0, 1], machine graphs in [1, p+1].  ``levels`` records which
+    word lengths / reduction levels contributed.
     """
 
     p: int
     n: int
     levels: tuple[int, ...]
     square: tuple[int, int]
-    points: tuple[tuple[Fraction, Fraction], ...]
+    den: int
+    coords: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        lo, hi = self.square
-        for x, y in self.points:
+        if self.den < 1:
+            raise ValueError(f"denominator must be >= 1, got {self.den}")
+        lo, hi = (bound * self.den for bound in self.square)
+        for x, y in self.coords:
             if not (lo <= x <= hi and lo <= y <= hi):
-                raise ValueError(f"point ({x}, {y}) outside [{lo}, {hi}]^2")
+                raise ValueError(f"point ({x}, {y}) / {self.den} outside {self.square}^2")
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The points as exact rationals, in ascending order."""
+        den = self.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.coords)
 
     @staticmethod
     def union(sets: Sequence["PointSet2D"]) -> "PointSet2D":
         if not sets:
             raise ValueError("cannot union zero point sets")
         first = sets[0]
-        pts: set[tuple[Fraction, Fraction]] = set()
-        levels: list[int] = []
+        den = lcm(*(ps.den for ps in sets))
+        coords: set[tuple[int, int]] = set()
+        levels: set[int] = set()
         for ps in sets:
             if (ps.p, ps.square) != (first.p, first.square):
                 raise ValueError("point sets disagree on prime or square")
-            pts.update(ps.points)
-            levels.extend(ps.levels)
-        return PointSet2D(
-            p=first.p,
-            n=first.n,
-            levels=tuple(sorted(set(levels))),
-            square=first.square,
-            points=tuple(sorted(pts)),
-        )
+            scale = den // ps.den
+            coords.update((x * scale, y * scale) for x, y in ps.coords)
+            levels.update(ps.levels)
+        return PointSet2D(p=first.p, n=first.n, levels=tuple(sorted(levels)),
+                          square=first.square, den=den, coords=tuple(sorted(coords)))
 
 
-def image_points(
-    f: FunctionOracle, k: int, budget: int = 1 << 24
-) -> PointSet2D:
+def image_points(f: FunctionOracle, k: int, budget: int = 1 << 24) -> PointSet2D:
     """Level-k image of an oracle: one point per residue x mod p^(n+k),
     pairing the input word of length n+k with the output word of length k.
     """
-    if k < 1:
-        raise ValueError(f"level must be >= 1, got {k}")
-    p, n = f.p, f.delay
-    dom = p ** (n + k)
-    if dom > budget:
-        raise BudgetExceededError(
-            f"level {k} needs {p}^{n + k} evaluations, over the budget {budget}"
-        )
-    outs = f.values(k, dom)
-    pts = {
-        (mirror_fraction(x, n + k, p), mirror_fraction(outs[x], k, p))
-        for x in range(dom)
-    }
-    return PointSet2D(
-        p=p, n=n, levels=(k,), square=(0, 1), points=tuple(sorted(pts))
-    )
+    return accumulate_image(f, (k,), budget)
 
 
 def accumulate_image(
     f: FunctionOracle, levels: Iterable[int], budget: int = 1 << 24
 ) -> PointSet2D:
-    """Union of :func:`image_points` over the given levels."""
-    sets = [image_points(f, k, budget) for k in levels]
-    return PointSet2D.union(sets)
+    """Union of :func:`image_points` over the given levels, from one oracle
+    table at the top level K: level k < K reads f(x) mod p^k off it for
+    x < p^(n+k), which the oracle contract makes its level-k answer.
+    """
+    levels = sorted(set(levels))
+    if not levels:
+        raise ValueError("cannot union zero point sets")
+    if levels[0] < 1:
+        raise ValueError(f"level must be >= 1, got {levels[0]}")
+    p, n, top = f.p, f.delay, levels[-1]
+    den = p ** (n + top)
+    if den > budget:
+        raise BudgetExceededError(
+            f"level {top} needs {p}^{n + top} evaluations, over the budget {budget}"
+        )
+    outs = f.values(top, den)
+    # mirrors[L][x]: numerator over p^L of the mirrored length-L word of x
+    mirrors = [[0]]
+    for length in range(n + top):
+        mirrors.append([d * p ** length + r for r in mirrors[-1] for d in range(p)])
+    coords: set[tuple[int, int]] = set()
+    for k in levels:
+        sx = p ** (top - k)
+        sy, mod, ys = sx * p ** n, p ** k, mirrors[k]
+        coords.update(zip(
+            [r * sx for r in mirrors[n + k]],
+            [ys[v % mod] * sy for v in outs[: p ** (n + k)]],
+        ))
+    return PointSet2D(
+        p=p, n=n, levels=tuple(levels), square=(0, 1), den=den,
+        coords=tuple(sorted(coords)),
+    )
 
 
 @dataclass(frozen=True)
@@ -150,21 +174,17 @@ class CoverReport:
     square: tuple[int, int] = (0, 1)
 
 
-def _cell_index(coord: Fraction, lo: int, hi: int, grid: int) -> int:
-    scaled = (coord - lo) * grid / (hi - lo)
-    idx = int(scaled)  # floor for the nonnegative values in range
-    return min(idx, grid - 1)
-
-
 def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
-    """Grid the point set at resolution m (cells of side (hi-lo) * p^-m)."""
+    """Grid the point set at resolution m (cells of side (hi-lo) * p^-m);
+    the upper edge hi belongs to the last cell."""
     if m < 1:
         raise ValueError(f"resolution must be >= 1, got {m}")
     grid = points.p ** m
     lo, hi = points.square
+    base, span, last = lo * points.den, (hi - lo) * points.den, grid - 1
     cells = {
-        (_cell_index(x, lo, hi, grid), _cell_index(y, lo, hi, grid))
-        for x, y in points.points
+        (min((x - base) * grid // span, last), min((y - base) * grid // span, last))
+        for x, y in points.coords
     }
     return CoverReport(
         p=points.p,
@@ -176,6 +196,34 @@ def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
         cells=tuple(sorted(cells)),
         square=points.square,
     )
+
+
+def _trie_coords(
+    t: SyncTransducer, starts: Sequence[Hashable], depth: int, base: int, shift: int
+) -> set[tuple[int, int]]:
+    """(input, output) numerators of every run of 1..depth letters from each
+    start state: a word's letters plus ``shift`` are its base-``base`` digits,
+    first letter most significant, scaled by base^(depth - length).
+    Words are walked as a trie: a word extends its parent by one letter, so
+    its numerators are the parent's times ``base`` plus the letters read and
+    written.  Each state's (letter, output, next state) row is built once.
+    """
+    rows: dict[Hashable, list[tuple[int, int, Hashable]]] = {}
+    coords: set[tuple[int, int]] = set()
+    for s in starts:
+        frontier = [(s, 0, 0)]
+        for rest in range(depth - 1, -1, -1):
+            scale, grown = base ** rest, []
+            for state, u, v in frontier:
+                if state not in rows:
+                    rows[state] = [(a + shift, t.output(state, a) + shift, t.delta(state, a))
+                                   for a in range(t.p)]
+                for a, out, nxt in rows[state]:
+                    x, y = u * base + a, v * base + out
+                    coords.add((x * scale, y * scale))
+                    grown.append((nxt, x, y))
+            frontier = grown
+    return coords
 
 
 def family_points(
@@ -198,32 +246,9 @@ def family_points(
         raise BudgetExceededError(
             f"family image needs {runs} runs, over the budget {budget}"
         )
-    pts: set[tuple[Fraction, Fraction]] = set()
-    for s in states:
-        for j in range(1, depth + 1):
-            for u in range(p ** j):
-                word = word_of(u, j, p)
-                out = run_sync(t, word, start=s)
-                pts.add(
-                    (
-                        mirror_fraction(u, j, p),
-                        Fraction(_word_mirror_value(out, p), p ** j),
-                    )
-                )
-    return PointSet2D(
-        p=p,
-        n=0,
-        levels=tuple(range(1, depth + 1)),
-        square=(0, 1),
-        points=tuple(sorted(pts)),
-    )
-
-
-def _word_mirror_value(word: Sequence[int], p: int) -> int:
-    num = 0
-    for d in word:
-        num = num * p + d
-    return num
+    coords = _trie_coords(t, states, depth, p, 0)
+    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), square=(0, 1),
+                      den=p ** depth, coords=tuple(sorted(coords)))
 
 
 def family_image(
@@ -244,37 +269,10 @@ def automaton_graph(t: SyncTransducer, depth: int) -> PointSet2D:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = t.p
-    base = p + 1
-    pts: set[tuple[Fraction, Fraction]] = set()
-    for j in range(1, depth + 1):
-        den = base ** (j - 1)
-        for u in range(p ** j):
-            word = word_of(u, j, p)
-            out = run_sync(t, word)
-            pts.add(
-                (
-                    Fraction(_arrow_value(word, base), den),
-                    Fraction(_arrow_value(out, base), den),
-                )
-            )
-    return PointSet2D(
-        p=p,
-        n=0,
-        levels=tuple(range(1, depth + 1)),
-        square=(1, p + 1),
-        points=tuple(sorted(pts)),
-    )
-
-
-def _arrow_value(word: Sequence[int], base: int) -> int:
-    # numerator of sum_i (w_i + 1) * base^-i over the denominator base^(len-1):
-    # the first-consumed letter carries the largest weight
-    num = 0
-    power = len(word) - 1
-    for d in word:
-        num += (d + 1) * base ** power
-        power -= 1
-    return num
+    coords = _trie_coords(t, [t.initial], depth, p + 1, 1)
+    # arrow(w) has the denominator (p+1)^(len(w) - 1)
+    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), square=(1, p + 1),
+                      den=(p + 1) ** (depth - 1), coords=tuple(sorted(coords)))
 
 
 def render_pgm(
@@ -294,11 +292,9 @@ def render_pgm(
             )
         report = source
     grid = report.p ** m
-    occupied = set(report.cells)
-    rows = bytearray()
-    for row in range(grid - 1, -1, -1):  # top scanline first, origin bottom-left
-        for col in range(grid):
-            rows.append(0 if (col, row) in occupied else 255)
-    data = b"P5\n%d %d\n255\n" % (grid, grid) + bytes(rows)
+    pixels = bytearray(b"\xff") * (grid * grid)
+    for col, row in report.cells:
+        pixels[(grid - 1 - row) * grid + col] = 0  # top scanline first
+    data = b"P5\n%d %d\n255\n" % (grid, grid) + bytes(pixels)
     Path(path).write_bytes(data)
     return data

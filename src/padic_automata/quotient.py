@@ -124,10 +124,12 @@ def is_measure_preserving_upto(
     """Check that every level-k fiber has exactly p^delay points, k = 2..k_max.
 
     This witnesses the criterion through k_max only; the full criterion
-    quantifies over every level.
+    quantifies over every level.  The budget is checked against the
+    largest table, level k_max, before any level is evaluated.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
+    _check_budget(f.p, level_exponents(f.delay, k_max)[0], budget)
     expected = f.p ** f.delay
     histograms = []
     first_fail = None
@@ -220,9 +222,14 @@ class CycleVerdict:
 def unique_cycle_upto(
     f: FunctionOracle, k_max: int, budget: int = DEFAULT_BUDGET
 ) -> CycleVerdict:
-    """Check that the level-k self-map has exactly one cycle, k = 1..k_max."""
+    """Check that the level-k self-map has exactly one cycle, k = 1..k_max.
+
+    The budget is checked against the largest table, level k_max, before
+    any level is evaluated.
+    """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_budget(f.p, endomap_exponent(f.delay, k_max), budget)
     counts = []
     first_fail = None
     for k in range(1, k_max + 1):

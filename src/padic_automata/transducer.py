@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
+from .errors import BudgetExceededError
 from .oracle import FunctionOracle
 
 __all__ = [
@@ -328,18 +329,26 @@ class TransitivityReport:
 
 
 def family_transitivity(
-    t: SyncTransducer, level: int, depth: int
+    t: SyncTransducer, level: int, depth: int, budget: int = 1 << 24
 ) -> TransitivityReport:
     """Check that for all words u, v of length ``level`` some state s of
     the family maps u to v.
 
     Words are identified with residues mod p^level.  The search covers
-    every state found within ``depth``.
+    every state found within ``depth``.  It reads
+    len(states) * p^level * level letters, and raises
+    :class:`BudgetExceededError` before the first run when that exceeds
+    ``budget``.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     states = reachable_states(t, depth)
     size = t.p ** level
+    letters = len(states) * size * level
+    if letters > budget:
+        raise BudgetExceededError(
+            f"family transitivity reads {letters} letters, over the budget {budget}"
+        )
     covered: set[tuple[int, int]] = set()
     for s in states:
         for u in range(size):

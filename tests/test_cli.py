@@ -148,6 +148,16 @@ def test_transitivity_verdicts(capsys):
     assert "no state maps 0 to 2" in out
 
 
+def test_transitivity_budget_exceeded(capsys):
+    # 2^12 states x 2^12 words x 12 letters is over the default budget 2^24
+    code, _, err = run(
+        capsys, "transitivity", "--builtin", "digitwise-add",
+        "--resolution", "12", "--depth", "12",
+    )
+    assert code == 4
+    assert "budget" in err
+
+
 def test_transitivity_needs_sync_subject(capsys):
     code, _, err = run(
         capsys, "transitivity", "--builtin", "shift", "--resolution", "1"

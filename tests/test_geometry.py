@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_automata import geometry
 from padic_automata.errors import BudgetExceededError
 from padic_automata.geometry import (
     PointSet2D,
@@ -16,6 +17,7 @@ from padic_automata.geometry import (
     render_pgm,
 )
 from padic_automata.mahler import series_oracle
+from padic_automata.oracle import FunctionOracle
 from padic_automata.subjects import (
     delay_echo_transducer,
     digitwise_add_family,
@@ -25,7 +27,13 @@ from padic_automata.subjects import (
     shift_oracle,
     zero_oracle,
 )
-from padic_automata.transducer import SyncTransducer, function_of
+from padic_automata.transducer import (
+    SyncTransducer,
+    function_of,
+    reachable_states,
+    run_sync,
+    word_of,
+)
 
 import series_factory as sf
 
@@ -72,7 +80,7 @@ def test_cover_identity_exactly_diagonal():
 
 def test_cover_single_point():
     pts = PointSet2D(p=2, n=0, levels=(1,), square=(0, 1),
-                     points=((F(1, 3), F(1, 7)),))
+                     den=21, coords=((7, 3),))
     for m in (1, 2, 3):
         assert cover_fraction(pts, m).fraction == F(1, 2 ** (2 * m))
 
@@ -160,7 +168,7 @@ def _pgm_parts(data: bytes):
 
 
 def test_render_pgm_empty_all_white(tmp_path):
-    pts = PointSet2D(p=2, n=0, levels=(), square=(0, 1), points=())
+    pts = PointSet2D(p=2, n=0, levels=(), square=(0, 1), den=1, coords=())
     data = render_pgm(pts, 2, tmp_path / "empty.pgm")
     w, h, pixels = _pgm_parts(data)
     assert (w, h) == (4, 4)
@@ -211,3 +219,173 @@ def test_union_rejects_mixed_squares():
     b = image_points(shift_oracle(2, 1), 1)
     with pytest.raises(ValueError):
         PointSet2D.union([a, b])
+
+
+# --------------------------------------------------------------------------
+# reference: exact Fraction points and Fraction cell indexing
+# --------------------------------------------------------------------------
+
+
+def _ref_image(oracle, levels):
+    """Mirrored (input, output) pairs per level, each evaluated on its own."""
+    p, n = oracle.p, oracle.delay
+    pts = set()
+    for k in levels:
+        outs = oracle.values(k, p ** (n + k))
+        pts.update(
+            (mirror_fraction(x, n + k, p), mirror_fraction(outs[x], k, p))
+            for x in range(p ** (n + k))
+        )
+    return pts
+
+
+def _ref_family(t, depth):
+    """Every word from every state, run letter by letter from scratch."""
+    p = t.p
+    pts = set()
+    for s in reachable_states(t, depth):
+        for j in range(1, depth + 1):
+            for u in range(p ** j):
+                out = run_sync(t, word_of(u, j, p), start=s)
+                num = 0
+                for d in out:
+                    num = num * p + d
+                pts.add((mirror_fraction(u, j, p), F(num, p ** j)))
+    return pts
+
+
+def _ref_graph(t, depth):
+    base = t.p + 1
+
+    def arrow(word):
+        return sum(F(d + 1, base ** i) for i, d in enumerate(word))
+
+    pts = set()
+    for j in range(1, depth + 1):
+        for u in range(t.p ** j):
+            word = word_of(u, j, t.p)
+            pts.add((arrow(word), arrow(run_sync(t, word))))
+    return pts
+
+
+def _ref_cells(points, lo, hi, grid):
+    cell = {
+        c: min(int((c - lo) * grid / (hi - lo)), grid - 1)
+        for c in {c for pair in points for c in pair}
+    }
+    return sorted({(cell[x], cell[y]) for x, y in points})
+
+
+def _ref_pgm(cells, grid):
+    occupied = set(cells)
+    rows = bytes(
+        0 if (col, row) in occupied else 255
+        for row in range(grid - 1, -1, -1)
+        for col in range(grid)
+    )
+    return b"P5\n%d %d\n255\n" % (grid, grid) + rows
+
+
+def _assert_matches_reference(pts, ref, m, tmp_path):
+    """``ref`` is the set of exact points; the point view is built from
+    ``coords``, so sorted duplicate-free coords give the sorted points."""
+    assert set(pts.points) == ref
+    assert list(pts.coords) == sorted(set(pts.coords))
+    grid = pts.p ** m
+    cells = _ref_cells(ref, *pts.square, grid)
+    report = cover_fraction(pts, m)
+    assert report.cells == tuple(cells)
+    assert report.occupied == len(cells)
+    assert report.fraction == F(len(cells), grid * grid)
+    assert render_pgm(report, m, tmp_path / "ref.pgm") == _ref_pgm(cells, grid)
+
+
+def _reference_oracles():
+    rng = random.Random(47)
+    oracles = [
+        series_oracle(sf.delay_sound(rng, p, n, sf.support_range(p, n)[0]))
+        for p, n in ((2, 1), (3, 1), (2, 2), (3, 2))
+    ]
+    return oracles + [
+        shift_oracle(2, 1),
+        shift_oracle(3, 1),
+        function_of(delay_echo_transducer(2, 1)),
+        function_of(delay_echo_transducer(2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_image_matches_fraction_reference(m, tmp_path):
+    for oracle in _reference_oracles():
+        levels = range(m, m + 4)
+        pts = accumulate_image(oracle, levels)
+        _assert_matches_reference(pts, _ref_image(oracle, levels), m, tmp_path)
+
+
+def _table_machine(seed, p, states):
+    rng = random.Random(seed)
+    transitions = {(s, a): rng.randrange(states) for s in range(states) for a in range(p)}
+    outputs = {(s, a): rng.randrange(p) for s in range(states) for a in range(p)}
+    return SyncTransducer.from_tables(p, 0, transitions, outputs, name="table")
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        digitwise_add_family(2),
+        digitwise_add_family(3),
+        identity_transducer(2),
+        identity_transducer(3),
+        odometer_transducer(2),
+        odometer_transducer(3),
+        _table_machine(5, 2, 5),
+        _table_machine(6, 3, 4),
+    ],
+    ids=lambda t: f"{t.name}-p{t.p}",
+)
+def test_family_and_graph_match_fraction_reference(t, tmp_path):
+    for depth in range(1, 7 if t.p == 2 else 5):
+        pts = family_points(t, depth)
+        ref = _ref_family(t, depth)
+        for m in range(1, depth + 1):
+            _assert_matches_reference(pts, ref, m, tmp_path)
+        graph = automaton_graph(t, depth)
+        _assert_matches_reference(graph, _ref_graph(t, depth), 2, tmp_path)
+
+
+def test_cover_square_edges_match_fraction_reference(tmp_path):
+    # points on the lower and upper edges of [1, 4]^2; the upper edge
+    # belongs to the last cell
+    coords = ((6, 6), (6, 24), (15, 7), (24, 24))
+    pts = PointSet2D(p=3, n=0, levels=(1,), square=(1, 4), den=6, coords=coords)
+    for m in (1, 2):
+        ref = {(F(x, 6), F(y, 6)) for x, y in coords}
+        _assert_matches_reference(pts, ref, m, tmp_path)
+
+
+def test_accumulate_image_evaluates_one_table():
+    calls = []
+
+    def bulk(m, count):
+        calls.append((m, count))
+        return [x // 2 for x in range(count)]
+
+    oracle = FunctionOracle(p=2, delay=1, source="built-in",
+                            _fn=lambda x, m: x // 2, _bulk=bulk)
+    levels = range(2, 6)
+    pts = accumulate_image(oracle, levels)
+    assert calls == [(5, 2 ** 6)]
+    assert pts == PointSet2D.union([image_points(oracle, k) for k in levels])
+
+
+def test_hot_path_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on the hot path")
+
+    monkeypatch.setattr(geometry, "Fraction", no_fraction)
+    pts = accumulate_image(shift_oracle(3, 1), range(1, 5))
+    union = PointSet2D.union([pts, image_points(shift_oracle(3, 1), 2)])
+    family = family_points(odometer_transducer(2), 6)
+    graph = automaton_graph(odometer_transducer(2), 6)
+    assert union.coords == pts.coords
+    assert len(family.coords) > len(graph.coords) > 0

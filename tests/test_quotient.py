@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from padic_automata.errors import BudgetExceededError
 from padic_automata.mahler import MahlerSeries, series_oracle
+from padic_automata.oracle import FunctionOracle
 from padic_automata.quotient import (
     cycles,
     endomap,
@@ -146,6 +147,23 @@ def test_budget_exceeded():
         reduce_map(shift_oracle(2, 1), 8, budget=100)
     with pytest.raises(BudgetExceededError):
         endomap(shift_oracle(2, 1), 8, budget=100)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_upto_checks_budget_before_any_level(n):
+    calls = []
+
+    def counted(x, m):
+        calls.append(x)
+        return x % 2 ** m
+
+    oracle = FunctionOracle(p=2, delay=n, source="built-in", _fn=counted)
+    # level 2 fits in 2^8 entries, level 30 does not
+    with pytest.raises(BudgetExceededError):
+        is_measure_preserving_upto(oracle, 30, budget=1 << 8)
+    with pytest.raises(BudgetExceededError):
+        unique_cycle_upto(oracle, 30, budget=1 << 8)
+    assert len(calls) == 0
 
 
 def test_preimage_conservation_on_random_series():
