@@ -20,11 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Iterable
 
 from .errors import PrecisionError
 from .oracle import FunctionOracle
-from .padics import PadicInt, binomial_precision_demand, floor_log, is_prime
+from .padics import PadicInt, binomial_precision_demand, floor_log, is_prime, make
 
 __all__ = [
     "CoefficientCheck",
@@ -87,22 +88,20 @@ class MahlerSeries:
 
 
 def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerSeries:
-    """First ``count`` coefficients, by inverse forward differences.
+    """First ``count`` coefficients, by forward differences.
 
-    a_i = sum_{j<=i} (-1)^(i-j) C(i, j) f(j), an integer combination of the
-    residues f(j) mod p^precision, hence well defined mod p^precision.
+    a_i = (Delta^i f)(0) = sum_{j<=i} (-1)^(i-j) C(i, j) f(j), an integer
+    combination of the residues f(j) mod p^precision, hence well defined
+    mod p^precision; each difference row is reduced mod p^precision.
     """
     if count < 1:
         raise ValueError(f"coefficient count must be >= 1, got {count}")
     mod = f.p ** precision
-    values = [f.value(j, precision) for j in range(count)]
+    row = [f.value(j, precision) for j in range(count)]
     coeffs = []
-    for i in range(count):
-        acc = 0
-        for j in range(i + 1):
-            term = math.comb(i, j) * values[j]
-            acc = acc - term if (i - j) % 2 else acc + term
-        coeffs.append(PadicInt(f.p, precision, acc % mod))
+    while row:
+        coeffs.append(PadicInt(f.p, precision, row[0]))
+        row = [(b - a) % mod for a, b in zip(row, row[1:])]
     return MahlerSeries(p=f.p, n=f.delay, coeffs=tuple(coeffs))
 
 
@@ -139,36 +138,37 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     """The series as a function oracle at its declared delay.
 
     Queries evaluate the supported terms exactly at the canonical
-    representative of x mod p^(m+n).  The bulk route walks the domain
-    with the Pascal recurrence C(x+1, i) = C(x, i) + C(x, i-1), which the
-    round-trip tests pin against the per-point exact route.
+    representative of x mod p^(m+n).  The bulk route builds the table of
+    f(0), f(1), ... by iterated prefix sums: with g_{M-1} = a_{M-1} and
+    g_i(x) = a_i + sum_{y<x} g_{i+1}(y), the identity
+    sum_{y<x} C(y, j) = C(x, j+1) gives g_0(x) = sum_j a_j C(x, j) = f(x).
+    Each pass runs in ``itertools.accumulate`` and is reduced mod
+    p^precision.  The oracle keeps that table and rebuilds it only when a
+    longer one is asked for; every bulk query at m <= precision reads it.
     """
     coeff_values = series.coefficient_values()
-    p = series.p
+    p, mod = series.p, series.p ** series.precision
+    table: list[int] = []
+
+    def require(m: int) -> None:
+        if m > series.precision:
+            raise PrecisionError(
+                f"series precision {series.precision} cannot answer mod p^{m}"
+            )
 
     def at_point(x: int, m: int) -> int:
-        if m > series.precision:
-            raise PrecisionError(
-                f"series precision {series.precision} cannot answer mod p^{m}"
-            )
-        mod = p ** m
-        return sum(a * math.comb(x, i) for i, a in enumerate(coeff_values)) % mod
+        require(m)
+        return sum(a * math.comb(x, i) for i, a in enumerate(coeff_values)) % p ** m
 
-    def bulk(m: int, count: int) -> list[int]:
-        if m > series.precision:
-            raise PrecisionError(
-                f"series precision {series.precision} cannot answer mod p^{m}"
-            )
-        mod = p ** m
-        reduced = [a % mod for a in coeff_values]
-        row = [0] * len(reduced)  # row[i] = C(x, i) mod p^m
-        row[0] = 1
-        out = []
-        for _ in range(count):
-            out.append(sum(a * b for a, b in zip(reduced, row)) % mod)
-            for i in range(len(row) - 1, 0, -1):
-                row[i] = (row[i] + row[i - 1]) % mod
-        return out
+    def bulk(m: int, count: int) -> Iterable[int]:
+        nonlocal table
+        require(m)
+        if count > len(table):
+            g = [coeff_values[-1]] * count
+            for a in reversed(coeff_values[:-1]):
+                g = list(map(mod.__rmod__, accumulate(islice(g, count - 1), initial=a)))
+            table = g
+        return islice(table, count)
 
     return FunctionOracle(
         p=p, delay=series.n, source="mahler-series", _fn=at_point, _bulk=bulk
@@ -227,22 +227,10 @@ class ConditionReport:
         return self.verdict is CheckStatus.PASS
 
 
-def _residue_valuation(value: int, p: int, precision: int) -> int | None:
-    """Valuation of a residue through its precision window (None = all zero)."""
-    value %= p ** precision
-    if value == 0:
-        return None
-    nu = 0
-    while value % p == 0:
-        value //= p
-        nu += 1
-    return nu
-
-
 def _min_valuation_check(
     index: int, label: str, value: int, required: int, p: int, precision: int
 ) -> CoefficientCheck:
-    observed = _residue_valuation(value, p, precision)
+    observed = make(p, precision, value).valuation().nu
     if required <= 0:
         status = CheckStatus.PASS
     elif observed is not None:
@@ -258,11 +246,17 @@ def _min_valuation_check(
 def _unit_check(
     index: int, label: str, value: int, p: int, precision: int, exact_zero: bool
 ) -> CoefficientCheck:
-    observed = None if exact_zero else _residue_valuation(value, p, precision)
+    observed = None if exact_zero else make(p, precision, value).valuation().nu
     ok = observed == 0
     return CoefficientCheck(
         index, label, 0, observed, CheckStatus.PASS if ok else CheckStatus.FAIL
     )
+
+
+def _report(
+    which: str, series: MahlerSeries, checks: list[CoefficientCheck]
+) -> ConditionReport:
+    return ConditionReport(which, series.p, series.n, series.precision, tuple(checks))
 
 
 def _require_delay(series: MahlerSeries, which: str) -> None:
@@ -292,13 +286,7 @@ def check_delay_conditions(series: MahlerSeries) -> ConditionReport:
                 series.precision,
             )
         )
-    return ConditionReport(
-        which="delay",
-        p=series.p,
-        n=series.n,
-        precision=series.precision,
-        checks=tuple(checks),
-    )
+    return _report("delay", series, checks)
 
 
 def _tail_checks(series: MahlerSeries) -> list[CoefficientCheck]:
@@ -348,13 +336,7 @@ def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport
         )
     ]
     checks.extend(_tail_checks(series))
-    return ConditionReport(
-        which="measure-preserving",
-        p=series.p,
-        n=series.n,
-        precision=series.precision,
-        checks=tuple(checks),
-    )
+    return _report("measure-preserving", series, checks)
 
 
 def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
@@ -387,10 +369,4 @@ def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
         )
     )
     checks.extend(_tail_checks(series))
-    return ConditionReport(
-        which="ergodic",
-        p=series.p,
-        n=series.n,
-        precision=series.precision,
-        checks=tuple(checks),
-    )
+    return _report("ergodic", series, checks)

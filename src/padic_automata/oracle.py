@@ -12,7 +12,7 @@ a subject that only claims to be one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 __all__ = ["FunctionOracle"]
 
@@ -24,16 +24,16 @@ class FunctionOracle:
     ``source`` records provenance ("transducer", "mahler-series" or
     "built-in").  ``_fn(x, m)`` receives the canonical representative
     x in [0, p^(m+delay)) and must return f(x) mod p^m.  An optional
-    ``_bulk(m, count)`` returns [f(0), ..., f(count-1)] mod p^m for
-    backers with a faster whole-table path; consistency of the two
-    routes is property-tested.
+    ``_bulk(m, count)`` yields f(0), ..., f(count-1) mod p^m, as an
+    iterable read once, for backers with a faster whole-table path;
+    consistency of the two routes is property-tested.
     """
 
     p: int
     delay: int
     source: str
     _fn: Callable[[int, int], int] = field(compare=False, repr=False)
-    _bulk: Callable[[int, int], list[int]] | None = field(
+    _bulk: Callable[[int, int], Iterable[int]] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -59,5 +59,5 @@ class FunctionOracle:
             )
         if self._bulk is not None:
             mod = self.p ** m
-            return [v % mod for v in self._bulk(m, count)]
+            return list(map(mod.__rmod__, self._bulk(m, count)))
         return [self.value(x, m) for x in range(count)]

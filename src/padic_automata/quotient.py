@@ -12,12 +12,17 @@ structure found here is reported against the lift first.
 The synchronous case n = 0 is supported with the classical reading
 (level k lives on Z/p^k, fibers of size 1, the induced map is just
 f mod p^k), so anchors like x + 1 exercise the same code paths.
+
+Each ``_upto`` check evaluates one table, at level k_max, and reads
+every lower level off it: their residues are a prefix of its domain.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 from .errors import BudgetExceededError
 from .oracle import FunctionOracle
@@ -94,10 +99,14 @@ def reduce_map(
 
 def preimage_counts(reduced: ReducedMap) -> tuple[int, ...]:
     """Fiber sizes indexed by codomain residue; they sum to the domain size."""
-    counts = [0] * reduced.p ** reduced.codomain_exponent
-    for y in reduced.table:
+    return tuple(_fiber_sizes(reduced.table, reduced.p ** reduced.codomain_exponent))
+
+
+def _fiber_sizes(residues: Iterable[int], size: int) -> list[int]:
+    counts = [0] * size
+    for y in residues:
         counts[y] += 1
-    return tuple(counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -124,20 +133,25 @@ def is_measure_preserving_upto(
     """Check that every level-k fiber has exactly p^delay points, k = 2..k_max.
 
     This witnesses the criterion through k_max only; the full criterion
-    quantifies over every level.  The budget is checked against the
-    largest table, level k_max, before any level is evaluated.
+    quantifies over every level.  One table serves every level: the
+    level-k_max reduction is evaluated once, after its size is checked
+    against the budget, and level k counts the fibers of its entries
+    mod p^codomain over the prefix x < p^domain.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    _check_budget(f.p, level_exponents(f.delay, k_max)[0], budget)
+    top = reduce_map(f, k_max, budget).table
     expected = f.p ** f.delay
     histograms = []
     first_fail = None
     for k in range(2, k_max + 1):
-        counts = preimage_counts(reduce_map(f, k, budget))
+        dom, cod = level_exponents(f.delay, k)
+        size = f.p ** cod
+        level = islice(top, f.p ** dom)
+        counts = _fiber_sizes(level if k == k_max else map(size.__rmod__, level), size)
         collapsed = tuple(sorted(Counter(counts).items()))
         histograms.append((k, collapsed))
-        if first_fail is None and any(c != expected for c in counts):
+        if first_fail is None and collapsed != ((expected, size),):
             first_fail = k
     return MeasureVerdict(
         passed=first_fail is None,
@@ -224,18 +238,21 @@ def unique_cycle_upto(
 ) -> CycleVerdict:
     """Check that the level-k self-map has exactly one cycle, k = 1..k_max.
 
-    The budget is checked against the largest table, level k_max, before
-    any level is evaluated.
+    One table serves every level: the level-k_max self-map is evaluated
+    once, after its size is checked against the budget, and level k reads
+    its table as those entries mod p^e over the prefix x < p^e.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    _check_budget(f.p, endomap_exponent(f.delay, k_max), budget)
+    top = endomap(f, k_max, budget)
     counts = []
     first_fail = None
     for k in range(1, k_max + 1):
-        report = cycles(endomap(f, k, budget), level=k)
-        counts.append((k, len(report.cycles)))
-        if first_fail is None and len(report.cycles) != 1:
+        size = f.p ** endomap_exponent(f.delay, k)
+        table = top if k == k_max else list(map(size.__rmod__, islice(top, size)))
+        found = len(cycles(table, level=k).cycles)
+        counts.append((k, found))
+        if first_fail is None and found != 1:
             first_fail = k
     return CycleVerdict(
         passed=first_fail is None,

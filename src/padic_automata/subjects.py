@@ -106,7 +106,7 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
         delay=n,
         source="built-in",
         _fn=lambda x, m: x // q,
-        _bulk=lambda m, count: [x // q for x in range(count)],
+        _bulk=lambda m, count: (x // q for x in range(count)),
     )
 
 

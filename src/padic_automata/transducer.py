@@ -65,6 +65,18 @@ def _check_letter(a: int, p: int) -> None:
         raise ValueError(f"letter {a} outside the alphabet 0..{p - 1}")
 
 
+def _lookup(table: dict, what: str) -> Callable[[State, int], object]:
+    """(state, letter) -> table entry, failing loudly on a missing key."""
+
+    def fn(s: State, a: int) -> object:
+        try:
+            return table[(s, a)]
+        except KeyError:
+            raise ValueError(f"no {what} from state {s!r} on letter {a}")
+
+    return fn
+
+
 @dataclass(frozen=True)
 class SyncTransducer:
     """Letter-to-letter machine: delta(s, a) -> state, output(s, a) -> letter."""
@@ -87,19 +99,8 @@ class SyncTransducer:
         outputs: dict[tuple[State, int], int],
         name: str = "sync",
     ) -> "SyncTransducer":
-        def delta(s: State, a: int) -> State:
-            try:
-                return transitions[(s, a)]
-            except KeyError:
-                raise ValueError(f"no transition from state {s!r} on letter {a}")
-
-        def output(s: State, a: int) -> int:
-            try:
-                return outputs[(s, a)]
-            except KeyError:
-                raise ValueError(f"no output from state {s!r} on letter {a}")
-
-        return cls(p=p, initial=initial, delta=delta, output=output, name=name)
+        return cls(p=p, initial=initial, delta=_lookup(transitions, "transition"),
+                   output=_lookup(outputs, "output"), name=name)
 
 
 @dataclass(frozen=True)
@@ -121,19 +122,8 @@ class AsyncTransducer:
         outputs: dict[tuple[State, int], tuple[int, ...]],
         name: str = "async",
     ) -> "AsyncTransducer":
-        def delta(s: State, a: int) -> State:
-            try:
-                return transitions[(s, a)]
-            except KeyError:
-                raise ValueError(f"no transition from state {s!r} on letter {a}")
-
-        def output(s: State, a: int) -> tuple[int, ...]:
-            try:
-                return outputs[(s, a)]
-            except KeyError:
-                raise ValueError(f"no output from state {s!r} on letter {a}")
-
-        return cls(p=p, initial=initial, delta=delta, output=output, name=name)
+        return cls(p=p, initial=initial, delta=_lookup(transitions, "transition"),
+                   output=_lookup(outputs, "output"), name=name)
 
 
 def as_async(t: SyncTransducer) -> AsyncTransducer:
@@ -190,11 +180,15 @@ class DelayProfile:
     reason: str = ""
 
 
-def delay_profile(t: AsyncTransducer, depth: int) -> DelayProfile:
+def delay_profile(
+    t: AsyncTransducer, depth: int, budget: int = 1 << 24
+) -> DelayProfile:
     """Determine the constant output delay of ``t``, if it has one.
 
     Explores (state, emitted-length) pairs breadth-first, which covers
     every word of length <= depth without enumerating p^depth words.
+    :class:`BudgetExceededError` is raised before a frontier would hold
+    more than ``budget`` pairs.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -207,6 +201,10 @@ def delay_profile(t: AsyncTransducer, depth: int) -> DelayProfile:
             for a in range(t.p):
                 key = (t.delta(s, a), produced + len(t.output(s, a)))
                 if key not in nxt:
+                    if len(nxt) == budget:
+                        raise BudgetExceededError(
+                            f"delay probe frontier at length {k} exceeds the budget {budget}"
+                        )
                     nxt[key] = wit + (a,)
         lengths = {produced for (_, produced) in nxt}
         if len(lengths) > 1:
@@ -334,11 +332,14 @@ def family_transitivity(
     """Check that for all words u, v of length ``level`` some state s of
     the family maps u to v.
 
-    Words are identified with residues mod p^level.  The search covers
-    every state found within ``depth``.  It reads
-    len(states) * p^level * level letters, and raises
-    :class:`BudgetExceededError` before the first run when that exceeds
-    ``budget``.
+    Words are identified with residues mod p^level, first letter least
+    significant.  The search covers every state found within ``depth``
+    and walks each state's words as a trie: a word extends its parent by
+    one letter a, read at position j, so its (u, v) is the parent's plus
+    (a p^j, out p^j), and each state's (output, next state) row is built
+    once.  The budget bounds len(states) * p^level * level, the letters
+    that word-by-word runs would read; :class:`BudgetExceededError` is
+    raised before any walk when that exceeds ``budget``.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -349,21 +350,27 @@ def family_transitivity(
         raise BudgetExceededError(
             f"family transitivity reads {letters} letters, over the budget {budget}"
         )
+    rows: dict[State, list[tuple[int, State]]] = {}
     covered: set[tuple[int, int]] = set()
     for s in states:
-        for u in range(size):
-            v = word_value(run_sync(t, word_of(u, level, t.p), start=s), t.p)
-            covered.add((u, v))
-    for u in range(size):
-        for v in range(size):
-            if (u, v) not in covered:
-                return TransitivityReport(
-                    passed=False,
-                    level=level,
-                    depth=depth,
-                    states_examined=len(states),
-                    counterexample=(u, v),
-                )
+        frontier = [(s, 0, 0)]
+        for j in range(level):
+            scale, grown = t.p ** j, []
+            for state, u, v in frontier:
+                if state not in rows:
+                    rows[state] = [(t.output(state, a), t.delta(state, a)) for a in range(t.p)]
+                for a, (out, nxt) in enumerate(rows[state]):
+                    grown.append((nxt, u + a * scale, v + out * scale))
+            frontier = grown
+        # a letter outside 0..p-1 puts v off the grid, where it covers nothing
+        covered.update((u, v) for _, u, v in frontier if 0 <= v < size)
+    missing = None
+    if len(covered) < size * size:
+        missing = next((u, v) for u in range(size) for v in range(size) if (u, v) not in covered)
     return TransitivityReport(
-        passed=True, level=level, depth=depth, states_examined=len(states)
+        passed=missing is None,
+        level=level,
+        depth=depth,
+        states_examined=len(states),
+        counterexample=missing,
     )

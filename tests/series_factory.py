@@ -16,6 +16,8 @@ valuation floors, so each sample provably belongs to its population:
 * ``ergodic_passing``: the ergodicity conditions (a superset of
   ``mp_passing`` constraints).
 * ``unconstrained``: anything at all.
+
+``table_machine`` draws a seeded synchronous table machine.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import random
 
 from padic_automata.mahler import MahlerSeries
 from padic_automata.padics import floor_log
+from padic_automata.transducer import SyncTransducer
 
 DEFAULT_PRECISION = 12
 
@@ -131,3 +134,11 @@ def support_range(p: int, n: int) -> tuple[int, int]:
 def draw_support(rng: random.Random, p: int, n: int) -> int:
     lo, hi = support_range(p, n)
     return rng.randrange(lo, hi + 1)
+
+
+def table_machine(seed: int, p: int, states: int) -> SyncTransducer:
+    """A synchronous machine on states 0..states-1 with seeded random tables."""
+    rng = random.Random(seed)
+    transitions = {(s, a): rng.randrange(states) for s in range(states) for a in range(p)}
+    outputs = {(s, a): rng.randrange(p) for s in range(states) for a in range(p)}
+    return SyncTransducer.from_tables(p, 0, transitions, outputs, name="table")

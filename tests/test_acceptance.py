@@ -84,7 +84,7 @@ ERGODIC_CYCLE_COUNTEREXAMPLE = (819, 1318, 2441, 1210)
 def independent_reduction_fibers(series: MahlerSeries, k: int):
     """Fiber counts of the level-k reduction via per-point exact sums.
 
-    Independent of the oracle's Pascal-walk bulk route: every point is a
+    Independent of the oracle's prefix-sum bulk route: every point is a
     fresh big-integer evaluation.
     """
     p, n = series.p, series.n

@@ -322,13 +322,6 @@ def test_image_matches_fraction_reference(m, tmp_path):
         _assert_matches_reference(pts, _ref_image(oracle, levels), m, tmp_path)
 
 
-def _table_machine(seed, p, states):
-    rng = random.Random(seed)
-    transitions = {(s, a): rng.randrange(states) for s in range(states) for a in range(p)}
-    outputs = {(s, a): rng.randrange(p) for s in range(states) for a in range(p)}
-    return SyncTransducer.from_tables(p, 0, transitions, outputs, name="table")
-
-
 @pytest.mark.parametrize(
     "t",
     [
@@ -338,8 +331,8 @@ def _table_machine(seed, p, states):
         identity_transducer(3),
         odometer_transducer(2),
         odometer_transducer(3),
-        _table_machine(5, 2, 5),
-        _table_machine(6, 3, 4),
+        sf.table_machine(5, 2, 5),
+        sf.table_machine(6, 3, 4),
     ],
     ids=lambda t: f"{t.name}-p{t.p}",
 )

@@ -14,7 +14,7 @@ from padic_automata.mahler import (
     eval_series,
     series_oracle,
 )
-from padic_automata.padics import make
+from padic_automata.padics import binomial_precision_demand, make
 from padic_automata.subjects import (
     odometer_oracle,
     polynomial_oracle,
@@ -111,6 +111,66 @@ def test_series_oracle_bulk_matches_pointwise():
         m = 4
         bulk = oracle.values(m, p ** (m + n))
         assert bulk == [oracle.value(x, m) for x in range(p ** (m + n))]
+
+
+def _small_precision(p, n):
+    """Largest precision whose full residue domain p^(K+n) stays <= 256."""
+    k = 1
+    while p ** (k + 1 + n) <= 256:
+        k += 1
+    return k
+
+
+def _exact_table(series, m, count):
+    """f(0) .. f(count-1) mod p^m by the per-point exact routes."""
+    p, top = series.p, series.support - 1
+    digits = binomial_precision_demand(p, top, m) + series.precision + series.n
+    oracle, table = series_oracle(series), []
+    for x in range(count):
+        value = oracle.value(x, m)
+        assert eval_series(series, make(p, digits, x), m).value == value
+        table.append(value)
+    return table
+
+
+@pytest.mark.parametrize("p,n", sf.ACCEPTANCE_CONFIGS)
+def test_prefix_sum_table_matches_exact_routes(p, n):
+    """Every support 1..p^(2n)+4, counts 0, 1 and p^(m+n) at every m."""
+    rng = random.Random(13 + 7 * p + n)
+    K = _small_precision(p, n)
+    for support in range(1, p ** (2 * n) + 5):
+        series = sf.unconstrained(rng, p, n, support, precision=K)
+        exact = _exact_table(series, K, p ** (K + n))
+        for m in range(1, K + 1):
+            mod = p ** m
+            oracle = series_oracle(series)  # a fresh table for each m
+            assert oracle.values(m, 0) == []
+            assert oracle.values(m, 1) == [exact[0] % mod]
+            assert oracle.values(m, p ** (m + n)) == [
+                v % mod for v in exact[: p ** (m + n)]
+            ]
+
+
+@pytest.mark.parametrize("p,n", sf.ACCEPTANCE_CONFIGS)
+def test_kept_table_serves_smaller_and_larger_queries(p, n):
+    """One oracle asked smaller -> larger -> smaller, at different m."""
+    rng = random.Random(17 + 7 * p + n)
+    K = _small_precision(p, n)
+    series = sf.unconstrained(rng, p, n, p ** (2 * n) + 4, precision=K)
+    exact = _exact_table(series, K, p ** (K + n))
+    oracle = series_oracle(series)
+    for m in (1, K, 2, K - 1, 1, K):
+        count = p ** (m + n)
+        assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
+
+
+def test_series_oracle_precision_error_past_precision():
+    oracle = series_oracle(MahlerSeries.from_ints(2, 1, 4, [1, 2, 3]))
+    oracle.values(4, 2 ** 5)
+    with pytest.raises(PrecisionError):
+        oracle.values(5, 4)
+    with pytest.raises(PrecisionError):
+        oracle.value(3, 5)
 
 
 def test_series_oracle_prefix_consistency_for_sound_draws():

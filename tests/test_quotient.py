@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from padic_automata.errors import BudgetExceededError
 from padic_automata.mahler import MahlerSeries, series_oracle
 from padic_automata.oracle import FunctionOracle
 from padic_automata.quotient import (
+    CycleVerdict,
+    MeasureVerdict,
     cycles,
     endomap,
     endomap_exponent,
@@ -19,6 +22,7 @@ from padic_automata.quotient import (
 )
 from padic_automata.subjects import (
     delay_echo_transducer,
+    odometer_transducer,
     odometer_oracle,
     polynomial_oracle,
     shift_oracle,
@@ -219,3 +223,90 @@ def test_cycle_decomposition_soundness(table):
         for _ in range(size + 1):
             x = table[x]
         assert x in seen
+
+
+def _counting(oracle):
+    """``oracle`` behind a wrapper that logs every bulk and per-point call."""
+    calls = []
+
+    def point(x, m):
+        calls.append(("value", x, m))
+        return oracle.value(x, m)
+
+    def bulk(m, count):
+        calls.append(("values", m, count))
+        return oracle.values(m, count)
+
+    wrapped = FunctionOracle(p=oracle.p, delay=oracle.delay, source=oracle.source,
+                             _fn=point, _bulk=bulk)
+    return wrapped, calls
+
+
+def _reference_mp(f, k_max):
+    """The fiber criterion level by level, one reduction table per level."""
+    expected = f.p ** f.delay
+    histograms, first_fail = [], None
+    for k in range(2, k_max + 1):
+        counts = preimage_counts(reduce_map(f, k))
+        histograms.append((k, tuple(sorted(Counter(counts).items()))))
+        if first_fail is None and any(c != expected for c in counts):
+            first_fail = k
+    return MeasureVerdict(
+        passed=first_fail is None, p=f.p, n=f.delay, k_max=k_max,
+        expected_fiber=expected, first_failing_level=first_fail,
+        histograms=tuple(histograms),
+    )
+
+
+def _reference_cycles(f, k_max):
+    """The unique-cycle test level by level, one self-map table per level."""
+    counts, first_fail = [], None
+    for k in range(1, k_max + 1):
+        found = len(cycles(endomap(f, k), level=k).cycles)
+        counts.append((k, found))
+        if first_fail is None and found != 1:
+            first_fail = k
+    return CycleVerdict(
+        passed=first_fail is None, p=f.p, n=f.delay, k_max=k_max,
+        first_failing_level=first_fail, cycle_counts=tuple(counts),
+    )
+
+
+def _one_table_subjects():
+    """(factory, k_max) over built-ins, seeded series and machines at
+    n = 0, 1 and 2, named by their ids; each factory builds a fresh oracle."""
+    rng = random.Random(23)
+    subjects = [
+        ("shift-2-1", lambda: shift_oracle(2, 1), 8),
+        ("shift-3-1", lambda: shift_oracle(3, 1), 5),
+        ("shift-2-2", lambda: shift_oracle(2, 2), 4),
+        ("odometer-2", lambda: odometer_oracle(2), 8),
+        ("odometer-3", lambda: odometer_oracle(3), 5),
+        ("zero-2-1", lambda: zero_oracle(2, 1), 6),
+        ("zero-3-2", lambda: zero_oracle(3, 2), 3),
+        ("binomial-square", binomial_square, 7),
+        ("echo-2-1", lambda: function_of(delay_echo_transducer(2, 1)), 6),
+        ("echo-3-2", lambda: function_of(delay_echo_transducer(3, 2)), 3),
+        ("odometer-machine-2", lambda: function_of(odometer_transducer(2)), 7),
+    ]
+    k_maxes = {(2, 1): 8, (3, 1): 5, (2, 2): 4, (3, 2): 3}
+    for p, n in sf.ACCEPTANCE_CONFIGS:
+        for family in (sf.unconstrained, sf.delay_sound, sf.mp_passing, sf.ergodic_passing):
+            series = family(rng, p, n, sf.draw_support(rng, p, n))
+            subjects.append((f"{family.__name__}-{p}-{n}",
+                             lambda s=series: series_oracle(s), k_maxes[p, n]))
+    return [pytest.param(factory, k_max, id=name) for name, factory, k_max in subjects]
+
+
+@pytest.mark.parametrize("factory,k_max", _one_table_subjects())
+def test_upto_checks_evaluate_one_table(factory, k_max):
+    f = factory()
+    p, n = f.p, f.delay
+    counted, calls = _counting(f)
+    assert is_measure_preserving_upto(counted, k_max) == _reference_mp(factory(), k_max)
+    dom, cod = level_exponents(n, k_max)
+    assert calls == [("values", cod, p ** dom)]
+    calls.clear()
+    assert unique_cycle_upto(counted, k_max) == _reference_cycles(factory(), k_max)
+    e = endomap_exponent(n, k_max)
+    assert calls == [("values", e, p ** e)]

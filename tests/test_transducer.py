@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_automata.errors import BudgetExceededError
 from padic_automata.subjects import (
     delay_echo_transducer,
     digitwise_add_family,
@@ -14,6 +15,7 @@ from padic_automata.subjects import (
 from padic_automata.transducer import (
     AsyncTransducer,
     SyncTransducer,
+    TransitivityReport,
     as_async,
     delay_profile,
     family_transitivity,
@@ -25,6 +27,8 @@ from padic_automata.transducer import (
     word_of,
     word_value,
 )
+
+import series_factory as sf
 
 
 def negation_transducer():
@@ -183,6 +187,58 @@ def test_family_transitivity_odometer_level2_fails_with_witness():
 
 def test_family_transitivity_digitwise_add_passes():
     assert family_transitivity(digitwise_add_family(2), 3, 3).passed
+
+
+def _reference_transitivity(t, level, depth):
+    """Every word of every family state run from scratch with ``run_sync``."""
+    states = reachable_states(t, depth)
+    size = t.p ** level
+    covered = {
+        (u, word_value(run_sync(t, word_of(u, level, t.p), start=s), t.p))
+        for s in states
+        for u in range(size)
+    }
+    for u in range(size):
+        for v in range(size):
+            if (u, v) not in covered:
+                return TransitivityReport(False, level, depth, len(states), (u, v))
+    return TransitivityReport(True, level, depth, len(states))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        digitwise_add_family(2),
+        digitwise_add_family(3),
+        identity_transducer(2),
+        identity_transducer(3),
+        odometer_transducer(2),
+        odometer_transducer(3),
+        sf.table_machine(5, 2, 5),
+        sf.table_machine(6, 3, 4),
+        # writes letters past p - 1, whose pairs fall off the u, v grid
+        SyncTransducer(p=2, initial=0, delta=lambda s, a: s, output=lambda s, a: s + a,
+                       family=lambda depth: range(2 ** depth), name="off-grid"),
+    ],
+    ids=lambda t: f"{t.name}-p{t.p}",
+)
+def test_family_transitivity_trie_walk_matches_word_runs(t):
+    for level in range(1, 6 if t.p == 2 else 4):
+        for depth in range(0, 5 if t.p == 2 else 3):
+            assert family_transitivity(t, level, depth) == _reference_transitivity(
+                t, level, depth
+            ), (level, depth)
+
+
+def test_delay_profile_budget_bounds_the_frontier():
+    # the state counts the 1s read, so length-k words reach k + 1 states
+    counter = AsyncTransducer(
+        p=2, initial=0, delta=lambda s, a: s + a, output=lambda s, a: (a,),
+        name="counter",
+    )
+    assert delay_profile(counter, 8, budget=9).n == 0
+    with pytest.raises(BudgetExceededError):
+        delay_profile(counter, 8, budget=8)
 
 
 @settings(max_examples=60)
