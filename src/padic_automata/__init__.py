@@ -17,11 +17,10 @@ from .mahler import (
     check_ergodicity_conditions,
     check_measure_preserving_conditions,
     coeffs_from_oracle,
-    eval_series,
     series_oracle,
 )
 from .oracle import FunctionOracle
-from .padics import PadicInt, Valuation, binomial_eval, floor_log, make
+from .padics import floor_log, valuation
 from .quotient import (
     CycleReport,
     ReducedMap,
@@ -33,15 +32,12 @@ from .quotient import (
     unique_cycle_upto,
 )
 from .transducer import (
-    AsyncTransducer,
-    SyncTransducer,
+    Transducer,
     delay_profile,
     family_transitivity,
     function_of,
     reachable_states,
-    residual_map,
-    run_async,
-    run_sync,
+    run,
 )
 
 __version__ = "0.1.0"

@@ -30,13 +30,9 @@ from .errors import BudgetExceededError, FormatError, PrecisionError
 from .formats import parse_series, parse_transducer, serialize_series
 from .mahler import CheckStatus, MahlerSeries
 from .oracle import FunctionOracle
+from .padics import valuation
 from .subjects import BUILTIN_NAMES, make_builtin
-from .transducer import (
-    AsyncTransducer,
-    SyncTransducer,
-    family_transitivity,
-    function_of,
-)
+from .transducer import Transducer, family_transitivity, function_of
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -128,7 +124,7 @@ def to_oracle(subject) -> FunctionOracle:
         return subject
     if isinstance(subject, MahlerSeries):
         return mahler.series_oracle(subject)
-    if isinstance(subject, (SyncTransducer, AsyncTransducer)):
+    if isinstance(subject, Transducer):
         return function_of(subject)
     raise FormatError(f"cannot use {type(subject).__name__} as a function oracle")
 
@@ -136,6 +132,12 @@ def to_oracle(subject) -> FunctionOracle:
 def to_series(subject, args) -> MahlerSeries:
     if isinstance(subject, MahlerSeries):
         return subject
+    # the difference triangle of M values takes M(M+1)/2 subtractions
+    work = args.terms * (args.terms + 1) // 2
+    if work > args.budget:
+        raise BudgetExceededError(
+            f"{args.terms} terms take {work} differences, over the budget {args.budget}"
+        )
     return mahler.coeffs_from_oracle(to_oracle(subject), args.terms, args.precision)
 
 
@@ -164,9 +166,10 @@ def cmd_coeffs(args) -> int:
              f"p={series.p} n={series.n} precision={series.precision} terms={series.support}"]
     rows = []
     for i, a in enumerate(series.coeffs):
-        val = a.valuation()
-        lines.append(f"  a_{i} = {a.value}   valuation {val}")
-        rows.append({"index": i, "residue": a.value, "valuation": val.nu})
+        val = valuation(series.p, series.precision, a)
+        shown = f">= {series.precision}" if val is None else val
+        lines.append(f"  a_{i} = {a}   valuation {shown}")
+        rows.append({"index": i, "residue": a, "valuation": val})
     payload = {
         "command": "coeffs",
         "p": series.p,
@@ -279,18 +282,11 @@ def cmd_brute(args) -> int:
 def cmd_image(args) -> int:
     subject = load_subject(args)
     m = args.resolution
-    if isinstance(subject, (SyncTransducer, AsyncTransducer)):
-        machine = subject
-        if isinstance(machine, AsyncTransducer):
-            points = geometry.accumulate_image(
-                to_oracle(machine), range(1, args.kmax + 1), args.budget
-            )
-            bound = Fraction(points.p ** points.n, points.p ** m)
-        else:
-            points = geometry.family_points(machine, args.depth, args.budget)
-            bound = None
+    oracle = to_oracle(subject)
+    if isinstance(subject, Transducer) and oracle.delay == 0:
+        points = geometry.family_points(subject, args.depth, args.budget)
+        bound = None
     else:
-        oracle = to_oracle(subject)
         points = geometry.accumulate_image(oracle, range(1, args.kmax + 1), args.budget)
         bound = Fraction(oracle.p ** oracle.delay, oracle.p ** m)
     report = geometry.cover_fraction(points, m)
@@ -320,7 +316,7 @@ def cmd_image(args) -> int:
 
 def cmd_transitivity(args) -> int:
     subject = load_subject(args)
-    if not isinstance(subject, SyncTransducer):
+    if not isinstance(subject, Transducer) or to_oracle(subject).delay != 0:
         raise FormatError("transitivity needs a synchronous transducer subject")
     report = family_transitivity(subject, args.resolution, args.depth, args.budget)
     lines = [f"family transitivity for {subject_label(args)}",

@@ -25,7 +25,8 @@ Coefficients are decimal residues, index-annotated; indices must run
 
 Each ``trans`` line is ``state letter next-state : output-letters``; a
 synchronous document must put exactly one letter after the colon, an
-asynchronous one any number including none.  Blank lines and ``#``
+asynchronous one any number including none.  Both kinds build the same
+:class:`~padic_automata.transducer.Transducer`.  Blank lines and ``#``
 comments are ignored.  Both formats are versioned by their schema tag.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .mahler import MahlerSeries
-from .transducer import AsyncTransducer, SyncTransducer
+from .transducer import Transducer
 
 __all__ = [
     "SERIES_SCHEMA",
@@ -104,11 +105,11 @@ def serialize_series(series: MahlerSeries) -> str:
         f"precision {series.precision}",
     ]
     for i, a in enumerate(series.coeffs):
-        lines.append(f"coeff {i} {a.value}")
+        lines.append(f"coeff {i} {a}")
     return "\n".join(lines) + "\n"
 
 
-def parse_transducer(text: str) -> SyncTransducer | AsyncTransducer:
+def parse_transducer(text: str) -> Transducer:
     lines = _lines(text)
     if not lines or lines[0] != ["schema", TRANSDUCER_SCHEMA]:
         raise FormatError(
@@ -164,8 +165,4 @@ def parse_transducer(text: str) -> SyncTransducer | AsyncTransducer:
                     f"synchronous machines emit exactly one letter per step; "
                     f"state {key[0]!r} letter {key[1]} emits {len(word)}"
                 )
-        return SyncTransducer.from_tables(
-            p, initial, transitions, {k: w[0] for k, w in outputs.items()},
-            name="file",
-        )
-    return AsyncTransducer.from_tables(p, initial, transitions, outputs, name="file")
+    return Transducer.from_tables(p, initial, transitions, outputs, name="file")

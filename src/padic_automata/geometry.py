@@ -33,7 +33,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .oracle import FunctionOracle
-from .transducer import SyncTransducer, reachable_states
+from .transducer import Transducer, reachable_states
 
 __all__ = [
     "CoverReport",
@@ -199,14 +199,15 @@ def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
 
 
 def _trie_coords(
-    t: SyncTransducer, starts: Sequence[Hashable], depth: int, base: int, shift: int
+    t: Transducer, starts: Sequence[Hashable], depth: int, base: int, shift: int
 ) -> set[tuple[int, int]]:
     """(input, output) numerators of every run of 1..depth letters from each
     start state: a word's letters plus ``shift`` are its base-``base`` digits,
     first letter most significant, scaled by base^(depth - length).
     Words are walked as a trie: a word extends its parent by one letter, so
     its numerators are the parent's times ``base`` plus the letters read and
-    written.  Each state's (letter, output, next state) row is built once.
+    written.  Each state's (letter, output word, next state) row is built
+    once; the machine is synchronous, so every output word has one letter.
     """
     rows: dict[Hashable, list[tuple[int, int, Hashable]]] = {}
     coords: set[tuple[int, int]] = set()
@@ -216,10 +217,10 @@ def _trie_coords(
             scale, grown = base ** rest, []
             for state, u, v in frontier:
                 if state not in rows:
-                    rows[state] = [(a + shift, t.output(state, a) + shift, t.delta(state, a))
+                    rows[state] = [(a + shift, t.output(state, a), t.delta(state, a))
                                    for a in range(t.p)]
-                for a, out, nxt in rows[state]:
-                    x, y = u * base + a, v * base + out
+                for a, (out,), nxt in rows[state]:
+                    x, y = u * base + a, v * base + out + shift
                     coords.add((x * scale, y * scale))
                     grown.append((nxt, x, y))
             frontier = grown
@@ -227,7 +228,7 @@ def _trie_coords(
 
 
 def family_points(
-    t: SyncTransducer, depth: int, budget: int = 1 << 24
+    t: Transducer, depth: int, budget: int = 1 << 24
 ) -> PointSet2D:
     """Image points of the whole state family of a synchronous machine.
 
@@ -252,13 +253,13 @@ def family_points(
 
 
 def family_image(
-    t: SyncTransducer, depth: int, m: int, budget: int = 1 << 24
+    t: Transducer, depth: int, m: int, budget: int = 1 << 24
 ) -> CoverReport:
     """Cover report of the family image at resolution m."""
     return cover_fraction(family_points(t, depth, budget), m)
 
 
-def automaton_graph(t: SyncTransducer, depth: int) -> PointSet2D:
+def automaton_graph(t: Transducer, depth: int) -> PointSet2D:
     """The (p+1)-ary graph of the machine's initial-state function.
 
     Each nonempty input word u of length <= depth yields the point

@@ -8,11 +8,11 @@ exactly zero), which makes the three delay / measure-preservation /
 ergodicity coefficient conditions finitely decidable.
 
 Each per-index condition is a congruence a ≡ 0 (mod p^r) (equivalently a
-valuation bound) or a unit condition a ≢ 0 (mod p).  With coefficients
-stored as K-digit residues, a congruence with r <= K is exactly decidable;
-r > K is decidable only when some digit below K is nonzero (then the true
-valuation is known exactly and the check certainly fails).  The remaining
-cases are reported as insufficient precision, never guessed.
+valuation bound) or a unit condition a ≢ 0 (mod p).  Coefficients are
+stored as plain integers mod p^K, so a congruence with r <= K is exactly
+decidable; r > K is decidable only when some digit below K is nonzero
+(then the true valuation is known exactly and the check certainly fails).
+The remaining cases are reported as insufficient precision, never guessed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .errors import PrecisionError
 from .oracle import FunctionOracle
-from .padics import PadicInt, binomial_precision_demand, floor_log, is_prime, make
+from .padics import floor_log, is_prime, valuation
 
 __all__ = [
     "CoefficientCheck",
@@ -36,7 +36,6 @@ __all__ = [
     "check_ergodicity_conditions",
     "check_measure_preserving_conditions",
     "coeffs_from_oracle",
-    "eval_series",
     "series_oracle",
 ]
 
@@ -46,45 +45,43 @@ class MahlerSeries:
     """Coefficients a_0 .. a_{M-1} at a common precision, zero beyond.
 
     ``n`` is the declared output delay of the map the series represents
-    (0 = synchronous).  Coefficients are residues mod p^K; indices at or
-    past the support are exactly zero, not truncations.
+    (0 = synchronous).  Coefficients are residues in [0, p^precision);
+    indices at or past the support are exactly zero, not truncations.
     """
 
     p: int
     n: int
-    coeffs: tuple[PadicInt, ...]
+    precision: int
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 0:
             raise ValueError(f"delay must be >= 0, got {self.n}")
+        if self.precision < 1:
+            raise ValueError(f"precision must be >= 1, got {self.precision}")
         if not self.coeffs:
             raise ValueError("a series needs at least one coefficient")
-        k = self.coeffs[0].precision
+        mod = self.p ** self.precision
         for a in self.coeffs:
-            if a.p != self.p:
-                raise ValueError(f"coefficient prime {a.p} != series prime {self.p}")
-            if a.precision != k:
-                raise ValueError("coefficients must share one precision")
+            if not 0 <= a < mod:
+                raise ValueError(f"coefficient {a} outside [0, {self.p}^{self.precision})")
 
     @classmethod
     def from_ints(
         cls, p: int, n: int, precision: int, values: Iterable[int]
     ) -> "MahlerSeries":
-        coeffs = tuple(PadicInt(p, precision, v % p ** precision) for v in values)
-        return cls(p=p, n=n, coeffs=coeffs)
-
-    @property
-    def precision(self) -> int:
-        return self.coeffs[0].precision
+        """The series of the canonical residues of ``values``, negatives allowed."""
+        mod = p ** precision
+        return cls(p=p, n=n, precision=precision, coeffs=tuple(v % mod for v in values))
 
     @property
     def support(self) -> int:
         return len(self.coeffs)
 
     def coefficient_values(self) -> tuple[int, ...]:
-        return tuple(a.value for a in self.coeffs)
+        return self.coeffs
 
 
 def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerSeries:
@@ -100,38 +97,9 @@ def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerS
     row = [f.value(j, precision) for j in range(count)]
     coeffs = []
     while row:
-        coeffs.append(PadicInt(f.p, precision, row[0]))
+        coeffs.append(row[0])
         row = [(b - a) % mod for a, b in zip(row, row[1:])]
-    return MahlerSeries(p=f.p, n=f.delay, coeffs=tuple(coeffs))
-
-
-def eval_series(series: MahlerSeries, x: PadicInt, m: int) -> PadicInt:
-    """Exact sum of the supported terms, reduced mod p^m.
-
-    ``x`` must carry enough digits for the highest supported binomial; the
-    coefficients must carry at least m digits.
-    """
-    if x.p != series.p:
-        raise ValueError(f"mismatched primes {x.p} and {series.p}")
-    if m < 1:
-        raise ValueError(f"output precision must be >= 1, got {m}")
-    if m > series.precision:
-        raise PrecisionError(
-            f"series coefficients carry {series.precision} digits; "
-            f"cannot evaluate mod p^{m}"
-        )
-    top = series.support - 1
-    demand = binomial_precision_demand(series.p, top, m)
-    if x.precision < demand:
-        raise PrecisionError(
-            f"evaluating through index {top} mod p^{m} needs {demand} digits "
-            f"of x, only {x.precision} known"
-        )
-    mod = series.p ** m
-    acc = 0
-    for i, a in enumerate(series.coeffs):
-        acc = (acc + a.value * math.comb(x.value, i)) % mod
-    return PadicInt(series.p, m, acc)
+    return MahlerSeries(p=f.p, n=f.delay, precision=precision, coeffs=tuple(coeffs))
 
 
 def series_oracle(series: MahlerSeries) -> FunctionOracle:
@@ -146,7 +114,7 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     p^precision.  The oracle keeps that table and rebuilds it only when a
     longer one is asked for; every bulk query at m <= precision reads it.
     """
-    coeff_values = series.coefficient_values()
+    coeff_values = series.coeffs
     p, mod = series.p, series.p ** series.precision
     table: list[int] = []
 
@@ -230,7 +198,7 @@ class ConditionReport:
 def _min_valuation_check(
     index: int, label: str, value: int, required: int, p: int, precision: int
 ) -> CoefficientCheck:
-    observed = make(p, precision, value).valuation().nu
+    observed = valuation(p, precision, value)
     if required <= 0:
         status = CheckStatus.PASS
     elif observed is not None:
@@ -246,7 +214,7 @@ def _min_valuation_check(
 def _unit_check(
     index: int, label: str, value: int, p: int, precision: int, exact_zero: bool
 ) -> CoefficientCheck:
-    observed = None if exact_zero else make(p, precision, value).valuation().nu
+    observed = None if exact_zero else valuation(p, precision, value)
     ok = observed == 0
     return CoefficientCheck(
         index, label, 0, observed, CheckStatus.PASS if ok else CheckStatus.FAIL
@@ -269,20 +237,21 @@ def _require_delay(series: MahlerSeries, which: str) -> None:
 
 def check_delay_conditions(series: MahlerSeries) -> ConditionReport:
     """Coefficient bounds under which the series realizes its declared delay:
-    valuation(a_i) >= floor_log(p^n, i) - 1 for every supported i >= 1.
+    valuation(a_i) >= floor_log(p, i) - n for every supported i >= 1.
 
-    Indices below p^(2n) demand nothing (the bound is <= 0 there).  At
-    n >= 2 this bound is weaker than genuine delay-n digit dependence
-    needs; see README Known finding 2 and the delay-dependence tests.
+    The binomial C(x, i) moves p-adic distances by at most a factor
+    p^floor_log(p, i), so under these bounds inputs agreeing on m + n digits
+    give outputs agreeing on m.  Indices below p^(n+1) demand nothing (the
+    bound is <= 0 there).  At n = 1 this equals floor_log(p^n, i) - 1, which
+    from n = 2 on is too weak to force the delay (README finding 2).
     """
     _require_delay(series, "delay")
     checks = []
-    q = series.p ** series.n
     for i in range(1, series.support):
-        required = floor_log(q, i) - 1
+        required = floor_log(series.p, i) - series.n
         checks.append(
             _min_valuation_check(
-                i, f"a_{i}", series.coeffs[i].value, required, series.p,
+                i, f"a_{i}", series.coeffs[i], required, series.p,
                 series.precision,
             )
         )
@@ -308,7 +277,7 @@ def _tail_checks(series: MahlerSeries) -> list[CoefficientCheck]:
             _min_valuation_check(
                 i,
                 f"a_{i}",
-                series.coeffs[i].value,
+                series.coeffs[i],
                 floor_log(p, i) - n + 1,
                 p,
                 series.precision,
@@ -328,7 +297,7 @@ def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport
     _require_delay(series, "measure-preservation")
     q = series.p ** series.n
     in_support = q < series.support
-    unit_value = series.coeffs[q].value if in_support else 0
+    unit_value = series.coeffs[q] if in_support else 0
     checks = [
         _unit_check(
             q, f"a_{q}", unit_value, series.p, series.precision,
@@ -350,7 +319,7 @@ def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
     """
     _require_delay(series, "ergodicity")
     q = series.p ** series.n
-    head = sum(a.value for a in series.coeffs[1 : min(q, series.support)])
+    head = sum(series.coeffs[1 : min(q, series.support)])
     checks = [
         _min_valuation_check(
             0,
@@ -362,7 +331,7 @@ def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
         )
     ]
     in_support = q < series.support
-    unit_minus_one = (series.coeffs[q].value - 1) if in_support else -1
+    unit_minus_one = (series.coeffs[q] - 1) if in_support else -1
     checks.append(
         _min_valuation_check(
             q, f"a_{q} - 1", unit_minus_one, 1, series.p, series.precision

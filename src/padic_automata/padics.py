@@ -1,29 +1,13 @@
-"""Exact truncated p-adic integer arithmetic.
+"""Primes, exact integer logarithms and valuations of residues.
 
-A ``PadicInt`` is a residue in Z/p^K presented as its K base-p digits,
-least significant first.  All arithmetic is exact big-integer arithmetic
-followed by reduction; no floats anywhere.  Every operation that needs
-more input digits than an operand carries raises ``PrecisionError``
-instead of silently truncating.
+A residue in Z/p^K is a plain integer in [0, p^K); its K base-p digits
+are read least significant first.  Everything here is exact integer
+arithmetic, no floats anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-import math
-
-from .errors import PrecisionError
-
-__all__ = [
-    "PadicInt",
-    "Valuation",
-    "binomial_eval",
-    "binomial_precision_demand",
-    "floor_log",
-    "is_prime",
-    "make",
-]
+__all__ = ["floor_log", "is_prime", "valuation"]
 
 
 def is_prime(p: int) -> bool:
@@ -59,161 +43,18 @@ def floor_log(base: int, i: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """p-adic valuation observed through a window of K known digits.
+def valuation(p: int, precision: int, v: int) -> int | None:
+    """p-adic valuation of v seen through its ``precision`` lowest digits.
 
-    ``nu`` is the index of the first nonzero digit, or ``None`` when all
-    K digits are zero ("at least K": the value is indistinguishable from
-    0 at this precision).  The norm p^-nu is derived on demand and kept
-    exact as a Fraction.
+    The index of the first nonzero base-p digit of v mod p^precision, or
+    None when all those digits are zero (the valuation is then only known
+    to be at least ``precision``).
     """
-
-    p: int
-    precision: int
-    nu: int | None
-
-    def __post_init__(self) -> None:
-        if self.nu is not None and not 0 <= self.nu < self.precision:
-            raise ValueError(
-                f"finite valuation {self.nu} outside the {self.precision}-digit window"
-            )
-
-    @property
-    def is_exact(self) -> bool:
-        return self.nu is not None
-
-    def lower_bound(self) -> int:
-        """Certified lower bound on the true valuation."""
-        return self.precision if self.nu is None else self.nu
-
-    def norm(self) -> Fraction:
-        if self.nu is None:
-            raise PrecisionError(
-                f"valuation is only known to be >= {self.precision}; "
-                "the norm is not determined at this precision"
-            )
-        return Fraction(1, self.p ** self.nu)
-
-    def __str__(self) -> str:
-        return f">= {self.precision}" if self.nu is None else str(self.nu)
-
-
-@dataclass(frozen=True)
-class PadicInt:
-    """Residue in Z/p^K with digit access; immutable and hashable.
-
-    ``value`` is the canonical representative in [0, p^K).  Arithmetic
-    between operands with the same prime works at the smaller of the two
-    precisions, mirroring how many digits of the result are determined.
-    """
-
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
-        if not 0 <= self.value < self.p ** self.precision:
-            raise ValueError(
-                f"value {self.value} outside [0, {self.p}^{self.precision})"
-            )
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        out = []
-        v = self.value
-        for _ in range(self.precision):
-            v, d = divmod(v, self.p)
-            out.append(d)
-        return tuple(out)
-
-    def reduce(self, precision: int) -> "PadicInt":
-        """Drop to a smaller precision (a prefix of the digit word)."""
-        if precision > self.precision:
-            raise PrecisionError(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
-        return PadicInt(self.p, precision, self.value % self.p ** precision)
-
-    def valuation(self) -> Valuation:
-        if self.value == 0:
-            return Valuation(self.p, self.precision, None)
-        v = self.value
-        nu = 0
-        while v % self.p == 0:
-            v //= self.p
-            nu += 1
-        return Valuation(self.p, self.precision, nu)
-
-    def _coerce(self, other: "PadicInt") -> int:
-        if not isinstance(other, PadicInt):
-            raise TypeError(f"expected PadicInt, got {type(other).__name__}")
-        if other.p != self.p:
-            raise ValueError(f"mismatched primes {self.p} and {other.p}")
-        return min(self.precision, other.precision)
-
-    def __add__(self, other: "PadicInt") -> "PadicInt":
-        k = self._coerce(other)
-        return PadicInt(self.p, k, (self.value + other.value) % self.p ** k)
-
-    def __sub__(self, other: "PadicInt") -> "PadicInt":
-        k = self._coerce(other)
-        return PadicInt(self.p, k, (self.value - other.value) % self.p ** k)
-
-    def __mul__(self, other: "PadicInt") -> "PadicInt":
-        k = self._coerce(other)
-        return PadicInt(self.p, k, (self.value * other.value) % self.p ** k)
-
-    def __neg__(self) -> "PadicInt":
-        return PadicInt(self.p, self.precision, (-self.value) % self.p ** self.precision)
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.p}^{self.precision})"
-
-
-def make(p: int, precision: int, v: int) -> PadicInt:
-    """Canonical residue of the integer v, negative values allowed.
-
-    Negative inputs wrap to the p^K-complement, matching two's-complement
-    intuition at p = 2.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    return PadicInt(p, precision, v % p ** precision)
-
-
-def binomial_precision_demand(p: int, i: int, precision: int) -> int:
-    """Input digits needed so C(x, i) is determined modulo p^precision.
-
-    The binomial coefficient function x -> C(x, i) moves p-adic distances
-    by at most a factor p^floor_log(p, i), so ``precision + floor_log(p, i)``
-    input digits pin down ``precision`` output digits.  That bound is
-    property-tested exhaustively in the test suite rather than assumed.
-    """
-    return precision + (floor_log(p, i) if i >= 1 else 0)
-
-
-def binomial_eval(x: PadicInt, i: int, precision: int) -> PadicInt:
-    """C(x, i) mod p^precision by exact integer product and reduction.
-
-    ``x`` must carry at least ``binomial_precision_demand(p, i, precision)``
-    digits; anything less is reported as a PrecisionError, never silently
-    truncated.
-    """
-    if i < 0:
-        raise ValueError(f"binomial index must be >= 0, got {i}")
-    if precision < 1:
-        raise ValueError(f"target precision must be >= 1, got {precision}")
-    demand = binomial_precision_demand(x.p, i, precision)
-    if x.precision < demand:
-        raise PrecisionError(
-            f"C(x, {i}) mod {x.p}^{precision} needs {demand} digits of x, "
-            f"only {x.precision} known"
-        )
-    return PadicInt(x.p, precision, math.comb(x.value, i) % x.p ** precision)
+    v %= p ** precision
+    if v == 0:
+        return None
+    nu = 0
+    while v % p == 0:
+        v //= p
+        nu += 1
+    return nu

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .oracle import FunctionOracle
 from .padics import is_prime
-from .transducer import AsyncTransducer, SyncTransducer
+from .transducer import Transducer
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -34,31 +34,31 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def identity_transducer(p: int) -> SyncTransducer:
+def identity_transducer(p: int) -> Transducer:
     """One state, echoes each letter."""
     _require_prime(p)
-    return SyncTransducer(
+    return Transducer(
         p=p,
         initial="s0",
         delta=lambda s, a: "s0",
-        output=lambda s, a: a,
+        output=lambda s, a: (a,),
         name="identity",
     )
 
 
-def odometer_transducer(p: int) -> SyncTransducer:
+def odometer_transducer(p: int) -> Transducer:
     """x + 1 on digits: state is the pending carry, initially 1."""
     _require_prime(p)
-    return SyncTransducer(
+    return Transducer(
         p=p,
         initial=1,
         delta=lambda carry, a: (a + carry) // p,
-        output=lambda carry, a: (a + carry) % p,
+        output=lambda carry, a: ((a + carry) % p,),
         name="odometer",
     )
 
 
-def delay_echo_transducer(p: int, n: int) -> AsyncTransducer:
+def delay_echo_transducer(p: int, n: int) -> Transducer:
     """Silent for the first n letters, then echoes; realizes x -> floor(x / p^n).
 
     The state counts letters still to swallow.
@@ -66,7 +66,7 @@ def delay_echo_transducer(p: int, n: int) -> AsyncTransducer:
     _require_prime(p)
     if n < 1:
         raise ValueError(f"delay must be >= 1, got {n}")
-    return AsyncTransducer(
+    return Transducer(
         p=p,
         initial=n,
         delta=lambda remaining, a: max(remaining - 1, 0),
@@ -75,7 +75,7 @@ def delay_echo_transducer(p: int, n: int) -> AsyncTransducer:
     )
 
 
-def digitwise_add_family(p: int) -> SyncTransducer:
+def digitwise_add_family(p: int) -> Transducer:
     """Carry-free addition family: state m adds the digits of m to the input.
 
     Reading letter a in state m outputs (a + m) mod p and keeps the
@@ -85,11 +85,11 @@ def digitwise_add_family(p: int) -> SyncTransducer:
     words (pick m with digits v - u mod p, digit by digit).
     """
     _require_prime(p)
-    return SyncTransducer(
+    return Transducer(
         p=p,
         initial=0,
         delta=lambda m, a: m // p,
-        output=lambda m, a: (m + a) % p,
+        output=lambda m, a: ((m + a) % p,),
         family=lambda depth: range(p ** depth),
         name="digitwise-add",
     )

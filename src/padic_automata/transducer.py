@@ -1,11 +1,11 @@
-"""Synchronous and asynchronous transducers over the alphabet {0..p-1}.
+"""Transducers over the alphabet {0..p-1}.
 
 Words are digit sequences consumed least-significant-digit first, so a
-word prefix of length k is exactly a residue mod p^k.  A synchronous
-machine emits one letter per letter read; an asynchronous machine emits
-a finite (possibly empty) word per step.  A machine whose output is
+word prefix of length k is exactly a residue mod p^k.  A machine emits a
+finite (possibly empty) word per letter read.  A machine whose output is
 always exactly n letters behind its input realizes an n-unit delay map,
-exposed through :class:`~padic_automata.oracle.FunctionOracle`.
+exposed through :class:`~padic_automata.oracle.FunctionOracle`; a
+synchronous machine is the case n = 0, one letter per step.
 
 State spaces may be infinite: a machine can carry a ``family`` callable
 that enumerates the states belonging to exploration depth D, and every
@@ -23,18 +23,14 @@ from .errors import BudgetExceededError
 from .oracle import FunctionOracle
 
 __all__ = [
-    "AsyncTransducer",
     "DelayProfile",
-    "SyncTransducer",
+    "Transducer",
     "TransitivityReport",
-    "as_async",
     "delay_profile",
     "family_transitivity",
     "function_of",
     "reachable_states",
-    "residual_map",
-    "run_async",
-    "run_sync",
+    "run",
     "word_of",
     "word_value",
 ]
@@ -78,40 +74,20 @@ def _lookup(table: dict, what: str) -> Callable[[State, int], object]:
 
 
 @dataclass(frozen=True)
-class SyncTransducer:
-    """Letter-to-letter machine: delta(s, a) -> state, output(s, a) -> letter."""
+class Transducer:
+    """Letter-to-word machine: delta(s, a) -> state, output(s, a) -> word.
 
-    p: int
-    initial: State
-    delta: Callable[[State, int], State] = field(compare=False)
-    output: Callable[[State, int], int] = field(compare=False)
-    family: Callable[[int], Sequence[State]] | None = field(
-        default=None, compare=False
-    )
-    name: str = "sync"
-
-    @classmethod
-    def from_tables(
-        cls,
-        p: int,
-        initial: State,
-        transitions: dict[tuple[State, int], State],
-        outputs: dict[tuple[State, int], int],
-        name: str = "sync",
-    ) -> "SyncTransducer":
-        return cls(p=p, initial=initial, delta=_lookup(transitions, "transition"),
-                   output=_lookup(outputs, "output"), name=name)
-
-
-@dataclass(frozen=True)
-class AsyncTransducer:
-    """Letter-to-word machine: output(s, a) is a finite word, possibly empty."""
+    ``family``, if given, enumerates the states of exploration depth D.
+    """
 
     p: int
     initial: State
     delta: Callable[[State, int], State] = field(compare=False)
     output: Callable[[State, int], tuple[int, ...]] = field(compare=False)
-    name: str = "async"
+    family: Callable[[int], Sequence[State]] | None = field(
+        default=None, compare=False
+    )
+    name: str = "transducer"
 
     @classmethod
     def from_tables(
@@ -120,40 +96,15 @@ class AsyncTransducer:
         initial: State,
         transitions: dict[tuple[State, int], State],
         outputs: dict[tuple[State, int], tuple[int, ...]],
-        name: str = "async",
-    ) -> "AsyncTransducer":
+        name: str = "transducer",
+    ) -> "Transducer":
         return cls(p=p, initial=initial, delta=_lookup(transitions, "transition"),
                    output=_lookup(outputs, "output"), name=name)
 
 
-def as_async(t: SyncTransducer) -> AsyncTransducer:
-    """Embed a synchronous machine as a one-letter-per-step asynchronous one."""
-    return AsyncTransducer(
-        p=t.p,
-        initial=t.initial,
-        delta=t.delta,
-        output=lambda s, a: (t.output(s, a),),
-        name=t.name,
-    )
-
-
-def run_sync(
-    t: SyncTransducer, word: Sequence[int], start: State | None = None
-) -> tuple[int, ...]:
-    """Standard Mealy run from ``start`` (default: the initial state)."""
-    s = t.initial if start is None else start
-    out = []
-    for a in word:
-        _check_letter(a, t.p)
-        out.append(t.output(s, a))
-        s = t.delta(s, a)
-    return tuple(out)
-
-
-def run_async(
-    t: AsyncTransducer, word: Sequence[int], start: State | None = None
-) -> tuple[int, ...]:
-    """Concatenation of the per-step output words."""
+def run(t: Transducer, word: Sequence[int], start: State | None = None) -> tuple[int, ...]:
+    """Concatenation of the per-step output words, from ``start`` (default:
+    the initial state)."""
     s = t.initial if start is None else start
     out: list[int] = []
     for a in word:
@@ -180,9 +131,7 @@ class DelayProfile:
     reason: str = ""
 
 
-def delay_profile(
-    t: AsyncTransducer, depth: int, budget: int = 1 << 24
-) -> DelayProfile:
+def delay_profile(t: Transducer, depth: int, budget: int = 1 << 24) -> DelayProfile:
     """Determine the constant output delay of ``t``, if it has one.
 
     Explores (state, emitted-length) pairs breadth-first, which covers
@@ -241,44 +190,35 @@ def delay_profile(
     return DelayProfile(constant=True, depth=depth, n=candidate)
 
 
-def function_of(
-    t: SyncTransducer | AsyncTransducer, probe_depth: int = 8
-) -> FunctionOracle:
+def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
     """The map realized by ``t`` from its initial state, as an oracle.
 
     The constant delay n is established by :func:`delay_profile` up to
-    ``probe_depth`` first; each later run re-checks the emitted length,
-    so a delay violation beyond the probed depth fails loudly instead of
-    corrupting answers.
+    ``probe_depth`` first (a synchronous machine comes out at n = 0); each
+    later run re-checks the emitted length, so a delay violation beyond
+    the probed depth fails loudly instead of corrupting answers.
     """
-    machine = as_async(t) if isinstance(t, SyncTransducer) else t
-    if isinstance(t, SyncTransducer):
-        n = 0
-    else:
-        profile = delay_profile(machine, probe_depth)
-        if not profile.constant:
-            raise ValueError(
-                f"transducer {machine.name!r} has no constant delay "
-                f"within depth {probe_depth}: {profile.reason}"
-            )
-        n = profile.n
+    profile = delay_profile(t, probe_depth)
+    if not profile.constant:
+        raise ValueError(
+            f"transducer {t.name!r} has no constant delay "
+            f"within depth {probe_depth}: {profile.reason}"
+        )
+    n = profile.n
 
     def evaluate(x: int, m: int) -> int:
-        word = word_of(x, m + n, machine.p)
-        out = run_async(machine, word)
+        out = run(t, word_of(x, m + n, t.p))
         if len(out) != m:
             raise ValueError(
-                f"transducer {machine.name!r} produced {len(out)} letters on a "
+                f"transducer {t.name!r} produced {len(out)} letters on a "
                 f"{m + n}-letter word; expected {m} at delay {n}"
             )
-        return word_value(out, machine.p)
+        return word_value(out, t.p)
 
-    return FunctionOracle(p=machine.p, delay=n, source="transducer", _fn=evaluate)
+    return FunctionOracle(p=t.p, delay=n, source="transducer", _fn=evaluate)
 
 
-def reachable_states(
-    t: SyncTransducer | AsyncTransducer, depth: int
-) -> list[State]:
+def reachable_states(t: Transducer, depth: int) -> list[State]:
     """States known at exploration depth ``depth``, in deterministic order.
 
     For a table machine this is breadth-first closure from the initial
@@ -288,9 +228,8 @@ def reachable_states(
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    family = getattr(t, "family", None)
-    if family is not None:
-        return list(family(depth))
+    if t.family is not None:
+        return list(t.family(depth))
     seen: dict[State, None] = {t.initial: None}
     queue = deque([(t.initial, 0)])
     while queue:
@@ -303,11 +242,6 @@ def reachable_states(
                 seen[nxt] = None
                 queue.append((nxt, d + 1))
     return list(seen)
-
-
-def residual_map(t: SyncTransducer, state: State) -> tuple[int, ...]:
-    """Single-letter output map of ``state``: entry a is output(state, a)."""
-    return tuple(t.output(state, a) for a in range(t.p))
 
 
 @dataclass(frozen=True)
@@ -327,10 +261,10 @@ class TransitivityReport:
 
 
 def family_transitivity(
-    t: SyncTransducer, level: int, depth: int, budget: int = 1 << 24
+    t: Transducer, level: int, depth: int, budget: int = 1 << 24
 ) -> TransitivityReport:
     """Check that for all words u, v of length ``level`` some state s of
-    the family maps u to v.
+    the synchronous family maps u to v.
 
     Words are identified with residues mod p^level, first letter least
     significant.  The search covers every state found within ``depth``
@@ -359,7 +293,8 @@ def family_transitivity(
             for state, u, v in frontier:
                 if state not in rows:
                     rows[state] = [(t.output(state, a), t.delta(state, a)) for a in range(t.p)]
-                for a, (out, nxt) in enumerate(rows[state]):
+                # one letter per step; unpacking fails loudly on any other word
+                for a, ((out,), nxt) in enumerate(rows[state]):
                     grown.append((nxt, u + a * scale, v + out * scale))
             frontier = grown
         # a letter outside 0..p-1 puts v off the grid, where it covers nothing

@@ -3,11 +3,9 @@
 Populations are built coefficient-by-coefficient against explicit
 valuation floors, so each sample provably belongs to its population:
 
-* ``delay_sound``: passes the delay coefficient check AND carries the
-  stronger valuations v(a_i) >= floor_log(p, i) - n that make
-  x == y (mod p^(m+n)) force f(x) == f(y) (mod p^m) through the binomial
-  Lipschitz bound.  (The delay check alone demands one power less for
-  n >= 2; see test_mahler for what that gap costs.)
+* ``delay_sound``: passes the delay coefficient check, whose valuations
+  v(a_i) >= floor_log(p, i) - n make x == y (mod p^(m+n)) force
+  f(x) == f(y) (mod p^m) through the binomial Lipschitz bound.
 * ``mp_passing``: the measure-preservation conditions: a_{p^n} a unit
   and v(a_i) >= floor_log(p, i) - n + 1 past p^n.  The tail floor counts
   digits in base p, not in base p^n; at n = 1 the two coincide.
@@ -26,18 +24,13 @@ import random
 
 from padic_automata.mahler import MahlerSeries
 from padic_automata.padics import floor_log
-from padic_automata.transducer import SyncTransducer
+from padic_automata.transducer import Transducer
 
 DEFAULT_PRECISION = 12
 
 
 def printed_delay_floor(p: int, n: int, i: int) -> int:
     """Valuation the delay coefficient check demands at index i >= 1."""
-    return max(floor_log(p ** n, i) - 1, 0)
-
-
-def dependence_floor(p: int, n: int, i: int) -> int:
-    """Valuation making index i harmless to (m+n)-digit delay dependence."""
     return max(floor_log(p, i) - n, 0)
 
 
@@ -69,8 +62,7 @@ def delay_sound(
 ) -> MahlerSeries:
     values = [rng.randrange(p ** precision)]
     for i in range(1, support):
-        floor = max(printed_delay_floor(p, n, i), dependence_floor(p, n, i))
-        values.append(_draw_with_floor(rng, p, precision, floor))
+        values.append(_draw_with_floor(rng, p, precision, printed_delay_floor(p, n, i)))
     return MahlerSeries.from_ints(p, n, precision, values)
 
 
@@ -136,9 +128,9 @@ def draw_support(rng: random.Random, p: int, n: int) -> int:
     return rng.randrange(lo, hi + 1)
 
 
-def table_machine(seed: int, p: int, states: int) -> SyncTransducer:
+def table_machine(seed: int, p: int, states: int) -> Transducer:
     """A synchronous machine on states 0..states-1 with seeded random tables."""
     rng = random.Random(seed)
     transitions = {(s, a): rng.randrange(states) for s in range(states) for a in range(p)}
-    outputs = {(s, a): rng.randrange(p) for s in range(states) for a in range(p)}
-    return SyncTransducer.from_tables(p, 0, transitions, outputs, name="table")
+    outputs = {(s, a): (rng.randrange(p),) for s in range(states) for a in range(p)}
+    return Transducer.from_tables(p, 0, transitions, outputs, name="table")

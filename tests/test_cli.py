@@ -1,4 +1,8 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from padic_automata.cli import main
 from padic_automata.formats import serialize_series
@@ -158,12 +162,33 @@ def test_transitivity_budget_exceeded(capsys):
     assert "budget" in err
 
 
-def test_transitivity_needs_sync_subject(capsys):
-    code, _, err = run(
-        capsys, "transitivity", "--builtin", "shift", "--resolution", "1"
+def test_transitivity_needs_sync_subject(capsys, tmp_path):
+    path = tmp_path / "echo.transducer"
+    path.write_text(ECHO_DOC)
+    for subject in (
+        ("--builtin", "shift"),
+        ("--builtin", "delay-echo", "--n", "2"),
+        ("--subject", str(path)),
+    ):
+        code, out, err = run(capsys, "transitivity", *subject, "--resolution", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: transitivity needs a synchronous transducer subject\n"
+
+
+def test_budget_bounds_series_derivation(capsys, tmp_path):
+    """M terms take M(M+1)/2 differences; over --budget, nothing is evaluated."""
+    code, out, err = run(
+        capsys, "coeffs", "--builtin", "shift", "--terms", "4000", "--budget", "16"
     )
-    assert code == 1
-    assert "synchronous" in err
+    assert (code, out) == (4, "")
+    assert "budget" in err
+    argv = ["check", "--builtin", "shift", "--which", "mp", "--terms", "6"]
+    assert run(capsys, *argv, "--budget", "20")[0] == 4
+    assert run(capsys, *argv, "--budget", "21")[0] == 0
+    # a series document is read, not derived
+    path = tmp_path / "good.series"
+    path.write_text(serialize_series(MahlerSeries.from_ints(2, 1, 8, [0, 0, 1])))
+    assert run(capsys, "check", "--subject", str(path), "--which", "mp", "--budget", "1")[0] == 0
 
 
 def test_malformed_subject_file(capsys, tmp_path):
@@ -232,3 +257,488 @@ def test_json_reports_are_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["schema"] == "padic-automata-report-v1"
     assert payload["verdict"] == "pass"
+
+
+# --- golden reports -----------------------------------------------------------
+
+SYNC_DOC = """\
+schema padic-transducer-v1
+p 2
+kind sync
+initial carry
+trans carry 0 settled : 1
+trans carry 1 carry : 0
+trans settled 0 settled : 0
+trans settled 1 settled : 1
+"""
+
+GOLDEN_FILES = {
+    "sync.transducer": SYNC_DOC,
+    "async.transducer": ECHO_DOC,
+    "n1.series": serialize_series(MahlerSeries.from_ints(2, 1, 8, [3, 1, 1, 6, 2, 0, 2])),
+    "n2.series": serialize_series(MahlerSeries.from_ints(2, 2, 16, [0] * 16 + [2])),
+    "thin.series": serialize_series(UNDECIDABLE_SERIES),
+}
+
+_GOLDEN_BASE = [
+    "coeffs --builtin shift --terms 8 --precision 10",
+    "coeffs --builtin shift --p 3 --n 2 --terms 12 --precision 6",
+    "coeffs --builtin odometer --p 3 --terms 6 --precision 5",
+    "coeffs --builtin identity --terms 5 --precision 4",
+    "coeffs --builtin delay-echo --n 2 --terms 10 --precision 8",
+    "coeffs --builtin digitwise-add --terms 6 --precision 6",
+    "coeffs --builtin zero --terms 4 --precision 4",
+    "coeffs --builtin polynomial --p 3 --coeffs 1,2,3 --terms 6 --precision 5",
+    "coeffs --subject sync.transducer --terms 8 --precision 8",
+    "coeffs --subject async.transducer --terms 8 --precision 8 --out copy.series",
+    "coeffs --subject n2.series",
+    *(
+        f"check {subject} --which {which}"
+        for subject in (
+            "--builtin shift --terms 12 --precision 12",
+            "--builtin shift --n 2 --terms 20 --precision 12",
+            "--builtin delay-echo --p 3 --n 2 --terms 12 --precision 8",
+            "--builtin zero --terms 6 --precision 6",
+            "--builtin polynomial --coeffs 0,1",
+            "--subject async.transducer --terms 8 --precision 10",
+            "--subject n1.series",
+            "--subject n2.series",
+            "--subject thin.series",
+        )
+        for which in ("delay", "mp", "ergodic")
+    ),
+    *(
+        f"brute {subject} --mode {mode}"
+        for subject in (
+            "--builtin shift --kmax 6",
+            "--builtin shift --p 3 --n 2 --kmax 3",
+            "--builtin odometer --kmax 6",
+            "--builtin identity --p 3 --kmax 4",
+            "--builtin zero --kmax 4",
+            "--builtin delay-echo --n 2 --kmax 4",
+            "--builtin polynomial --p 3 --coeffs 1,1 --kmax 4",
+            "--builtin digitwise-add --kmax 5",
+            "--subject sync.transducer --kmax 6",
+            "--subject async.transducer --kmax 6",
+            "--subject n1.series --kmax 5",
+            "--subject n2.series --kmax 3",
+        )
+        for mode in ("mp", "cycles")
+    ),
+    "brute --builtin shift --mode mp --kmax 12 --budget 64",
+    *(
+        f"image {subject} --out img.pgm"
+        for subject in (
+            "--builtin shift --kmax 6 --resolution 3",
+            "--builtin shift --p 3 --n 2 --kmax 4 --resolution 2",
+            "--builtin identity --depth 5 --resolution 3",
+            "--builtin odometer --p 3 --depth 4 --resolution 2",
+            "--builtin digitwise-add --depth 6 --resolution 3",
+            "--builtin delay-echo --n 2 --kmax 5 --resolution 3",
+            "--builtin polynomial --coeffs 0,0,1 --kmax 5 --resolution 3",
+            "--builtin zero --kmax 5 --resolution 2",
+            "--subject sync.transducer --depth 5 --resolution 3",
+            "--subject async.transducer --kmax 6 --resolution 3",
+            "--subject n1.series --kmax 5 --resolution 3",
+        )
+    ),
+    "transitivity --builtin identity --resolution 1",
+    "transitivity --builtin odometer --resolution 2 --depth 4",
+    "transitivity --builtin digitwise-add --p 3 --resolution 2 --depth 2",
+    "transitivity --subject sync.transducer --resolution 2 --depth 3",
+    "transitivity --subject async.transducer --resolution 1",
+    "transitivity --builtin shift --resolution 1",
+]
+
+GOLDEN_COMMANDS = [
+    cmd + fmt for cmd in _GOLDEN_BASE for fmt in ("", " --report-format json")
+]
+
+# command -> (exit code, SHA-256 of stdout followed by the --out file's bytes)
+GOLDEN = {
+    "coeffs --builtin shift --terms 8 --precision 10":
+        (0, "5ad9b22939d0c74ab8fb30158e888e496519e2cc35c0a4c6af44fc0f178b5cdc"),
+    "coeffs --builtin shift --terms 8 --precision 10 --report-format json":
+        (0, "601c7a7e8fb6c41fa06888ede6ff645da4caca055de3a51c3c9b5f10b2073489"),
+    "coeffs --builtin shift --p 3 --n 2 --terms 12 --precision 6":
+        (0, "d90e8fcf9ab68c968e3a184bd3a686b257f2082a407700cb955c951a79f47683"),
+    "coeffs --builtin shift --p 3 --n 2 --terms 12 --precision 6 --report-format json":
+        (0, "76ea49f9eed578edcb3e0a5f4878d967304be97bad5d917efb926961b0113c2d"),
+    "coeffs --builtin odometer --p 3 --terms 6 --precision 5":
+        (0, "e5b921b053416f85e569522a1286eb44b1a3724e4d33a0028d88b16fd4f1a5df"),
+    "coeffs --builtin odometer --p 3 --terms 6 --precision 5 --report-format json":
+        (0, "5e51ab0a81bebb5ae3f2d89b94d4a10229f67ea5c546dafad8625de924ce6cff"),
+    "coeffs --builtin identity --terms 5 --precision 4":
+        (0, "3412d40ca8c4433c41600bea5e31104ca1c95bb33b77aa6be6d0b6cec6b80580"),
+    "coeffs --builtin identity --terms 5 --precision 4 --report-format json":
+        (0, "fd0520476a4c6da198301bb5be90ceb209dda59bd07ac9b4601a6d37744d2c56"),
+    "coeffs --builtin delay-echo --n 2 --terms 10 --precision 8":
+        (0, "530175b9e6754f30dfed9d461a3f384d7dda2207c0c2ea84edd70b1b9aae6cce"),
+    "coeffs --builtin delay-echo --n 2 --terms 10 --precision 8 --report-format json":
+        (0, "c3a4e2ff7a964eebf235b3d0ce7858c38f6233473a752d76beeeb075b9907584"),
+    "coeffs --builtin digitwise-add --terms 6 --precision 6":
+        (0, "2b46fc83ab30f0dbbf17c597d38b945d9a2e0bfb555ce9effc736a3052689b7d"),
+    "coeffs --builtin digitwise-add --terms 6 --precision 6 --report-format json":
+        (0, "da41dd5ffa2e119c013ec6f759bc6c59adf2c8ce5aafabd854517c99c8240006"),
+    "coeffs --builtin zero --terms 4 --precision 4":
+        (0, "a2767429339df75aa3507e04a398883ed588c0dc13fd5d9cd5ac4e12337f287f"),
+    "coeffs --builtin zero --terms 4 --precision 4 --report-format json":
+        (0, "a564e5565cd39f71fd74b3e7a6f381c8b446efa89bac59f050972469fd5dfbbf"),
+    "coeffs --builtin polynomial --p 3 --coeffs 1,2,3 --terms 6 --precision 5":
+        (0, "f766c06c4564f8d854806dd0481724bbc98ec366752c12a92a3c52e0683cc727"),
+    "coeffs --builtin polynomial --p 3 --coeffs 1,2,3 --terms 6 --precision 5 --report-format json":
+        (0, "783ff0b5ceff6215dc70c19a5f711807ab116ca72509efe4d4ef96ea98106d6e"),
+    "coeffs --subject sync.transducer --terms 8 --precision 8":
+        (0, "a4cbe6df986884d1c19082958b3e37046f683919719c07dec2d4d7381d9a935e"),
+    "coeffs --subject sync.transducer --terms 8 --precision 8 --report-format json":
+        (0, "f079eab632a6d843c44b4dbb894032ec2707a6431d3fbd3b66bd849f0e28009f"),
+    "coeffs --subject async.transducer --terms 8 --precision 8 --out copy.series":
+        (0, "cfd8b219046574db35604141992f98a88cae99d9167cc5d910b1c54411adb94a"),
+    "coeffs --subject async.transducer --terms 8 --precision 8 --out copy.series --report-format json":
+        (0, "9171ef9a132d18af85937823fffe8b27c7025d239162e16c9a99e66c31097a34"),
+    "coeffs --subject n2.series":
+        (0, "ae497ccaa7d4dbb0d0a51b1dcddf1be31eaa61c6bf0301f660bb0ebd0c364a5a"),
+    "coeffs --subject n2.series --report-format json":
+        (0, "f15142ea5e9fc917136c72b88bdc0a1f282726d29a2f3a60462d552c5829c09f"),
+    "check --builtin shift --terms 12 --precision 12 --which delay":
+        (0, "03b0fc62a6b648360c90c09841b95ff4da8058a6f149a7888035aef14ba06ffa"),
+    "check --builtin shift --terms 12 --precision 12 --which delay --report-format json":
+        (0, "cf39780c2803795ba07b8adee0454f56fab5d5658161e23b7101a86b82f87f7b"),
+    "check --builtin shift --terms 12 --precision 12 --which mp":
+        (0, "7820a5643524f780172deb45e0ed4e702356022261ec983f6ef0c864a066fa37"),
+    "check --builtin shift --terms 12 --precision 12 --which mp --report-format json":
+        (0, "70dc5e0a7d97cfcb1214d1bac2edd4be5d1cf906e5ef2b95aa4bef2f185fbb56"),
+    "check --builtin shift --terms 12 --precision 12 --which ergodic":
+        (0, "9a07a36edf95412c0e997f1280f34248fa8adfd8e2730b5c1ebf1df6ac082e30"),
+    "check --builtin shift --terms 12 --precision 12 --which ergodic --report-format json":
+        (0, "56be8652f88bcd3fe0cc8a91d04be29bc190a0c3e93e985f9609cbcb806e8900"),
+    "check --builtin shift --n 2 --terms 20 --precision 12 --which delay":
+        (0, "cc890aca282bc67b06177500407323575214276628e9d28e1f6c6b5303d3d614"),
+    "check --builtin shift --n 2 --terms 20 --precision 12 --which delay --report-format json":
+        (0, "bd433dad5018dcd73583a64f7c2ee0eec73902947e45f4dc7d82ea49a02f4529"),
+    "check --builtin shift --n 2 --terms 20 --precision 12 --which mp":
+        (0, "708c17fbeb0c4fcdbe628434024603196ae806c2f4d9ecfb7c957d166f7eb290"),
+    "check --builtin shift --n 2 --terms 20 --precision 12 --which mp --report-format json":
+        (0, "72ec12ccfd8b9926f2cd8bcf533742ff96060a339b08f1a7a9d019be2e33ecba"),
+    "check --builtin shift --n 2 --terms 20 --precision 12 --which ergodic":
+        (0, "586a92e5f4ca0c7e9a39c3ec96d8223e8abe1339137124a6bf0b26131ba741b1"),
+    "check --builtin shift --n 2 --terms 20 --precision 12 --which ergodic --report-format json":
+        (0, "9a91a078cc859bfc18e5b132b275d136fed3ca7b378f856679f0e8eebedb6f8f"),
+    "check --builtin delay-echo --p 3 --n 2 --terms 12 --precision 8 --which delay":
+        (0, "ae426f09cbf957e75a4ee52c2ab4b0adfa5e35c74e87ed8b29dddef46887d579"),
+    "check --builtin delay-echo --p 3 --n 2 --terms 12 --precision 8 --which delay --report-format json":
+        (0, "82e0e3042e0ae03c4693737daab5c9f2e0c0d63b7ebbac8dcffc90cf6d713eaf"),
+    "check --builtin delay-echo --p 3 --n 2 --terms 12 --precision 8 --which mp":
+        (0, "e6c99f274bb9df80c5f542c9ed7284eefb89863a0b0057f76987f703aee42cd6"),
+    "check --builtin delay-echo --p 3 --n 2 --terms 12 --precision 8 --which mp --report-format json":
+        (0, "1b2b5ad97043df702364e95fecdf9b1f04f12e2537e6d8a5edc73eb4efd8a611"),
+    "check --builtin delay-echo --p 3 --n 2 --terms 12 --precision 8 --which ergodic":
+        (0, "029929974a8bb88bedf9f4ddcdfa63e55f5078bd122bef6c7b7962f15f4d28a5"),
+    "check --builtin delay-echo --p 3 --n 2 --terms 12 --precision 8 --which ergodic --report-format json":
+        (0, "a1efd2396a4120c9265ad212be6c0c454a75cb5931338208fad805968752e746"),
+    "check --builtin zero --terms 6 --precision 6 --which delay":
+        (0, "a9fcedc57fd86702a15ba81cb1a87615e0a39ad7111e231260e81d08c18d2a40"),
+    "check --builtin zero --terms 6 --precision 6 --which delay --report-format json":
+        (0, "d0b25848e8357d902ace87b1722cd54280ec52a7401dfa5c29cc3582a9c06251"),
+    "check --builtin zero --terms 6 --precision 6 --which mp":
+        (3, "e40347088009ee3c0369b4fc098b6a72771c04b6c9c196f2ebe558bac3fe8c5d"),
+    "check --builtin zero --terms 6 --precision 6 --which mp --report-format json":
+        (3, "6d2273ec32f9cd1538f966711fc6bb2fb8eadd623522f53ce89078520f40cdf1"),
+    "check --builtin zero --terms 6 --precision 6 --which ergodic":
+        (3, "2bb2419f2935d21fc1a2776c8a8165a6df76ce6a1e9656735a344a9ea12bb8a2"),
+    "check --builtin zero --terms 6 --precision 6 --which ergodic --report-format json":
+        (3, "068c6c8a97f6a1e3216ec1e8f6f421cc71de3413c7bf41172958c225edbfe7e3"),
+    "check --builtin polynomial --coeffs 0,1 --which delay":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --builtin polynomial --coeffs 0,1 --which delay --report-format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --builtin polynomial --coeffs 0,1 --which mp":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --builtin polynomial --coeffs 0,1 --which mp --report-format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --builtin polynomial --coeffs 0,1 --which ergodic":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --builtin polynomial --coeffs 0,1 --which ergodic --report-format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --subject async.transducer --terms 8 --precision 10 --which delay":
+        (0, "47f90c03fe8fcfb222f7b3f5d58e532008f12391f8c8dceae6695dca97b8929d"),
+    "check --subject async.transducer --terms 8 --precision 10 --which delay --report-format json":
+        (0, "da02aee72f7ed448f9463edf5795e878f11afab21dbcc364f2a99e9af7917002"),
+    "check --subject async.transducer --terms 8 --precision 10 --which mp":
+        (0, "2c2541d747a4bf3ebf639b95ba51112f98fee02bf22c317857380722525a0392"),
+    "check --subject async.transducer --terms 8 --precision 10 --which mp --report-format json":
+        (0, "6fa30c42dbfbaf94a55886e79e6f81bda5babecf07fb19142e8a6c23855bed16"),
+    "check --subject async.transducer --terms 8 --precision 10 --which ergodic":
+        (0, "dc2e542c5a08b5eae745ce039d8b77e70c9aaf51f7d7dd234d86c1709605792f"),
+    "check --subject async.transducer --terms 8 --precision 10 --which ergodic --report-format json":
+        (0, "0faeb9baed71ec52cc5a16754cd715abdb0308b980661efb8cdbc3e5eef51a81"),
+    "check --subject n1.series --which delay":
+        (0, "afe5dd34e1915aef8a07222d8e412b04addae5f96951a9f68abc14352f062fbd"),
+    "check --subject n1.series --which delay --report-format json":
+        (0, "1dcc8b45f8f4f91871c049968d2423479b80013f15e26aec1bd8f4e4a5b4227e"),
+    "check --subject n1.series --which mp":
+        (3, "0a6118f5fa66db62b86b5ace43af04c02b440e10733f9f740318eaa8cef1e42b"),
+    "check --subject n1.series --which mp --report-format json":
+        (3, "421db23ed15ebf647b439e0ddd9475480cb219e9362755e27e653d311e2c25cf"),
+    "check --subject n1.series --which ergodic":
+        (3, "1f9e1435baf2c5e3db6486dcd2b6e46a7a9ba93508d5d474d4e7a6de2d3f8ed6"),
+    "check --subject n1.series --which ergodic --report-format json":
+        (3, "29f7d17870f4fe2aa8c530c814288ff36981663595e0bdf1b8df107385d09f4f"),
+    "check --subject n2.series --which delay":
+        (3, "b61fe05f933564c26ccb1b0d3fbbd93e2da9a3e3bfdfd97d760e1c7757b0cecf"),
+    "check --subject n2.series --which delay --report-format json":
+        (3, "b9f8cf6d199b8a5aa4eb3a7cdcd88e3e807e4f27c5eb8806efd81199aee10691"),
+    "check --subject n2.series --which mp":
+        (3, "f4c613b473b0345efb1b34e95719f8962ab2da799c6912657acce252fd224840"),
+    "check --subject n2.series --which mp --report-format json":
+        (3, "97bde980ad9e09f51d6a336735154e1f946b65631c81c428899bad386ec0587f"),
+    "check --subject n2.series --which ergodic":
+        (3, "9a228f2ee1bde2a747e3b94e0a052b9a919f17633f0d5d1ecf79214afe00f118"),
+    "check --subject n2.series --which ergodic --report-format json":
+        (3, "42336093f94f79aae4b010b916783a86130dc3fde2fefc61549e6d492bf4fc3d"),
+    "check --subject thin.series --which delay":
+        (2, "9a96adcaf524f69233f338e0f9fdb42eb7d9c9021bd518d27ac85b89664def4e"),
+    "check --subject thin.series --which delay --report-format json":
+        (2, "7d8e5b50e9ae6ac439c0b3b5d7593a1d93629ea593ae57b9f7e08fc39e7af6b3"),
+    "check --subject thin.series --which mp":
+        (3, "f1d89f2132edcd63e02b17ced1b4715bf8c2f0bf1e99921331ecd69dac276a38"),
+    "check --subject thin.series --which mp --report-format json":
+        (3, "18372b854163069c4a330b2a7907ea93828ee58986b7f4ed590a1449123fb873"),
+    "check --subject thin.series --which ergodic":
+        (3, "2b8c15894b24abbf443eff6c19f601be49619b175291777e3bbb1f8c84398db5"),
+    "check --subject thin.series --which ergodic --report-format json":
+        (3, "b819619d453603ae407f668a95996cd8ee2f2b4277d50544db32b11a10446540"),
+    "brute --builtin shift --kmax 6 --mode mp":
+        (0, "3ee0cd23c3441a7aa91241a6021a5ca7a81582a86173fe6d46c93c8a9cfc8c3b"),
+    "brute --builtin shift --kmax 6 --mode mp --report-format json":
+        (0, "87998c46ace2d578d37258cf5f50b0de7ebb6f05c3edbcde1b8d527bffb9e067"),
+    "brute --builtin shift --kmax 6 --mode cycles":
+        (0, "7d5b399a26cf19fa91c3e5d8dc0b8dd0fa892dfd063f1315acfaf641f34680e0"),
+    "brute --builtin shift --kmax 6 --mode cycles --report-format json":
+        (0, "6fda527244d1ed1aaeffff2dd0123fcbe277bffd1cb37d0642f4534a9de99460"),
+    "brute --builtin shift --p 3 --n 2 --kmax 3 --mode mp":
+        (0, "1da1d10f73f0aa5a02fc3e1e28acd12aa734de1f2d155de0874440d8110ee7bf"),
+    "brute --builtin shift --p 3 --n 2 --kmax 3 --mode mp --report-format json":
+        (0, "1500c487d4c01c0d6063aea96fa329394cb22ee6c8a31818fbb2c8676295829d"),
+    "brute --builtin shift --p 3 --n 2 --kmax 3 --mode cycles":
+        (0, "83e95e46d27a7897225b8841c7c80cf73efcf2ea4a39a220671d99f6d522ebe7"),
+    "brute --builtin shift --p 3 --n 2 --kmax 3 --mode cycles --report-format json":
+        (0, "a590346d75853cbeb4454a55eb1772da1e79966d74d43c0e09f19d64729e5982"),
+    "brute --builtin odometer --kmax 6 --mode mp":
+        (0, "6ffb1d4276840b0eec3c703be0ebe8a977504874923031eadd0c52996ca3585d"),
+    "brute --builtin odometer --kmax 6 --mode mp --report-format json":
+        (0, "26d6f220066d64369405fe781d7adec01d15d8a265c52328ee7762ed4ab54337"),
+    "brute --builtin odometer --kmax 6 --mode cycles":
+        (0, "bfce9038e84d72f9d8a7d558b2f2cc98e2426beab7ea4cce785261d7ad20aade"),
+    "brute --builtin odometer --kmax 6 --mode cycles --report-format json":
+        (0, "eb2f0765e280b6d331fd4eff65a2e00e3d54f8a4f928f0ceb26c884d06bae6e1"),
+    "brute --builtin identity --p 3 --kmax 4 --mode mp":
+        (0, "25f715fbe2880ca687b7cdd29b4f1a1cdba35a9e7019fc2ae1df6cae9692a1da"),
+    "brute --builtin identity --p 3 --kmax 4 --mode mp --report-format json":
+        (0, "124254ed499ab229fef27124a35f285b37e0d80f118610441067ffa9988c841f"),
+    "brute --builtin identity --p 3 --kmax 4 --mode cycles":
+        (3, "09ee67ca44214fcfe4730d1f6b4587fe41c381df4371a0fd0c60c4d768d1fbb8"),
+    "brute --builtin identity --p 3 --kmax 4 --mode cycles --report-format json":
+        (3, "abed2891a7c65f1d82f34c92c56e59f678d1be2cfb5347fe39c20645798d42a0"),
+    "brute --builtin zero --kmax 4 --mode mp":
+        (3, "abd096ab33d6450c5f5ec7deeb487a007c8a87852af5821997e3e4bd4450ba8c"),
+    "brute --builtin zero --kmax 4 --mode mp --report-format json":
+        (3, "2b1fc7d2c478b1df459fdab4f7d1bb40f5ed1711de4fa6b3b5e9aac0d8d7b8d1"),
+    "brute --builtin zero --kmax 4 --mode cycles":
+        (0, "6efabcfd2c2638b02df3d7e5e00777132f58e2de85dbbe5232365220a95e1521"),
+    "brute --builtin zero --kmax 4 --mode cycles --report-format json":
+        (0, "c62016d89975d94d406e0465dabbb6bf64cbce33896448b09ca6fc218359de6c"),
+    "brute --builtin delay-echo --n 2 --kmax 4 --mode mp":
+        (0, "4f8cc49e8efcb1e7025bb6fdc218cb5ecc2052f8122134f36904de10b2c4b133"),
+    "brute --builtin delay-echo --n 2 --kmax 4 --mode mp --report-format json":
+        (0, "c30bba5592432ea47486fd1ef1e8f0f25f3fb7f7b8feabf141dc2303df2487b1"),
+    "brute --builtin delay-echo --n 2 --kmax 4 --mode cycles":
+        (0, "5f0b332c5fa73369499d1e5aa494532178e3360fe7cca1f74aee3d9d14ab90a1"),
+    "brute --builtin delay-echo --n 2 --kmax 4 --mode cycles --report-format json":
+        (0, "65d4ef501f33a2931860cf2f7fbd41fa80045e8e533aa881e03d69390008f77b"),
+    "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode mp":
+        (0, "4fab07e6b57c827c5c0a1af8a7bc669da19525ff37129e28747fe4bb41ac07e9"),
+    "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode mp --report-format json":
+        (0, "124254ed499ab229fef27124a35f285b37e0d80f118610441067ffa9988c841f"),
+    "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode cycles":
+        (0, "f5c5e8dd36eb9512e1abffb4996437352dece6f8fa338a93e85fb3f98a9da53b"),
+    "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode cycles --report-format json":
+        (0, "67cf152e569ffcd239b48fbe0c23c47021eaa0f82144516a7494f5f3f82dce5e"),
+    "brute --builtin digitwise-add --kmax 5 --mode mp":
+        (0, "5f98ec7c19121b2c0f9ccc64206915931019198d96bc1cdf60bae16d3e26460c"),
+    "brute --builtin digitwise-add --kmax 5 --mode mp --report-format json":
+        (0, "70c6b3fc3c78977897a2134d1a574b61c72afca0ee3439e50874670b5a679251"),
+    "brute --builtin digitwise-add --kmax 5 --mode cycles":
+        (3, "6d0bf8f172c451750afdd76f56fc8b01fd08dc9a2d17e56f9a7c6055b1187c1c"),
+    "brute --builtin digitwise-add --kmax 5 --mode cycles --report-format json":
+        (3, "b9b716fc7b24b965f1dfb55a1c16d863301e1bbfa40b8bb19cb63c1acbce03b0"),
+    "brute --subject sync.transducer --kmax 6 --mode mp":
+        (0, "b52ebf1c444046442433a80ca2d5e799896ab25b79728e8da38ba70fe86c0986"),
+    "brute --subject sync.transducer --kmax 6 --mode mp --report-format json":
+        (0, "26d6f220066d64369405fe781d7adec01d15d8a265c52328ee7762ed4ab54337"),
+    "brute --subject sync.transducer --kmax 6 --mode cycles":
+        (0, "464f7ea4b81f7a2dedd3c193e8ea56f2550f2865d2e97d8280e416ca0a4adbc9"),
+    "brute --subject sync.transducer --kmax 6 --mode cycles --report-format json":
+        (0, "eb2f0765e280b6d331fd4eff65a2e00e3d54f8a4f928f0ceb26c884d06bae6e1"),
+    "brute --subject async.transducer --kmax 6 --mode mp":
+        (0, "cc2d9b826d3d4d033910f60eaa551cefd3f38475c850c0cc7722b65d0a48a5b1"),
+    "brute --subject async.transducer --kmax 6 --mode mp --report-format json":
+        (0, "87998c46ace2d578d37258cf5f50b0de7ebb6f05c3edbcde1b8d527bffb9e067"),
+    "brute --subject async.transducer --kmax 6 --mode cycles":
+        (0, "7d3bebb6a3c03ddeba2abe58a698b572e84a5e168a484a1b899b760f324b160e"),
+    "brute --subject async.transducer --kmax 6 --mode cycles --report-format json":
+        (0, "6fda527244d1ed1aaeffff2dd0123fcbe277bffd1cb37d0642f4534a9de99460"),
+    "brute --subject n1.series --kmax 5 --mode mp":
+        (3, "c33089b56da9d314426a81ee9774d11b1072b07b0b93d735b6d33cfa6210037c"),
+    "brute --subject n1.series --kmax 5 --mode mp --report-format json":
+        (3, "1aea6594b0370a0b3ad58d3e5ab7bb2e047f673e04f05821ae6922574ea9024c"),
+    "brute --subject n1.series --kmax 5 --mode cycles":
+        (3, "a3219022832cd8787dd231fc65c988d683bb9b09eade2bf80b3daacd494aac9f"),
+    "brute --subject n1.series --kmax 5 --mode cycles --report-format json":
+        (3, "670b4260318308661b7c17b95acabe54157fe635d36e0d50db18627004f7e081"),
+    "brute --subject n2.series --kmax 3 --mode mp":
+        (3, "30b2b7aa745d8f63cd2aada3c966533b974996061d7e378baa2a1d121bc1a918"),
+    "brute --subject n2.series --kmax 3 --mode mp --report-format json":
+        (3, "ed34c13b0b4b65e955344f08f0800c7a4c4dc0574404d8d8bb1d1d8e53b5573b"),
+    "brute --subject n2.series --kmax 3 --mode cycles":
+        (3, "f502732569af95d2f2058fbd07ec189ef0fa4ea7dc6f42d1556487b8b2f90918"),
+    "brute --subject n2.series --kmax 3 --mode cycles --report-format json":
+        (3, "5ec3bc761cbc5ef5f8a4bed36aa30e8ffe61cfce89c198da7000f2e55c8d1723"),
+    "brute --builtin shift --mode mp --kmax 12 --budget 64":
+        (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "brute --builtin shift --mode mp --kmax 12 --budget 64 --report-format json":
+        (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "image --builtin shift --kmax 6 --resolution 3 --out img.pgm":
+        (0, "ba6fc52467c236d30c7de6efbaa07ccda0dba4bbbfb8af0a94a478396c7dad50"),
+    "image --builtin shift --kmax 6 --resolution 3 --out img.pgm --report-format json":
+        (0, "745c3818baa35c1213b743e30be54d58beb9fc831da0e0be11f1fb5b76d89483"),
+    "image --builtin shift --p 3 --n 2 --kmax 4 --resolution 2 --out img.pgm":
+        (0, "106e4072205a8e6f92f1c3b9750dad09c1ef797db61d8d479d098720b6295294"),
+    "image --builtin shift --p 3 --n 2 --kmax 4 --resolution 2 --out img.pgm --report-format json":
+        (0, "e41ecd1045910aedc71e09ce806f8b5bee19e0fb302cad0846e818159eadb1cc"),
+    "image --builtin identity --depth 5 --resolution 3 --out img.pgm":
+        (0, "12f001e9d89e217d324512a502f446c04f71f59ba62088b392d7535d034f0496"),
+    "image --builtin identity --depth 5 --resolution 3 --out img.pgm --report-format json":
+        (0, "518617ad21f6e53be8dd1d059bdbaf1187dad4c35ddd6da542ccc9254c6d5a5f"),
+    "image --builtin odometer --p 3 --depth 4 --resolution 2 --out img.pgm":
+        (0, "6ea39df8fe3444a6c85447182f1ea851740613dd4daa2a4d7ba8d60e4e5b29c0"),
+    "image --builtin odometer --p 3 --depth 4 --resolution 2 --out img.pgm --report-format json":
+        (0, "4934fc0224054bf799306839e21f0789ab256787086db184d655bb1a5a049e3c"),
+    "image --builtin digitwise-add --depth 6 --resolution 3 --out img.pgm":
+        (0, "12b56a1697b41268c6334bac6872ab4954c9e67440dc97d893f3fa8c67229a36"),
+    "image --builtin digitwise-add --depth 6 --resolution 3 --out img.pgm --report-format json":
+        (0, "4b2673e456dc1e1b387922c5beeab827d386ca0ac5486e241940ea73efe46c68"),
+    "image --builtin delay-echo --n 2 --kmax 5 --resolution 3 --out img.pgm":
+        (0, "857e5986a8f9becb5c6cd8f3ca10d905b8b0d3fe15814e256e2777f3824f4029"),
+    "image --builtin delay-echo --n 2 --kmax 5 --resolution 3 --out img.pgm --report-format json":
+        (0, "762e0d41fd2a650323686ac1ec5e1bc31cdaa25fb33725bed5924d90aadfa74b"),
+    "image --builtin polynomial --coeffs 0,0,1 --kmax 5 --resolution 3 --out img.pgm":
+        (0, "6c34de34055c283ee006e64ecc9b88d11c9e0eeacaac09344d501c4b1de2d717"),
+    "image --builtin polynomial --coeffs 0,0,1 --kmax 5 --resolution 3 --out img.pgm --report-format json":
+        (0, "88eb0e200231436d957ba5582beda39a62d9bca123bd539a4a5d42d9e5e8f7fc"),
+    "image --builtin zero --kmax 5 --resolution 2 --out img.pgm":
+        (0, "c425cc803d1120e60882d46fe6b2aa8d9d2c0dcaf22eac19e6cd5841402163a9"),
+    "image --builtin zero --kmax 5 --resolution 2 --out img.pgm --report-format json":
+        (0, "0b91af2a3ba60c301ab5b80a28900a218ab6b92a686472c8318c6d46fa2a5fcb"),
+    "image --subject sync.transducer --depth 5 --resolution 3 --out img.pgm":
+        (0, "539abeb1b0b126269e94661c94e1977c0ec95691df561e00cfafc2135e2f42ed"),
+    "image --subject sync.transducer --depth 5 --resolution 3 --out img.pgm --report-format json":
+        (0, "56b0ab7420d38b53754d3faedd7b075bf544148cc0b1f1b7a152814859a44252"),
+    "image --subject async.transducer --kmax 6 --resolution 3 --out img.pgm":
+        (0, "9d8205b2b82d0f8db5ef6d5e6e2eac0140babd1e71af591a13d986e73e03e6aa"),
+    "image --subject async.transducer --kmax 6 --resolution 3 --out img.pgm --report-format json":
+        (0, "745c3818baa35c1213b743e30be54d58beb9fc831da0e0be11f1fb5b76d89483"),
+    "image --subject n1.series --kmax 5 --resolution 3 --out img.pgm":
+        (0, "ae829ea44cb1eeb5d247450b99ccfdcbf9c446490ef3e99467d38edbb29f0482"),
+    "image --subject n1.series --kmax 5 --resolution 3 --out img.pgm --report-format json":
+        (0, "f3d5117bf25de735092d25a1c235a48643a902acdec86612a780324982d96e92"),
+    "transitivity --builtin identity --resolution 1":
+        (3, "d4001f419e8ccaaca94a82ad8a5776190a496e99dcb959e550fac277f9a37962"),
+    "transitivity --builtin identity --resolution 1 --report-format json":
+        (3, "15397418f0bd7fb27883f4817b5a35310408b4170e38f44409677d96fb170cbd"),
+    "transitivity --builtin odometer --resolution 2 --depth 4":
+        (3, "e92cc567708e5a90f7b4664e89751c7cf35ee91e2fa5c3aabf2cff6bc7d1bb41"),
+    "transitivity --builtin odometer --resolution 2 --depth 4 --report-format json":
+        (3, "8b6504ad2647831c822c8a7ede3d7e4a3088ab2b7ba012088b290102a6280994"),
+    "transitivity --builtin digitwise-add --p 3 --resolution 2 --depth 2":
+        (0, "7cab2b0266a0caa807a97130bcb42a63271ea591de9b215cb97d843122070bf5"),
+    "transitivity --builtin digitwise-add --p 3 --resolution 2 --depth 2 --report-format json":
+        (0, "1616fdd19914ebc2f522169f738f2070b258a63b1f9777f8205f5641c1306e8b"),
+    "transitivity --subject sync.transducer --resolution 2 --depth 3":
+        (3, "6bef38b9608ec141ba9952eaa13ee9064a340472338d065f2b4df000f236b910"),
+    "transitivity --subject sync.transducer --resolution 2 --depth 3 --report-format json":
+        (3, "966ed21b1552ca47268e4d80fefe84e7d18bf640a55b7f89d3960fecad8e56aa"),
+    "transitivity --subject async.transducer --resolution 1":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "transitivity --subject async.transducer --resolution 1 --report-format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "transitivity --builtin shift --resolution 1":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "transitivity --builtin shift --resolution 1 --report-format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def golden_digest(capsys, command):
+    argv = command.split()
+    code = main(argv)
+    data = capsys.readouterr().out.encode()
+    if "--out" in argv:
+        data += Path(argv[argv.index("--out") + 1]).read_bytes()
+    return code, hashlib.sha256(data).hexdigest()
+
+
+def test_golden_reports(capsys, tmp_path, monkeypatch):
+    """Exit codes, report bytes and written files of a fixed command set,
+    run from one directory so that relative paths print the same."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_FILES.items():
+        Path(name).write_text(text)
+    got = {cmd: golden_digest(capsys, cmd) for cmd in GOLDEN_COMMANDS}
+    assert {c: d for c, d in got.items() if GOLDEN.get(c) != d} == {}
+    assert set(GOLDEN) == set(GOLDEN_COMMANDS)
+
+
+def _twin_reports(capsys, tmp_path, argv):
+    """Reports of ``argv`` on SYNC_DOC and on its ``kind async`` twin, each
+    read from a file of the same name."""
+    reports = []
+    for kind in ("sync", "async"):
+        folder = tmp_path / kind
+        folder.mkdir(exist_ok=True)
+        (folder / "m.transducer").write_text(SYNC_DOC.replace("kind sync", f"kind {kind}"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(folder)
+            reports.append(run(capsys, *argv.split(), "--subject", "m.transducer"))
+    return reports
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "brute --mode mp --kmax 6",
+        "brute --mode cycles --kmax 6",
+        "coeffs --terms 8 --precision 8",
+        "check --which mp --terms 8",
+        "image --depth 5 --resolution 3",
+        "transitivity --resolution 2 --depth 3",
+    ],
+)
+def test_sync_document_and_async_twin_agree(capsys, tmp_path, argv, fmt):
+    sync, twin = _twin_reports(capsys, tmp_path, f"{argv} --report-format {fmt}")
+    assert sync == twin
+
+
+def test_single_letter_async_document_is_synchronous(capsys, tmp_path):
+    """A ``kind async`` document that emits one letter per step has delay 0,
+    so image takes the family path and transitivity accepts it."""
+    (_, sync_image, _), (code, image, _) = _twin_reports(
+        capsys, tmp_path, "image --depth 5 --resolution 3 --report-format json"
+    )
+    assert code == 0
+    assert image == sync_image
+    assert "bound" not in json.loads(image)
+    _, (code, out, _) = _twin_reports(capsys, tmp_path, "transitivity --resolution 2 --depth 3")
+    assert code == 3
+    assert out.startswith("family transitivity for file m.transducer\n")

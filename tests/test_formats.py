@@ -7,7 +7,7 @@ from padic_automata.formats import (
     serialize_series,
 )
 from padic_automata.mahler import MahlerSeries
-from padic_automata.transducer import AsyncTransducer, SyncTransducer, run_async, run_sync
+from padic_automata.transducer import Transducer, delay_profile, run
 
 SERIES_DOC = """\
 schema padic-mahler-series-v1
@@ -76,14 +76,17 @@ def test_series_malformed_documents(mutation):
 
 def test_async_transducer_parses_and_runs():
     t = parse_transducer(ASYNC_DOC)
-    assert isinstance(t, AsyncTransducer)
-    assert run_async(t, (1, 0, 1)) == (0, 1)
+    assert isinstance(t, Transducer)
+    assert run(t, (1, 0, 1)) == (0, 1)
+    assert delay_profile(t, 6).n == 1
 
 
 def test_sync_transducer_parses_and_runs():
     t = parse_transducer(SYNC_DOC)
-    assert isinstance(t, SyncTransducer)
-    assert run_sync(t, (1, 1, 0)) == (0, 0, 1)  # odometer on 3
+    assert isinstance(t, Transducer)
+    assert t.output("carry", 0) == (1,)
+    assert run(t, (1, 1, 0)) == (0, 0, 1)  # odometer on 3
+    assert delay_profile(t, 6).n == 0
 
 
 @pytest.mark.parametrize(

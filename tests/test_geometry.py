@@ -28,10 +28,11 @@ from padic_automata.subjects import (
     zero_oracle,
 )
 from padic_automata.transducer import (
-    SyncTransducer,
+    Transducer,
+    family_transitivity,
     function_of,
     reachable_states,
-    run_sync,
+    run,
     word_of,
 )
 
@@ -134,13 +135,26 @@ def test_family_image_digitwise_add_covers_everything():
 
 
 def test_family_image_constant_output_row():
-    t = SyncTransducer(
-        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: 0,
+    t = Transducer(
+        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (0,),
         name="constant",
     )
     report = family_image(t, 6, 3)
     assert report.fraction == F(1, 8)
     assert all(j == 0 for _, j in report.cells)
+
+
+@pytest.mark.parametrize("word", [(), (0, 1)])
+def test_family_walks_reject_words_of_other_lengths(word):
+    """Family images and transitivity read one letter per step."""
+    t = Transducer(p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: word)
+    for query in (
+        lambda: family_points(t, 2),
+        lambda: automaton_graph(t, 2),
+        lambda: family_transitivity(t, 1, 1),
+    ):
+        with pytest.raises(ValueError):
+            query()
 
 
 def test_automaton_graph_arrow_values():
@@ -246,7 +260,7 @@ def _ref_family(t, depth):
     for s in reachable_states(t, depth):
         for j in range(1, depth + 1):
             for u in range(p ** j):
-                out = run_sync(t, word_of(u, j, p), start=s)
+                out = run(t, word_of(u, j, p), start=s)
                 num = 0
                 for d in out:
                     num = num * p + d
@@ -264,7 +278,7 @@ def _ref_graph(t, depth):
     for j in range(1, depth + 1):
         for u in range(t.p ** j):
             word = word_of(u, j, t.p)
-            pts.add((arrow(word), arrow(run_sync(t, word))))
+            pts.add((arrow(word), arrow(run(t, word))))
     return pts
 
 

@@ -11,10 +11,8 @@ from padic_automata.mahler import (
     check_ergodicity_conditions,
     check_measure_preserving_conditions,
     coeffs_from_oracle,
-    eval_series,
     series_oracle,
 )
-from padic_automata.padics import binomial_precision_demand, make
 from padic_automata.subjects import (
     odometer_oracle,
     polynomial_oracle,
@@ -60,24 +58,34 @@ def test_shift_coefficients_match_triangular_solve():
     assert list(series.coefficient_values()) == expected
 
 
+def test_series_holds_canonical_residues():
+    series = MahlerSeries.from_ints(3, 1, 3, [30, -1, 27])
+    assert series.coeffs == (3, 26, 0)
+    assert series.precision == 3 and series.support == 3
+    assert series == MahlerSeries(p=3, n=1, precision=3, coeffs=(3, 26, 0))
+
+
+@pytest.mark.parametrize(
+    "p,n,precision,coeffs",
+    [(4, 1, 3, (1,)), (2, -1, 3, (1,)), (2, 1, 0, (0,)), (2, 1, 3, ()), (2, 1, 3, (8,)),
+     (2, 1, 3, (-1,))],
+    ids=["p-not-prime", "negative-delay", "zero-precision", "no-coefficient",
+         "coefficient-too-large", "coefficient-negative"],
+)
+def test_series_rejects_bad_fields(p, n, precision, coeffs):
+    with pytest.raises(ValueError):
+        MahlerSeries(p=p, n=n, precision=precision, coeffs=coeffs)
+
+
 def test_eval_examples():
-    identity = MahlerSeries.from_ints(2, 0, 8, [0, 1])
-    assert eval_series(identity, make(2, 8, 5), 3).value == 5
+    identity = series_oracle(MahlerSeries.from_ints(2, 0, 8, [0, 1]))
+    assert identity.value(5, 3) == 5
 
-    shift = coeffs_from_oracle(shift_oracle(2, 1), 7, 8)
-    x = make(2, 8, 6)
-    assert eval_series(shift, x, 2).value == 3  # floor(6/2) mod 4
+    shift = series_oracle(coeffs_from_oracle(shift_oracle(2, 1), 7, 8))
+    assert shift.value(6, 2) == 3  # floor(6/2) mod 4
 
-    const = MahlerSeries.from_ints(3, 0, 6, [1])
-    assert eval_series(const, make(3, 6, 77), 4).value == 1
-
-
-def test_eval_rejects_short_input():
-    shift = coeffs_from_oracle(shift_oracle(2, 1), 7, 8)
-    with pytest.raises(PrecisionError):
-        eval_series(shift, make(2, 3, 6), 2)  # needs 2 + floor_log2(6) = 4 digits
-    with pytest.raises(PrecisionError):
-        eval_series(shift, make(2, 8, 6), 9)  # coefficients carry only 8
+    const = series_oracle(MahlerSeries.from_ints(3, 0, 6, [1]))
+    assert const.value(77, 4) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -95,12 +103,9 @@ def test_eval_rejects_short_input():
 def test_round_trip_reproduces_oracle(p, K, name, factory):
     oracle = factory(p)
     M = 10
-    series = coeffs_from_oracle(oracle, M, K)
+    series = series_oracle(coeffs_from_oracle(oracle, M, K))
     for j in range(M):
-        x = make(p, K + 6, j)
-        assert eval_series(series, x, K).value == oracle.value(j, K), (
-            f"{name} at {j}"
-        )
+        assert series.value(j, K) == oracle.value(j, K), f"{name} at {j}"
 
 
 def test_series_oracle_bulk_matches_pointwise():
@@ -122,13 +127,14 @@ def _small_precision(p, n):
 
 
 def _exact_table(series, m, count):
-    """f(0) .. f(count-1) mod p^m by the per-point exact routes."""
-    p, top = series.p, series.support - 1
-    digits = binomial_precision_demand(p, top, m) + series.precision + series.n
+    """f(0) .. f(count-1) mod p^m by the oracle's per-point route, checked
+    against the exact sum of a_i C(x, i) written here."""
     oracle, table = series_oracle(series), []
     for x in range(count):
         value = oracle.value(x, m)
-        assert eval_series(series, make(p, digits, x), m).value == value
+        assert value == sum(
+            a * math.comb(x, i) for i, a in enumerate(series.coeffs)
+        ) % series.p ** m
         table.append(value)
     return table
 
@@ -334,17 +340,33 @@ def test_delay_pass_gives_digit_dependence_at_n1():
                 assert exact_value(series, x, m) == exact_value(series, y, m)
 
 
-def test_delay_pass_does_not_give_digit_dependence_at_n2():
-    """Documented gap: the delay conditions are one power too weak past
-    n = 1.  A series with a_16 = 2 at p = 2, n = 2 passes the check, yet
-    inputs agreeing on m+2 digits can produce outputs differing mod 2^m.
-
-    The geometric cover tests therefore draw their delay populations with
-    the stronger dependence floors (series_factory.dependence_floor).
+def test_delay_check_rejects_missing_digit_dependence_at_n2():
+    """Regression: the delay bound once demanded floor_log(p^n, i) - 1,
+    one power too weak past n = 1.  The series with a_16 = 2 at p = 2,
+    n = 2 met that bound (1), yet inputs agreeing on m+2 digits produce
+    outputs differing mod 2^m; the bound floor_log(p, i) - n demands 2
+    and rejects it.
     """
     series = MahlerSeries.from_ints(2, 2, 16, [0] * 16 + [2])
-    assert check_delay_conditions(series).passed
+    report = check_delay_conditions(series)
+    assert report.verdict is CheckStatus.FAIL
+    failing = [(c.index, c.required) for c in report.checks if c.status is CheckStatus.FAIL]
+    assert failing == [(16, 2)]
     m = 5
     x, y = 0, 2 ** (m + 2)
     assert (y - x) % 2 ** (m + 2) == 0
     assert exact_value(series, x, m) != exact_value(series, y, m)
+
+
+def test_delay_pass_gives_digit_dependence_at_n2_and_n3():
+    """Past n = 1 too, the delay conditions bound digit dependence."""
+    rng = random.Random(6)
+    for p, n in ((2, 2), (3, 2), (2, 3)):
+        for _ in range(30):
+            series = sf.delay_sound(rng, p, n, rng.randrange(2, p ** (n + 1) + 9))
+            assert check_delay_conditions(series).passed
+            for _ in range(8):
+                m = rng.randrange(1, 5)
+                x = rng.randrange(p ** (m + n))
+                y = x + p ** (m + n) * rng.randrange(1, p ** 4)
+                assert exact_value(series, x, m) == exact_value(series, y, m)

@@ -4,72 +4,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_automata.errors import PrecisionError
-from padic_automata.padics import (
-    binomial_eval,
-    binomial_precision_demand,
-    floor_log,
-    make,
-)
-
-
-def test_make_digit_decomposition():
-    x = make(2, 4, 13)
-    assert x.digits == (1, 0, 1, 1)
-    assert x.value == 13
+from padic_automata.mahler import MahlerSeries
+from padic_automata.padics import floor_log, valuation
+from padic_automata.transducer import word_of
 
 
 def test_make_reduces_modulo():
-    x = make(3, 3, 30)
-    assert x.value == 3
-    assert x.digits == (0, 1, 0)
+    # residues are made canonical mod p^K: 30 == 3 (mod 27)
+    assert MahlerSeries.from_ints(3, 0, 3, [30]).coeffs == (3,)
+    assert word_of(30, 3, 3) == (0, 1, 0)
+    assert valuation(3, 3, 30) == 1
 
 
 def test_make_negative_wraps():
-    assert make(2, 4, -1).value == 15
-
-
-def test_make_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        make(4, 3, 1)
-    with pytest.raises(ValueError):
-        make(2, 0, 1)
-
-
-def test_ring_examples():
-    p = lambda v: make(2, 4, v)
-    assert (p(7) + p(9)).value == 0
-    assert (p(3) * p(5)).value == 15
-    assert (-p(0)).value == 0
-
-
-def test_mixed_precision_takes_minimum():
-    a = make(2, 6, 33)
-    b = make(2, 3, 5)
-    assert (a + b).precision == 3
-    assert (a + b).value == (33 + 5) % 8
-
-
-def test_mismatched_primes_rejected():
-    with pytest.raises(ValueError):
-        make(2, 4, 1) + make(3, 4, 1)
+    assert MahlerSeries.from_ints(2, 0, 4, [-1]).coeffs == (15,)
+    assert word_of(-1, 4, 2) == (1, 1, 1, 1)
 
 
 def test_valuation_examples():
-    assert make(2, 8, 12).valuation().nu == 2
-    assert make(3, 4, 18).valuation().nu == 2
-    v = make(5, 6, 0).valuation()
-    assert v.nu is None
-    assert v.lower_bound() == 6
-    assert str(v) == ">= 6"
-
-
-def test_valuation_norm_is_exact():
-    from fractions import Fraction
-
-    assert make(2, 8, 12).valuation().norm() == Fraction(1, 4)
-    with pytest.raises(PrecisionError):
-        make(2, 8, 0).valuation().norm()
+    assert valuation(2, 8, 12) == 2
+    assert valuation(3, 4, 18) == 2
+    assert valuation(5, 6, 0) is None
+    # only the lowest ``precision`` digits are seen: 32 == 0 (mod 2^5)
+    assert valuation(2, 5, 32) is None
+    assert valuation(2, 6, 32) == 5
+    # negative values are read as their canonical residue
+    assert valuation(2, 4, -1) == 0
+    assert valuation(3, 3, -9) == 2
 
 
 def test_floor_log_exact():
@@ -82,41 +43,6 @@ def test_floor_log_exact():
         floor_log(2, 0)
 
 
-def test_binomial_examples():
-    x = make(2, 8, 5)
-    assert binomial_eval(x, 2, 4).value == 10 % 16
-    assert binomial_eval(x, 0, 8).value == 1
-    # C(7, 2) = 21 == 1 (mod 4)
-    y = make(2, 8, 7)
-    assert binomial_eval(y, 2, 2).value == 1
-
-
-def test_binomial_precision_demand_enforced():
-    x = make(2, 4, 5)
-    # i = 16 needs 4 extra digits over the 3-digit target
-    with pytest.raises(PrecisionError):
-        binomial_eval(x, 16, 3)
-
-
-triples = st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9))
-
-
-@settings(max_examples=120)
-@given(
-    p=st.sampled_from([2, 3, 5]),
-    precision=st.integers(1, 16),
-    vals=triples,
-)
-def test_ring_laws(p, precision, vals):
-    a, b, c = (make(p, precision, v) for v in vals)
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a + (-a) == make(p, precision, 0)
-
-
 @settings(max_examples=120)
 @given(
     p=st.sampled_from([2, 3, 5]),
@@ -125,16 +51,18 @@ def test_ring_laws(p, precision, vals):
     vb=st.integers(0, 10**9),
 )
 def test_ultrametric_inequality(p, precision, va, vb):
-    a, b = make(p, precision, va), make(p, precision, vb)
-    lhs = (a + b).valuation().lower_bound()
-    assert lhs >= min(a.valuation().lower_bound(), b.valuation().lower_bound())
+    def lower_bound(v):
+        nu = valuation(p, precision, v)
+        return precision if nu is None else nu
+
+    assert lower_bound(va + vb) >= min(lower_bound(va), lower_bound(vb))
 
 
 def test_binomial_lipschitz_window_exhaustive():
     """a == b (mod 2^(K + floor_log2 i)) forces C(a,i) == C(b,i) (mod 2^K).
 
     Exhaustive over a window of four periods for p = 2, i <= 16, K <= 6;
-    this is the bound binomial_eval's precision demand rests on.
+    this is the bound the delay coefficient check rests on.
     """
     p = 2
     for i in range(1, 17):
@@ -144,4 +72,3 @@ def test_binomial_lipschitz_window_exhaustive():
             mod = p ** K
             for a in range(3 * period):
                 assert math.comb(a + period, i) % mod == math.comb(a, i) % mod
-            assert binomial_precision_demand(p, i, K) == K + e

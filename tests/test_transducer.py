@@ -13,17 +13,13 @@ from padic_automata.subjects import (
     shift_oracle,
 )
 from padic_automata.transducer import (
-    AsyncTransducer,
-    SyncTransducer,
+    Transducer,
     TransitivityReport,
-    as_async,
     delay_profile,
     family_transitivity,
     function_of,
     reachable_states,
-    residual_map,
-    run_async,
-    run_sync,
+    run,
     word_of,
     word_value,
 )
@@ -32,8 +28,8 @@ import series_factory as sf
 
 
 def negation_transducer():
-    return SyncTransducer(
-        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: 1 - a,
+    return Transducer(
+        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (1 - a,),
         name="negate",
     )
 
@@ -46,38 +42,31 @@ def test_word_round_trip():
 
 def test_run_sync_identity():
     t = identity_transducer(2)
-    assert run_sync(t, (0, 1, 1)) == (0, 1, 1)
+    assert run(t, (0, 1, 1)) == (0, 1, 1)
 
 
 def test_run_sync_odometer_carries():
     t = odometer_transducer(2)
-    assert run_sync(t, (1, 1, 0)) == (0, 0, 1)  # 3 + 1 = 4
+    assert run(t, (1, 1, 0)) == (0, 0, 1)  # 3 + 1 = 4
 
 
 def test_run_sync_negation():
-    assert run_sync(negation_transducer(), (1, 0, 1)) == (0, 1, 0)
+    assert run(negation_transducer(), (1, 0, 1)) == (0, 1, 0)
 
 
 def test_run_sync_rejects_bad_letter():
     with pytest.raises(ValueError):
-        run_sync(identity_transducer(2), (0, 2))
+        run(identity_transducer(2), (0, 2))
 
 
 def test_run_async_echo_drops_first_letter():
     t = delay_echo_transducer(2, 1)
-    assert run_async(t, (1, 0, 1)) == (0, 1)
+    assert run(t, (1, 0, 1)) == (0, 1)
 
 
 def test_run_async_two_delay_short_word_is_empty():
     t = delay_echo_transducer(2, 2)
-    assert run_async(t, (1, 1)) == ()
-
-
-@settings(max_examples=60)
-@given(word=st.lists(st.integers(0, 1), max_size=10))
-def test_sync_as_async_agrees(word):
-    t = odometer_transducer(2)
-    assert run_async(as_async(t), word) == run_sync(t, word)
+    assert run(t, (1, 1)) == ()
 
 
 def test_delay_profile_echo():
@@ -86,11 +75,12 @@ def test_delay_profile_echo():
 
 
 def test_delay_profile_synchronous_is_zero():
-    assert delay_profile(as_async(identity_transducer(2)), 8).n == 0
+    assert delay_profile(identity_transducer(2), 8).n == 0
+    assert function_of(odometer_transducer(3)).delay == 0
 
 
 def test_delay_profile_double_emitter_not_constant():
-    t = AsyncTransducer(
+    t = Transducer(
         p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (a, a),
         name="double",
     )
@@ -107,7 +97,7 @@ def test_delay_profile_silent_machine_unwitnessed():
 
 def test_delay_profile_branch_dependent_not_constant():
     # emits only while reading 1s: output length depends on the word read
-    t = AsyncTransducer(
+    t = Transducer(
         p=2, initial="s", delta=lambda s, a: "s",
         output=lambda s, a: (a,) if a == 1 else (),
         name="ones-only",
@@ -141,7 +131,7 @@ def test_function_of_examples():
 
 
 def test_function_of_rejects_irregular_machine():
-    t = AsyncTransducer(
+    t = Transducer(
         p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (a, a),
     )
     with pytest.raises(ValueError):
@@ -158,14 +148,6 @@ def test_reachable_states_identity():
 
 def test_reachable_states_family_enumerates_addends():
     assert reachable_states(digitwise_add_family(2), 2) == [0, 1, 2, 3]
-
-
-def test_residual_maps():
-    ident = identity_transducer(3)
-    assert residual_map(ident, "s0") == (0, 1, 2)
-    odo = odometer_transducer(2)
-    assert residual_map(odo, 1) == (1, 0)  # carry state flips
-    assert residual_map(odo, 0) == (0, 1)  # settled state echoes
 
 
 def test_family_transitivity_identity_fails():
@@ -190,11 +172,11 @@ def test_family_transitivity_digitwise_add_passes():
 
 
 def _reference_transitivity(t, level, depth):
-    """Every word of every family state run from scratch with ``run_sync``."""
+    """Every word of every family state run from scratch with ``run``."""
     states = reachable_states(t, depth)
     size = t.p ** level
     covered = {
-        (u, word_value(run_sync(t, word_of(u, level, t.p), start=s), t.p))
+        (u, word_value(run(t, word_of(u, level, t.p), start=s), t.p))
         for s in states
         for u in range(size)
     }
@@ -217,8 +199,8 @@ def _reference_transitivity(t, level, depth):
         sf.table_machine(5, 2, 5),
         sf.table_machine(6, 3, 4),
         # writes letters past p - 1, whose pairs fall off the u, v grid
-        SyncTransducer(p=2, initial=0, delta=lambda s, a: s, output=lambda s, a: s + a,
-                       family=lambda depth: range(2 ** depth), name="off-grid"),
+        Transducer(p=2, initial=0, delta=lambda s, a: s, output=lambda s, a: (s + a,),
+                   family=lambda depth: range(2 ** depth), name="off-grid"),
     ],
     ids=lambda t: f"{t.name}-p{t.p}",
 )
@@ -232,7 +214,7 @@ def test_family_transitivity_trie_walk_matches_word_runs(t):
 
 def test_delay_profile_budget_bounds_the_frontier():
     # the state counts the 1s read, so length-k words reach k + 1 states
-    counter = AsyncTransducer(
+    counter = Transducer(
         p=2, initial=0, delta=lambda s, a: s + a, output=lambda s, a: (a,),
         name="counter",
     )
@@ -252,8 +234,8 @@ def test_synchronous_runs_are_1_lipschitz(data, m):
     prefix = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     tail1 = data.draw(st.lists(st.integers(0, 1), max_size=4))
     tail2 = data.draw(st.lists(st.integers(0, 1), max_size=4))
-    out1 = run_sync(t, prefix + tail1)
-    out2 = run_sync(t, prefix + tail2)
+    out1 = run(t, prefix + tail1)
+    out2 = run(t, prefix + tail2)
     assert out1[:m] == out2[:m]
 
 
@@ -266,7 +248,7 @@ def test_delay_dependence_of_echo_runs():
         shared = [rng.randrange(2) for _ in range(m + 2)]
         w1 = shared + [rng.randrange(2) for _ in range(3)]
         w2 = shared + [rng.randrange(2) for _ in range(3)]
-        assert run_async(t, w1)[:m] == run_async(t, w2)[:m]
+        assert run(t, w1)[:m] == run(t, w2)[:m]
 
 
 @pytest.mark.parametrize(
