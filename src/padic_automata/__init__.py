@@ -4,7 +4,7 @@ Transducers over {0..p-1} realize continuous (n-unit delay) maps on the
 p-adic integers.  This package extracts their Mahler coefficients,
 decides the delay / measure-preservation / ergodicity coefficient
 conditions, cross-validates every verdict against brute-force oracles on
-finite quotients (fiber counts and cycle decompositions), and probes
+finite quotients (fiber counts and cycle counts), and probes
 geometric image density by exact box counting.
 """
 
@@ -22,9 +22,8 @@ from .mahler import (
 from .oracle import FunctionOracle
 from .padics import floor_log, valuation
 from .quotient import (
-    CycleReport,
     ReducedMap,
-    cycles,
+    cycle_count,
     endomap,
     is_measure_preserving_upto,
     preimage_counts,

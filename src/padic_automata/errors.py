@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the default enumeration budget.
 
 Exit-code mapping used by the CLI: input/format problems exit 1,
 PrecisionError exits 2, a failed criterion exits 3, BudgetExceededError
@@ -8,6 +8,9 @@ exits 4.
 
 class PrecisionError(ValueError):
     """An operation demanded more known digits than the operand carries."""
+
+
+DEFAULT_BUDGET = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):

@@ -1,6 +1,6 @@
 """Geometric images of maps and machines, with exact box-counting.
 
-A run pairs an input word with an output word.  Words embed into [0, 1]
+A run pairs an input word with an output word.  Words embed into [0, 1)
 by the digit-mirror rule: the FIRST-consumed letter becomes the most
 significant base-p fractional digit, so a word w of length L maps to
 0.w_0 w_1 ... w_{L-1} in base p.  Under this embedding the grid cell of
@@ -12,15 +12,13 @@ fractions of prefix-transitive families are unchanged; what it buys is
 that refining a run (reading more letters) keeps the point inside the
 cell of its prefix.
 
-The (p+1)-ary machine graph uses the same first-letter-most-significant
-rule with symbols renumbered 1..p, landing in [1, p+1]^2.
-
 Points are integer numerators over one denominator per point set: the
 mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1}
-over p^L, scaled up to the set's ``den``.  Dedup, sorting, gridding and
-rasterizing are integer work; ``Fraction``s appear only at the boundary,
-in the ``PointSet2D.points`` view and in ``CoverReport.fraction``.  Cover
-fractions are exact; the PGM rasterizer is byte-deterministic.
+over p^L, scaled up to the set's ``den``, so every point lies in
+[0, 1)^2.  Dedup, sorting, gridding and rasterizing are integer work;
+``Fraction``s appear only at the boundary, in the ``PointSet2D.points``
+view and in ``CoverReport.fraction``.  Cover fractions are exact; the
+PGM rasterizer is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from math import lcm
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .oracle import FunctionOracle
 from .transducer import Transducer, reachable_states
 
@@ -39,11 +37,8 @@ __all__ = [
     "CoverReport",
     "PointSet2D",
     "accumulate_image",
-    "automaton_graph",
     "cover_fraction",
-    "family_image",
     "family_points",
-    "image_points",
     "mirror_fraction",
     "render_pgm",
 ]
@@ -65,28 +60,25 @@ def mirror_fraction(value: int, length: int, p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PointSet2D:
-    """Deduplicated exact points in a declared bounding square.
+    """Deduplicated exact points in [0, 1)^2.
 
     Point i is (X/den, Y/den) for ``coords[i] = (X, Y)``; ``coords`` is
-    sorted and free of duplicates.  ``square`` is (lo, hi); run-image sets
-    live in [0, 1], machine graphs in [1, p+1].  ``levels`` records which
-    word lengths / reduction levels contributed.
+    sorted and free of duplicates.  ``levels`` records which word lengths
+    contributed.
     """
 
     p: int
     n: int
     levels: tuple[int, ...]
-    square: tuple[int, int]
     den: int
     coords: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.den < 1:
             raise ValueError(f"denominator must be >= 1, got {self.den}")
-        lo, hi = (bound * self.den for bound in self.square)
         for x, y in self.coords:
-            if not (lo <= x <= hi and lo <= y <= hi):
-                raise ValueError(f"point ({x}, {y}) / {self.den} outside {self.square}^2")
+            if not (0 <= x < self.den and 0 <= y < self.den):
+                raise ValueError(f"point ({x}, {y}) / {self.den} outside [0, 1)^2")
 
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -103,27 +95,22 @@ class PointSet2D:
         coords: set[tuple[int, int]] = set()
         levels: set[int] = set()
         for ps in sets:
-            if (ps.p, ps.square) != (first.p, first.square):
-                raise ValueError("point sets disagree on prime or square")
+            if ps.p != first.p:
+                raise ValueError("point sets disagree on the prime")
             scale = den // ps.den
             coords.update((x * scale, y * scale) for x, y in ps.coords)
             levels.update(ps.levels)
         return PointSet2D(p=first.p, n=first.n, levels=tuple(sorted(levels)),
-                          square=first.square, den=den, coords=tuple(sorted(coords)))
-
-
-def image_points(f: FunctionOracle, k: int, budget: int = 1 << 24) -> PointSet2D:
-    """Level-k image of an oracle: one point per residue x mod p^(n+k),
-    pairing the input word of length n+k with the output word of length k.
-    """
-    return accumulate_image(f, (k,), budget)
+                          den=den, coords=tuple(sorted(coords)))
 
 
 def accumulate_image(
-    f: FunctionOracle, levels: Iterable[int], budget: int = 1 << 24
+    f: FunctionOracle, levels: Iterable[int], budget: int = DEFAULT_BUDGET
 ) -> PointSet2D:
-    """Union of :func:`image_points` over the given levels, from one oracle
-    table at the top level K: level k < K reads f(x) mod p^k off it for
+    """Image of an oracle over the given levels.  Level k gives one point
+    per residue x mod p^(n+k), pairing the input word of length n+k with
+    the output word of length k.  One oracle table at the top level K
+    serves every level: level k < K reads f(x) mod p^k off it for
     x < p^(n+k), which the oracle contract makes its level-k answer.
     """
     levels = sorted(set(levels))
@@ -151,14 +138,13 @@ def accumulate_image(
             [ys[v % mod] * sy for v in outs[: p ** (n + k)]],
         ))
     return PointSet2D(
-        p=p, n=n, levels=tuple(levels), square=(0, 1), den=den,
-        coords=tuple(sorted(coords)),
+        p=p, n=n, levels=tuple(levels), den=den, coords=tuple(sorted(coords))
     )
 
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Occupied cells of the p^m-by-p^m grid over the bounding square.
+    """Occupied cells of the p^m-by-p^m grid over [0, 1)^2.
 
     ``fraction`` is exact: occupied / p^(2m).  The cell list is kept so
     reports can be rendered and compared deterministically.
@@ -171,21 +157,14 @@ class CoverReport:
     occupied: int
     fraction: Fraction
     cells: tuple[tuple[int, int], ...]
-    square: tuple[int, int] = (0, 1)
 
 
 def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
-    """Grid the point set at resolution m (cells of side (hi-lo) * p^-m);
-    the upper edge hi belongs to the last cell."""
+    """Grid the point set at resolution m (cells of side p^-m)."""
     if m < 1:
         raise ValueError(f"resolution must be >= 1, got {m}")
-    grid = points.p ** m
-    lo, hi = points.square
-    base, span, last = lo * points.den, (hi - lo) * points.den, grid - 1
-    cells = {
-        (min((x - base) * grid // span, last), min((y - base) * grid // span, last))
-        for x, y in points.coords
-    }
+    grid, den = points.p ** m, points.den
+    cells = {(x * grid // den, y * grid // den) for x, y in points.coords}
     return CoverReport(
         p=points.p,
         n=points.n,
@@ -194,41 +173,11 @@ def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
         occupied=len(cells),
         fraction=Fraction(len(cells), grid * grid),
         cells=tuple(sorted(cells)),
-        square=points.square,
     )
 
 
-def _trie_coords(
-    t: Transducer, starts: Sequence[Hashable], depth: int, base: int, shift: int
-) -> set[tuple[int, int]]:
-    """(input, output) numerators of every run of 1..depth letters from each
-    start state: a word's letters plus ``shift`` are its base-``base`` digits,
-    first letter most significant, scaled by base^(depth - length).
-    Words are walked as a trie: a word extends its parent by one letter, so
-    its numerators are the parent's times ``base`` plus the letters read and
-    written.  Each state's (letter, output word, next state) row is built
-    once; the machine is synchronous, so every output word has one letter.
-    """
-    rows: dict[Hashable, list[tuple[int, int, Hashable]]] = {}
-    coords: set[tuple[int, int]] = set()
-    for s in starts:
-        frontier = [(s, 0, 0)]
-        for rest in range(depth - 1, -1, -1):
-            scale, grown = base ** rest, []
-            for state, u, v in frontier:
-                if state not in rows:
-                    rows[state] = [(a + shift, t.output(state, a), t.delta(state, a))
-                                   for a in range(t.p)]
-                for a, (out,), nxt in rows[state]:
-                    x, y = u * base + a, v * base + out + shift
-                    coords.add((x * scale, y * scale))
-                    grown.append((nxt, x, y))
-            frontier = grown
-    return coords
-
-
 def family_points(
-    t: Transducer, depth: int, budget: int = 1 << 24
+    t: Transducer, depth: int, budget: int = DEFAULT_BUDGET
 ) -> PointSet2D:
     """Image points of the whole state family of a synchronous machine.
 
@@ -237,6 +186,13 @@ def family_points(
     (embed(u), embed(output)).  The union over states is what the closure
     of the single-run image accumulates: a long run passes through s and
     then behaves like the machine started there.
+
+    Words are walked as a trie: a word extends its parent by one letter, so
+    its numerators over p^j are the parent's times p plus the letters read
+    and written, scaled by p^(depth - j) to the set's denominator p^depth.
+    Each state's (output word, next state) row is built once.  The budget
+    bounds the runs, states times words; :class:`BudgetExceededError` is
+    raised before any run when that exceeds ``budget``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -247,51 +203,34 @@ def family_points(
         raise BudgetExceededError(
             f"family image needs {runs} runs, over the budget {budget}"
         )
-    coords = _trie_coords(t, states, depth, p, 0)
-    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), square=(0, 1),
-                      den=p ** depth, coords=tuple(sorted(coords)))
+    rows: dict[Hashable, list[tuple[tuple[int, ...], Hashable]]] = {}
+    coords: set[tuple[int, int]] = set()
+    for s in states:
+        frontier = [(s, 0, 0)]
+        for rest in range(depth - 1, -1, -1):
+            scale, grown = p ** rest, []
+            for state, u, v in frontier:
+                if state not in rows:
+                    rows[state] = [(t.output(state, a), t.delta(state, a)) for a in range(p)]
+                # one letter per step; unpacking fails loudly on any other word
+                for a, ((out,), nxt) in enumerate(rows[state]):
+                    x, y = u * p + a, v * p + out
+                    coords.add((x * scale, y * scale))
+                    grown.append((nxt, x, y))
+            frontier = grown
+    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=p ** depth,
+                      coords=tuple(sorted(coords)))
 
 
-def family_image(
-    t: Transducer, depth: int, m: int, budget: int = 1 << 24
-) -> CoverReport:
-    """Cover report of the family image at resolution m."""
-    return cover_fraction(family_points(t, depth, budget), m)
-
-
-def automaton_graph(t: Transducer, depth: int) -> PointSet2D:
-    """The (p+1)-ary graph of the machine's initial-state function.
-
-    Each nonempty input word u of length <= depth yields the point
-    (arrow(u), arrow(output)) in [1, p+1]^2, where
-    arrow(w) = sum_i (w_i + 1) * (p+1)^-i over the letters in consumed
-    order (symbols renumbered 1..p, order-preservingly).
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    p = t.p
-    coords = _trie_coords(t, [t.initial], depth, p + 1, 1)
-    # arrow(w) has the denominator (p+1)^(len(w) - 1)
-    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), square=(1, p + 1),
-                      den=(p + 1) ** (depth - 1), coords=tuple(sorted(coords)))
-
-
-def render_pgm(
-    source: PointSet2D | CoverReport, m: int, path: str | Path
-) -> bytes:
+def render_pgm(report: CoverReport, m: int, path: str | Path) -> bytes:
     """Write a binary PGM: occupied cells black, origin at the lower left.
 
-    Accepts a point set (gridded here at resolution m) or a ready cover
-    report (whose resolution must match m).  Returns the bytes written.
+    The report's resolution must match m.  Returns the bytes written.
     """
-    if isinstance(source, PointSet2D):
-        report = cover_fraction(source, m)
-    else:
-        if source.m != m:
-            raise ValueError(
-                f"cover report was gridded at m={source.m}, asked to render m={m}"
-            )
-        report = source
+    if report.m != m:
+        raise ValueError(
+            f"cover report was gridded at m={report.m}, asked to render m={m}"
+        )
     grid = report.p ** m
     pixels = bytearray(b"\xff") * (grid * grid)
     for col, row in report.cells:

@@ -7,7 +7,7 @@ The induced self-map at level k acts on Z/p^(n k) through the
 zero-extension lift: x is read as its canonical representative, f is
 evaluated, and the result reduced back.  The lift is a convention, not
 canon; any disagreement between coefficient conditions and the cycle
-structure found here is reported against the lift first.
+counts found here is reported against the lift first.
 
 The synchronous case n = 0 is supported with the classical reading
 (level k lives on Z/p^k, fibers of size 1, the induced map is just
@@ -22,18 +22,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .oracle import FunctionOracle
 
 __all__ = [
-    "CycleReport",
     "CycleVerdict",
     "DEFAULT_BUDGET",
     "MeasureVerdict",
     "ReducedMap",
-    "cycles",
+    "cycle_count",
     "endomap",
     "endomap_exponent",
     "is_measure_preserving_upto",
@@ -42,8 +41,6 @@ __all__ = [
     "reduce_map",
     "unique_cycle_upto",
 ]
-
-DEFAULT_BUDGET = 1 << 24
 
 
 def level_exponents(n: int, k: int) -> tuple[int, int]:
@@ -177,48 +174,30 @@ def endomap(
     return tuple(f.values(e, f.p ** e))
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """Functional-graph decomposition of a finite self-map.
+def cycle_count(table: Sequence[int]) -> int:
+    """Number of cycles of a self-map table (rho shapes allowed, not a
+    permutation).
 
-    Every point of ``table`` eventually falls onto exactly one of the
-    listed cycles; ``transient_count`` is the number of points not on any
-    cycle.  Cycles are listed in ascending order of their minimal element
-    and each starts at that element.
+    Each walk starts at an unvisited point and marks the points it passes
+    until it meets a marked one; it closed a new cycle exactly when that
+    point was marked by this walk.  The walk is then retraced to settle it.
     """
-
-    level: int
-    cycles: tuple[tuple[int, ...], ...]
-    transient_count: int
-
-
-def cycles(table: tuple[int, ...], level: int = 0) -> CycleReport:
-    """Decompose a self-map table (rho shapes allowed, not a permutation)."""
-    size = len(table)
     # 0 = unvisited, 1 = on the current walk, 2 = settled
-    state = bytearray(size)
-    found: list[tuple[int, ...]] = []
-    for start in range(size):
+    state = bytearray(len(table))
+    found = 0
+    for start in range(len(table)):
         if state[start]:
             continue
-        path = []
         x = start
-        while state[x] == 0:
+        while not state[x]:
             state[x] = 1
-            path.append(x)
             x = table[x]
-        if state[x] == 1:
-            # closed a new cycle inside the current walk
-            cycle = path[path.index(x):]
-            lo = cycle.index(min(cycle))
-            found.append(tuple(cycle[lo:] + cycle[:lo]))
-        for y in path:
-            state[y] = 2
-    found.sort(key=lambda c: c[0])
-    cyclic = sum(len(c) for c in found)
-    return CycleReport(
-        level=level, cycles=tuple(found), transient_count=size - cyclic
-    )
+        found += state[x] == 1
+        x = start
+        while state[x] == 1:
+            state[x] = 2
+            x = table[x]
+    return found
 
 
 @dataclass(frozen=True)
@@ -250,7 +229,7 @@ def unique_cycle_upto(
     for k in range(1, k_max + 1):
         size = f.p ** endomap_exponent(f.delay, k)
         table = top if k == k_max else list(map(size.__rmod__, islice(top, size)))
-        found = len(cycles(table, level=k).cycles)
+        found = cycle_count(table)
         counts.append((k, found))
         if first_fail is None and found != 1:
             first_fail = k

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .oracle import FunctionOracle
 
 __all__ = [
@@ -131,7 +131,7 @@ class DelayProfile:
     reason: str = ""
 
 
-def delay_profile(t: Transducer, depth: int, budget: int = 1 << 24) -> DelayProfile:
+def delay_profile(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> DelayProfile:
     """Determine the constant output delay of ``t``, if it has one.
 
     Explores (state, emitted-length) pairs breadth-first, which covers
@@ -218,18 +218,20 @@ def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
     return FunctionOracle(p=t.p, delay=n, source="transducer", _fn=evaluate)
 
 
-def reachable_states(t: Transducer, depth: int) -> list[State]:
+def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
     """States known at exploration depth ``depth``, in deterministic order.
 
     For a table machine this is breadth-first closure from the initial
     state over all letters (discovery order).  A parametric family
     supplies its own depth-indexed enumeration instead, since its states
-    need not be reachable from one another by transitions.
+    need not be reachable from one another by transitions; its sequence
+    is returned as it is, so callers can check ``len`` against a budget
+    before any state is enumerated.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if t.family is not None:
-        return list(t.family(depth))
+        return t.family(depth)
     seen: dict[State, None] = {t.initial: None}
     queue = deque([(t.initial, 0)])
     while queue:
@@ -261,7 +263,7 @@ class TransitivityReport:
 
 
 def family_transitivity(
-    t: Transducer, level: int, depth: int, budget: int = 1 << 24
+    t: Transducer, level: int, depth: int, budget: int = DEFAULT_BUDGET
 ) -> TransitivityReport:
     """Check that for all words u, v of length ``level`` some state s of
     the synchronous family maps u to v.

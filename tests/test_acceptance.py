@@ -33,9 +33,9 @@ import pytest
 
 from padic_automata.geometry import (
     PointSet2D,
+    accumulate_image,
     cover_fraction,
-    family_image,
-    image_points,
+    family_points,
 )
 from padic_automata.mahler import (
     CheckStatus,
@@ -47,7 +47,7 @@ from padic_automata.mahler import (
     series_oracle,
 )
 from padic_automata.quotient import (
-    cycles,
+    cycle_count,
     endomap,
     is_measure_preserving_upto,
     preimage_counts,
@@ -122,8 +122,8 @@ def test_criterion_1_shift_anchor():
         assert hist == ((2, 2 ** (level - 1)),), f"level {level}"
 
     for k in range(1, 11):
-        report = cycles(endomap(oracle, k), level=k)
-        assert report.cycles == ((0,),), f"level {k}"
+        table = endomap(oracle, k)
+        assert cycle_count(table) == 1 and table[0] == 0, f"level {k}"
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"anchor took {elapsed:.2f}s"
@@ -273,8 +273,7 @@ def test_criterion_4_ergodic_vs_cycle_oracle():
     assert check_measure_preserving_conditions(series).passed
     verdict = unique_cycle_upto(series_oracle(series), 4)
     assert not verdict.passed and verdict.first_failing_level == 2
-    level2 = cycles(endomap(series_oracle(series), 2), level=2)
-    assert len(level2.cycles) == 2
+    assert cycle_count(endomap(series_oracle(series), 2)) == 2
 
     # sweep the ergodic-passing sub-population; count both outcomes
     rng = random.Random(44)
@@ -327,7 +326,7 @@ def test_criterion_5_cover_bound():
     shift_m4 = None
     for name, oracle in _cover_subjects():
         p, n = oracle.p, oracle.delay
-        by_level = {k: image_points(oracle, k) for k in range(2, 8)}
+        by_level = {k: accumulate_image(oracle, (k,)) for k in range(2, 8)}
         for m in (2, 3, 4):
             pts = PointSet2D.union([by_level[k] for k in range(m, m + 4)])
             report = cover_fraction(pts, m)
@@ -348,11 +347,11 @@ def test_criterion_5_cover_bound():
 
 
 def test_criterion_6_family_dichotomy():
-    full = family_image(digitwise_add_family(2), 8, 4)
+    full = cover_fraction(family_points(digitwise_add_family(2), 8), 4)
     assert full.fraction == 1
 
     for m in (2, 3, 4):
-        diag = family_image(identity_transducer(2), 8, m)
+        diag = cover_fraction(family_points(identity_transducer(2), 8), m)
         assert diag.fraction == Fraction(1, 2 ** m)
 
     odo = odometer_transducer(2)
@@ -375,10 +374,10 @@ def test_criterion_7_odometer_n0():
     for p in (2, 3):
         oracle = odometer_oracle(p)
         for k in range(1, 9):
-            report = cycles(endomap(oracle, k), level=k)
-            assert len(report.cycles) == 1
-            assert len(report.cycles[0]) == p ** k
-            assert report.transient_count == 0
+            # one cycle through a permutation: full length, no transients
+            table = endomap(oracle, k)
+            assert cycle_count(table) == 1
+            assert sorted(table) == list(range(p ** k))
         for k in range(2, 9):
             counts = preimage_counts(reduce_map(oracle, k))
             assert set(counts) == {1}

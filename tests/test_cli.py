@@ -162,6 +162,16 @@ def test_transitivity_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_transitivity_budget_checked_before_listing_states(capsys):
+    # 2^40 states are counted, not listed, before the budget stops the run
+    code, _, err = run(
+        capsys, "transitivity", "--builtin", "digitwise-add",
+        "--resolution", "1", "--depth", "40", "--budget", "1000",
+    )
+    assert code == 4
+    assert "budget" in err
+
+
 def test_transitivity_needs_sync_subject(capsys, tmp_path):
     path = tmp_path / "echo.transducer"
     path.write_text(ECHO_DOC)

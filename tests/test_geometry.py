@@ -8,11 +8,8 @@ from padic_automata.errors import BudgetExceededError
 from padic_automata.geometry import (
     PointSet2D,
     accumulate_image,
-    automaton_graph,
     cover_fraction,
-    family_image,
     family_points,
-    image_points,
     mirror_fraction,
     render_pgm,
 )
@@ -34,6 +31,7 @@ from padic_automata.transducer import (
     reachable_states,
     run,
     word_of,
+    word_value,
 )
 
 import series_factory as sf
@@ -51,7 +49,7 @@ def test_mirror_fraction_first_letter_most_significant():
 
 
 def test_image_points_shift_level1():
-    pts = image_points(shift_oracle(2, 1), 1)
+    pts = accumulate_image(shift_oracle(2, 1), (1,))
     assert set(pts.points) == {
         (F(0, 1), F(0, 1)),
         (F(1, 2), F(0, 1)),
@@ -61,12 +59,12 @@ def test_image_points_shift_level1():
 
 
 def test_image_points_identity_diagonal():
-    pts = image_points(polynomial_oracle(2, [0, 1]), 1)
+    pts = accumulate_image(polynomial_oracle(2, [0, 1]), (1,))
     assert set(pts.points) == {(F(0, 1), F(0, 1)), (F(1, 2), F(1, 2))}
 
 
 def test_image_points_zero_on_axis():
-    pts = image_points(zero_oracle(2, 1), 3)
+    pts = accumulate_image(zero_oracle(2, 1), (3,))
     assert all(y == 0 for _, y in pts.points)
 
 
@@ -80,8 +78,7 @@ def test_cover_identity_exactly_diagonal():
 
 
 def test_cover_single_point():
-    pts = PointSet2D(p=2, n=0, levels=(1,), square=(0, 1),
-                     den=21, coords=((7, 3),))
+    pts = PointSet2D(p=2, n=0, levels=(1,), den=21, coords=((7, 3),))
     for m in (1, 2, 3):
         assert cover_fraction(pts, m).fraction == F(1, 2 ** (2 * m))
 
@@ -125,12 +122,12 @@ def test_delay_bound_for_builtins_and_sound_series():
 
 
 def test_family_image_identity():
-    report = family_image(identity_transducer(2), 6, 3)
+    report = cover_fraction(family_points(identity_transducer(2), 6), 3)
     assert report.fraction == F(1, 8)
 
 
 def test_family_image_digitwise_add_covers_everything():
-    report = family_image(digitwise_add_family(2), 6, 3)
+    report = cover_fraction(family_points(digitwise_add_family(2), 6), 3)
     assert report.fraction == 1
 
 
@@ -139,7 +136,7 @@ def test_family_image_constant_output_row():
         p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (0,),
         name="constant",
     )
-    report = family_image(t, 6, 3)
+    report = cover_fraction(family_points(t, 6), 3)
     assert report.fraction == F(1, 8)
     assert all(j == 0 for _, j in report.cells)
 
@@ -150,28 +147,10 @@ def test_family_walks_reject_words_of_other_lengths(word):
     t = Transducer(p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: word)
     for query in (
         lambda: family_points(t, 2),
-        lambda: automaton_graph(t, 2),
         lambda: family_transitivity(t, 1, 1),
     ):
         with pytest.raises(ValueError):
             query()
-
-
-def test_automaton_graph_arrow_values():
-    pts = automaton_graph(identity_transducer(2), 2)
-    coords = {x for x, _ in pts.points}
-    # word (0) -> 1, word (1) -> 2, word (1,0) -> 2 + 1/3 = 7/3
-    assert F(1, 1) in coords
-    assert F(2, 1) in coords
-    assert F(7, 3) in coords
-    assert all(x == y for x, y in pts.points)  # identity stays diagonal
-    lo, hi = pts.square
-    assert (lo, hi) == (1, 3)
-
-
-def test_automaton_graph_inside_square():
-    pts = automaton_graph(odometer_transducer(3), 3)
-    assert all(1 <= x <= 4 and 1 <= y <= 4 for x, y in pts.points)
 
 
 def _pgm_parts(data: bytes):
@@ -182,8 +161,8 @@ def _pgm_parts(data: bytes):
 
 
 def test_render_pgm_empty_all_white(tmp_path):
-    pts = PointSet2D(p=2, n=0, levels=(), square=(0, 1), den=1, coords=())
-    data = render_pgm(pts, 2, tmp_path / "empty.pgm")
+    pts = PointSet2D(p=2, n=0, levels=(), den=1, coords=())
+    data = render_pgm(cover_fraction(pts, 2), 2, tmp_path / "empty.pgm")
     w, h, pixels = _pgm_parts(data)
     assert (w, h) == (4, 4)
     assert pixels == b"\xff" * 16
@@ -191,7 +170,7 @@ def test_render_pgm_empty_all_white(tmp_path):
 
 def test_render_pgm_identity_diagonal(tmp_path):
     pts = accumulate_image(polynomial_oracle(2, [0, 1]), range(1, 5))
-    data = render_pgm(pts, 3, tmp_path / "diag.pgm")
+    data = render_pgm(cover_fraction(pts, 3), 3, tmp_path / "diag.pgm")
     w, h, pixels = _pgm_parts(data)
     assert (w, h) == (8, 8)
     assert pixels.count(0) == 8
@@ -202,37 +181,50 @@ def test_render_pgm_identity_diagonal(tmp_path):
 
 def test_render_pgm_shift_bound(tmp_path):
     pts = accumulate_image(shift_oracle(2, 1), range(1, 7))
-    data = render_pgm(pts, 3, tmp_path / "shift.pgm")
+    data = render_pgm(cover_fraction(pts, 3), 3, tmp_path / "shift.pgm")
     _, _, pixels = _pgm_parts(data)
     assert pixels.count(0) <= 16
 
 
 def test_render_pgm_deterministic(tmp_path):
     pts = accumulate_image(shift_oracle(2, 1), range(1, 6))
-    a = render_pgm(pts, 3, tmp_path / "a.pgm")
-    b = render_pgm(pts, 3, tmp_path / "b.pgm")
+    report = cover_fraction(pts, 3)
+    a = render_pgm(report, 3, tmp_path / "a.pgm")
+    b = render_pgm(report, 3, tmp_path / "b.pgm")
     assert a == b
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
 def test_render_pgm_resolution_mismatch(tmp_path):
-    report = cover_fraction(image_points(shift_oracle(2, 1), 3), 2)
+    report = cover_fraction(accumulate_image(shift_oracle(2, 1), (3,)), 2)
     with pytest.raises(ValueError):
         render_pgm(report, 3, tmp_path / "x.pgm")
 
 
 def test_image_budget():
     with pytest.raises(BudgetExceededError):
-        image_points(shift_oracle(2, 1), 10, budget=100)
+        accumulate_image(shift_oracle(2, 1), (10,), budget=100)
     with pytest.raises(BudgetExceededError):
         family_points(digitwise_add_family(2), 8, budget=1000)
 
 
-def test_union_rejects_mixed_squares():
-    a = automaton_graph(identity_transducer(2), 1)
-    b = image_points(shift_oracle(2, 1), 1)
+def test_union_rejects_mixed_primes():
+    a = accumulate_image(shift_oracle(2, 1), (1,))
+    b = accumulate_image(shift_oracle(3, 1), (1,))
     with pytest.raises(ValueError):
         PointSet2D.union([a, b])
+
+
+def test_points_outside_unit_square_rejected():
+    for coords in (((0, 4),), ((-1, 0),), ((4, 4),)):
+        with pytest.raises(ValueError):
+            PointSet2D(p=2, n=0, levels=(1,), den=4, coords=coords)
+
+
+def test_family_rejects_letters_outside_alphabet():
+    t = Transducer(p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (2,))
+    with pytest.raises(ValueError):
+        family_points(t, 1)
 
 
 # --------------------------------------------------------------------------
@@ -269,24 +261,18 @@ def _ref_family(t, depth):
 
 
 def _ref_graph(t, depth):
-    base = t.p + 1
-
-    def arrow(word):
-        return sum(F(d + 1, base ** i) for i, d in enumerate(word))
-
+    """The mirrored (input, output) pairs of runs from the initial state."""
+    p = t.p
     pts = set()
     for j in range(1, depth + 1):
-        for u in range(t.p ** j):
-            word = word_of(u, j, t.p)
-            pts.add((arrow(word), arrow(run(t, word))))
+        for u in range(p ** j):
+            out = run(t, word_of(u, j, p))
+            pts.add((mirror_fraction(u, j, p), mirror_fraction(word_value(out, p), j, p)))
     return pts
 
 
-def _ref_cells(points, lo, hi, grid):
-    cell = {
-        c: min(int((c - lo) * grid / (hi - lo)), grid - 1)
-        for c in {c for pair in points for c in pair}
-    }
+def _ref_cells(points, grid):
+    cell = {c: int(c * grid) for c in {c for pair in points for c in pair}}
     return sorted({(cell[x], cell[y]) for x, y in points})
 
 
@@ -306,7 +292,7 @@ def _assert_matches_reference(pts, ref, m, tmp_path):
     assert set(pts.points) == ref
     assert list(pts.coords) == sorted(set(pts.coords))
     grid = pts.p ** m
-    cells = _ref_cells(ref, *pts.square, grid)
+    cells = _ref_cells(ref, grid)
     report = cover_fraction(pts, m)
     assert report.cells == tuple(cells)
     assert report.occupied == len(cells)
@@ -351,22 +337,22 @@ def test_image_matches_fraction_reference(m, tmp_path):
     ids=lambda t: f"{t.name}-p{t.p}",
 )
 def test_family_and_graph_match_fraction_reference(t, tmp_path):
+    """The family image matches its reference and contains the graph of
+    the machine's own function, the runs from the initial state."""
     for depth in range(1, 7 if t.p == 2 else 5):
         pts = family_points(t, depth)
         ref = _ref_family(t, depth)
         for m in range(1, depth + 1):
             _assert_matches_reference(pts, ref, m, tmp_path)
-        graph = automaton_graph(t, depth)
-        _assert_matches_reference(graph, _ref_graph(t, depth), 2, tmp_path)
+        assert _ref_graph(t, depth) <= ref
 
 
 def test_cover_square_edges_match_fraction_reference(tmp_path):
-    # points on the lower and upper edges of [1, 4]^2; the upper edge
-    # belongs to the last cell
-    coords = ((6, 6), (6, 24), (15, 7), (24, 24))
-    pts = PointSet2D(p=3, n=0, levels=(1,), square=(1, 4), den=6, coords=coords)
-    for m in (1, 2):
-        ref = {(F(x, 6), F(y, 6)) for x, y in coords}
+    # points on the lower edges of [0, 1)^2 and just below the upper ones
+    coords = ((0, 0), (0, 26), (13, 1), (26, 0), (26, 26))
+    pts = PointSet2D(p=3, n=0, levels=(1,), den=27, coords=coords)
+    for m in (1, 2, 3):
+        ref = {(F(x, 27), F(y, 27)) for x, y in coords}
         _assert_matches_reference(pts, ref, m, tmp_path)
 
 
@@ -382,7 +368,7 @@ def test_accumulate_image_evaluates_one_table():
     levels = range(2, 6)
     pts = accumulate_image(oracle, levels)
     assert calls == [(5, 2 ** 6)]
-    assert pts == PointSet2D.union([image_points(oracle, k) for k in levels])
+    assert pts == PointSet2D.union([accumulate_image(oracle, (k,)) for k in levels])
 
 
 def test_hot_path_builds_no_fraction(monkeypatch):
@@ -391,8 +377,7 @@ def test_hot_path_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(geometry, "Fraction", no_fraction)
     pts = accumulate_image(shift_oracle(3, 1), range(1, 5))
-    union = PointSet2D.union([pts, image_points(shift_oracle(3, 1), 2)])
+    union = PointSet2D.union([pts, accumulate_image(shift_oracle(3, 1), (2,))])
     family = family_points(odometer_transducer(2), 6)
-    graph = automaton_graph(odometer_transducer(2), 6)
     assert union.coords == pts.coords
-    assert len(family.coords) > len(graph.coords) > 0
+    assert len(family.coords) > 0

@@ -1,10 +1,12 @@
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_automata.errors import BudgetExceededError
+from padic_automata.geometry import family_points
 from padic_automata.subjects import (
     delay_echo_transducer,
     digitwise_add_family,
@@ -147,7 +149,26 @@ def test_reachable_states_identity():
 
 
 def test_reachable_states_family_enumerates_addends():
-    assert reachable_states(digitwise_add_family(2), 2) == [0, 1, 2, 3]
+    assert list(reachable_states(digitwise_add_family(2), 2)) == [0, 1, 2, 3]
+
+
+class _Unlistable(Sequence):
+    """A state family whose length is known but which must not be listed."""
+
+    def __len__(self):
+        return 2 ** 20
+
+    def __getitem__(self, i):
+        raise AssertionError("family enumerated before the budget check")
+
+
+def test_family_budget_checked_before_enumeration():
+    t = Transducer(p=2, initial=0, delta=lambda s, a: s, output=lambda s, a: (a,),
+                   family=lambda depth: _Unlistable(), name="lazy")
+    with pytest.raises(BudgetExceededError):
+        family_points(t, 3, budget=1000)
+    with pytest.raises(BudgetExceededError):
+        family_transitivity(t, 1, 3, budget=1000)
 
 
 def test_family_transitivity_identity_fails():
