@@ -2,14 +2,17 @@
 
 Subjects are either a document file (``--subject``; series and transducer
 schemas are described in :mod:`padic_automata.formats`) or a bundled
-built-in (``--builtin`` with ``--p`` / ``--n`` / ``--coeffs``).  Commands:
+built-in (``--builtin`` with ``--p`` / ``--n`` / ``--coeffs``).  Every
+command also takes ``--budget`` and ``--report-format``, and only these:
 
-``coeffs``        extract Mahler coefficients (``--terms``, ``--precision``)
-``check``         decide the delay / measure-preservation / ergodicity
-                  coefficient conditions (``--which delay|mp|ergodic``)
-``brute``         finite-quotient oracles (``--mode mp|cycles``, ``--kmax``)
-``image``         geometric image, cover report and PGM raster
-``transitivity``  family transitivity at word length ``--resolution``
+``coeffs``        Mahler coefficients: --terms --precision --out (series file)
+``check``         coefficient conditions: --which delay|mp|ergodic --terms --precision
+``brute``         finite-quotient oracles: --mode mp|cycles --kmax
+``image``         geometric image, cover report, PGM: --kmax --resolution --depth --out
+``transitivity``  family transitivity: --resolution (word length) --depth
+
+Each command returns one report payload; :func:`emit` prints it as JSON or
+through the command's text template and maps it to the exit code.
 
 Exit codes: 0 pass, 1 input error, 2 insufficient precision,
 3 criterion fail, 4 budget exceeded.  Machine-readable output
@@ -26,19 +29,25 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import geometry, mahler, quotient
-from .errors import BudgetExceededError, FormatError, PrecisionError
+from .errors import BudgetExceededError, FormatError, PrecisionError, check_budget
 from .formats import parse_series, parse_transducer, serialize_series
-from .mahler import CheckStatus, MahlerSeries
+from .mahler import MahlerSeries
 from .oracle import FunctionOracle
 from .padics import valuation
 from .subjects import BUILTIN_NAMES, make_builtin
 from .transducer import Transducer, family_transitivity, function_of
 
-EXIT_PASS = 0
-EXIT_INPUT = 1
-EXIT_PRECISION = 2
-EXIT_FAIL = 3
-EXIT_BUDGET = 4
+# The exit code of every outcome, one row per code: a report's ``verdict``
+# (check) or ``passed`` flag (brute, transitivity; None for coeffs and
+# image), or the error that stopped the command, looked up by its nearest class.
+EXIT_CODE = {
+    "pass": 0, True: 0, None: 0,
+    FormatError: 1, ValueError: 1,
+    "insufficient-precision": 2, PrecisionError: 2,
+    "fail": 3, False: 3,
+    BudgetExceededError: 4,
+}
+ERROR_PREFIX = {1: "error", 2: "insufficient precision", 4: "budget exceeded"}
 
 REPORT_SCHEMA = "padic-automata-report-v1"
 
@@ -50,47 +59,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_: argparse.ArgumentParser) -> None:
-        p_.add_argument("--subject", help="series or transducer document")
-        p_.add_argument("--builtin", choices=BUILTIN_NAMES, help="bundled subject")
-        p_.add_argument("--p", type=int, default=2, help="prime (built-ins)")
-        p_.add_argument("--n", type=int, default=1, help="delay parameter (built-ins)")
-        p_.add_argument(
-            "--coeffs", help="comma-separated integers for --builtin polynomial"
-        )
-        p_.add_argument("--precision", type=int, default=16, help="digits K")
-        p_.add_argument("--budget", type=int, default=quotient.DEFAULT_BUDGET)
-        p_.add_argument(
-            "--report-format", choices=("text", "json"), default="text"
-        )
-        p_.add_argument("--out", help="output path (series file or PGM)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--subject", help="series or transducer document")
+    common.add_argument("--builtin", choices=BUILTIN_NAMES, help="bundled subject")
+    common.add_argument("--p", type=int, default=2, help="prime (built-ins)")
+    common.add_argument("--n", type=int, default=1, help="delay parameter (built-ins)")
+    common.add_argument("--coeffs", help="comma-separated integers for --builtin polynomial")
+    common.add_argument("--budget", type=int, default=quotient.DEFAULT_BUDGET)
+    common.add_argument("--report-format", choices=("text", "json"), default="text")
 
-    c = sub.add_parser("coeffs", help="Mahler coefficients by finite differences")
-    common(c)
+    c = sub.add_parser(
+        "coeffs", parents=[common], help="Mahler coefficients by finite differences"
+    )
     c.add_argument("--terms", type=int, default=16, help="coefficient count M")
+    c.add_argument("--precision", type=int, default=16, help="digits K")
+    c.add_argument("--out", help="series document to write")
     c.set_defaults(handler=cmd_coeffs)
 
-    c = sub.add_parser("check", help="decide the coefficient conditions")
-    common(c)
+    c = sub.add_parser("check", parents=[common], help="decide the coefficient conditions")
     c.add_argument("--which", choices=("delay", "mp", "ergodic"), required=True)
     c.add_argument("--terms", type=int, default=16, help="M when deriving a series")
+    c.add_argument("--precision", type=int, default=16, help="digits K when deriving a series")
     c.set_defaults(handler=cmd_check)
 
-    c = sub.add_parser("brute", help="finite-quotient oracle checks")
-    common(c)
+    c = sub.add_parser("brute", parents=[common], help="finite-quotient oracle checks")
     c.add_argument("--mode", choices=("mp", "cycles"), required=True)
     c.add_argument("--kmax", type=int, default=6)
     c.set_defaults(handler=cmd_brute)
 
-    c = sub.add_parser("image", help="geometric image, cover report, PGM")
-    common(c)
+    c = sub.add_parser("image", parents=[common], help="geometric image, cover report, PGM")
     c.add_argument("--kmax", type=int, default=6, help="levels 1..K to accumulate")
     c.add_argument("--resolution", type=int, default=3, help="grid exponent m")
     c.add_argument("--depth", type=int, default=6, help="family exploration depth")
+    c.add_argument("--out", help="PGM raster to write")
     c.set_defaults(handler=cmd_image)
 
-    c = sub.add_parser("transitivity", help="family transitivity check")
-    common(c)
+    c = sub.add_parser("transitivity", parents=[common], help="family transitivity check")
     c.add_argument("--resolution", type=int, default=1, help="word length m")
     c.add_argument("--depth", type=int, default=4, help="state exploration depth")
     c.set_defaults(handler=cmd_transitivity)
@@ -133,11 +137,9 @@ def to_series(subject, args) -> MahlerSeries:
     if isinstance(subject, MahlerSeries):
         return subject
     # the difference triangle of M values takes M(M+1)/2 subtractions
-    work = args.terms * (args.terms + 1) // 2
-    if work > args.budget:
-        raise BudgetExceededError(
-            f"{args.terms} terms take {work} differences, over the budget {args.budget}"
-        )
+    check_budget(
+        args.terms * (args.terms + 1) // 2, args.budget, f"differences for {args.terms} terms"
+    )
     return mahler.coeffs_from_oracle(to_oracle(subject), args.terms, args.precision)
 
 
@@ -147,42 +149,25 @@ def subject_label(args) -> str:
     return f"file {args.subject}"
 
 
-def emit(args, lines: list[str], payload: dict) -> None:
-    if args.report_format == "json":
-        payload = {"schema": REPORT_SCHEMA, **payload}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+# --- commands: each returns its report payload ---------------------------------
 
 
-def _fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator} = {float(fr):.6f}"
-
-
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> dict:
     series = to_series(load_subject(args), args)
-    lines = [f"mahler coefficients of {subject_label(args)}",
-             f"p={series.p} n={series.n} precision={series.precision} terms={series.support}"]
-    rows = []
-    for i, a in enumerate(series.coeffs):
-        val = valuation(series.p, series.precision, a)
-        shown = f">= {series.precision}" if val is None else val
-        lines.append(f"  a_{i} = {a}   valuation {shown}")
-        rows.append({"index": i, "residue": a, "valuation": val})
     payload = {
         "command": "coeffs",
         "p": series.p,
         "n": series.n,
         "precision": series.precision,
-        "coefficients": rows,
+        "coefficients": [
+            {"index": i, "residue": a, "valuation": valuation(series.p, series.precision, a)}
+            for i, a in enumerate(series.coeffs)
+        ],
     }
     if args.out:
         Path(args.out).write_text(serialize_series(series))
-        lines.append(f"series written to {args.out}")
         payload["out"] = args.out
-    emit(args, lines, payload)
-    return EXIT_PASS
+    return payload
 
 
 _WHICH = {
@@ -192,108 +177,57 @@ _WHICH = {
 }
 
 
-def cmd_check(args) -> int:
-    series = to_series(load_subject(args), args)
-    report = _WHICH[args.which](series)
-    lines = [f"{report.which} conditions for {subject_label(args)}",
-             f"p={report.p} n={report.n} precision={report.precision}"]
-    rows = []
-    for c in report.checks:
-        observed = f">={report.precision}" if c.observed is None else str(c.observed)
-        lines.append(
-            f"  {c.label}: required valuation {c.required}, observed {observed}"
-            f" -> {c.status.value}"
-        )
-        rows.append(
-            {
-                "index": c.index,
-                "label": c.label,
-                "required": c.required,
-                "observed": c.observed,
-                "status": c.status.value,
-            }
-        )
-    lines.append(f"verdict: {report.verdict.value}")
-    emit(
-        args,
-        lines,
-        {
-            "command": "check",
-            "which": report.which,
-            "p": report.p,
-            "n": report.n,
-            "precision": report.precision,
-            "checks": rows,
-            "verdict": report.verdict.value,
-        },
-    )
-    if report.verdict is CheckStatus.PASS:
-        return EXIT_PASS
-    if report.verdict is CheckStatus.FAIL:
-        return EXIT_FAIL
-    return EXIT_PRECISION
+def cmd_check(args) -> dict:
+    report = _WHICH[args.which](to_series(load_subject(args), args))
+    return {
+        "command": "check",
+        "which": report.which,
+        "p": report.p,
+        "n": report.n,
+        "precision": report.precision,
+        "checks": [
+            {"index": c.index, "label": c.label, "required": c.required,
+             "observed": c.observed, "status": c.status.value}
+            for c in report.checks
+        ],
+        "verdict": report.verdict.value,
+    }
 
 
-def cmd_brute(args) -> int:
+def cmd_brute(args) -> dict:
     oracle = to_oracle(load_subject(args))
     if args.mode == "mp":
         verdict = quotient.is_measure_preserving_upto(oracle, args.kmax, args.budget)
-        lines = [f"preimage-count criterion for {subject_label(args)}",
-                 f"p={verdict.p} n={verdict.n} expected fiber {verdict.expected_fiber}"]
-        levels = []
-        for k, hist in verdict.histograms:
-            text = ", ".join(f"{size}x{count}" for size, count in hist)
-            lines.append(f"  level {k}: fibers {{{text}}}")
-            levels.append({"level": k, "fibers": [list(pair) for pair in hist]})
-        lines.append("verdict: pass" if verdict.passed else
-                     f"verdict: fail at level {verdict.first_failing_level}")
-        emit(args, lines, {
-            "command": "brute",
-            "mode": "mp",
-            "p": verdict.p,
-            "n": verdict.n,
-            "k_max": verdict.k_max,
+        detail = {
             "expected_fiber": verdict.expected_fiber,
-            "levels": levels,
-            "passed": verdict.passed,
-            "first_failing_level": verdict.first_failing_level,
-        })
-        return EXIT_PASS if verdict.passed else EXIT_FAIL
-    verdict = quotient.unique_cycle_upto(oracle, args.kmax, args.budget)
-    lines = [f"unique-cycle criterion for {subject_label(args)}",
-             f"p={verdict.p} n={verdict.n}"]
-    for k, count in verdict.cycle_counts:
-        lines.append(f"  level {k}: {count} cycle(s)")
-    lines.append("verdict: pass" if verdict.passed else
-                 f"verdict: fail at level {verdict.first_failing_level}")
-    emit(args, lines, {
+            "levels": [{"level": k, "fibers": [list(pair) for pair in hist]}
+                       for k, hist in verdict.histograms],
+        }
+    else:
+        verdict = quotient.unique_cycle_upto(oracle, args.kmax, args.budget)
+        detail = {"cycle_counts": [list(pair) for pair in verdict.cycle_counts]}
+    return {
         "command": "brute",
-        "mode": "cycles",
+        "mode": args.mode,
         "p": verdict.p,
         "n": verdict.n,
         "k_max": verdict.k_max,
-        "cycle_counts": [list(pair) for pair in verdict.cycle_counts],
+        **detail,
         "passed": verdict.passed,
         "first_failing_level": verdict.first_failing_level,
-    })
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    }
 
 
-def cmd_image(args) -> int:
+def cmd_image(args) -> dict:
     subject = load_subject(args)
     m = args.resolution
     oracle = to_oracle(subject)
-    if isinstance(subject, Transducer) and oracle.delay == 0:
+    family = isinstance(subject, Transducer) and oracle.delay == 0
+    if family:
         points = geometry.family_points(subject, args.depth, args.budget)
-        bound = None
     else:
         points = geometry.accumulate_image(oracle, range(1, args.kmax + 1), args.budget)
-        bound = Fraction(oracle.p ** oracle.delay, oracle.p ** m)
     report = geometry.cover_fraction(points, m)
-    lines = [f"cover report for {subject_label(args)}",
-             f"p={report.p} n={report.n} levels={list(report.levels)} m={report.m}",
-             f"occupied {report.occupied} of {report.p ** (2 * m)} cells",
-             f"fraction {_fraction_str(report.fraction)}"]
     payload = {
         "command": "image",
         "p": report.p,
@@ -303,61 +237,124 @@ def cmd_image(args) -> int:
         "occupied": report.occupied,
         "fraction": [report.fraction.numerator, report.fraction.denominator],
     }
-    if bound is not None:
-        lines.append(f"delay bound p^(n-m) = {_fraction_str(bound)}")
+    if not family:
+        bound = Fraction(oracle.p ** oracle.delay, oracle.p ** m)
         payload["bound"] = [bound.numerator, bound.denominator]
     if args.out:
         geometry.render_pgm(report, m, args.out)
-        lines.append(f"raster written to {args.out}")
         payload["out"] = args.out
-    emit(args, lines, payload)
-    return EXIT_PASS
+    return payload
 
 
-def cmd_transitivity(args) -> int:
+def cmd_transitivity(args) -> dict:
     subject = load_subject(args)
     if not isinstance(subject, Transducer) or to_oracle(subject).delay != 0:
         raise FormatError("transitivity needs a synchronous transducer subject")
     report = family_transitivity(subject, args.resolution, args.depth, args.budget)
-    lines = [f"family transitivity for {subject_label(args)}",
-             f"word length {report.level}, depth {report.depth}, "
-             f"{report.states_examined} state(s)"]
-    if report.passed:
-        lines.append("verdict: pass (every word pair is connected)")
-    else:
-        u, v = report.counterexample
-        lines.append(f"verdict: fail, no state maps {u} to {v}")
-    emit(args, lines, {
+    return {
         "command": "transitivity",
         "level": report.level,
         "depth": report.depth,
         "states": report.states_examined,
         "passed": report.passed,
         "counterexample": list(report.counterexample) if report.counterexample else None,
-    })
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    }
+
+
+# --- text templates: each reads the payload and the subject label --------------
+
+
+def _fraction_text(pair: list[int]) -> str:
+    return f"{pair[0]}/{pair[1]} = {float(Fraction(*pair)):.6f}"
+
+
+def _coeffs_text(r: dict, subject: str) -> list[str]:
+    precision = r["precision"]
+    lines = [f"mahler coefficients of {subject}",
+             f"p={r['p']} n={r['n']} precision={precision} terms={len(r['coefficients'])}"]
+    for row in r["coefficients"]:
+        shown = f">= {precision}" if row["valuation"] is None else row["valuation"]
+        lines.append(f"  a_{row['index']} = {row['residue']}   valuation {shown}")
+    if "out" in r:
+        lines.append(f"series written to {r['out']}")
+    return lines
+
+
+def _check_text(r: dict, subject: str) -> list[str]:
+    lines = [f"{r['which']} conditions for {subject}",
+             f"p={r['p']} n={r['n']} precision={r['precision']}"]
+    for c in r["checks"]:
+        observed = f">={r['precision']}" if c["observed"] is None else c["observed"]
+        lines.append(f"  {c['label']}: required valuation {c['required']}, observed {observed}"
+                     f" -> {c['status']}")
+    return [*lines, f"verdict: {r['verdict']}"]
+
+
+def _brute_text(r: dict, subject: str) -> list[str]:
+    if r["mode"] == "mp":
+        lines = [f"preimage-count criterion for {subject}",
+                 f"p={r['p']} n={r['n']} expected fiber {r['expected_fiber']}"]
+        for level in r["levels"]:
+            text = ", ".join(f"{size}x{count}" for size, count in level["fibers"])
+            lines.append(f"  level {level['level']}: fibers {{{text}}}")
+    else:
+        lines = [f"unique-cycle criterion for {subject}", f"p={r['p']} n={r['n']}"]
+        lines.extend(f"  level {k}: {count} cycle(s)" for k, count in r["cycle_counts"])
+    verdict = "pass" if r["passed"] else f"fail at level {r['first_failing_level']}"
+    return [*lines, f"verdict: {verdict}"]
+
+
+def _image_text(r: dict, subject: str) -> list[str]:
+    lines = [f"cover report for {subject}",
+             f"p={r['p']} n={r['n']} levels={r['levels']} m={r['m']}",
+             f"occupied {r['occupied']} of {r['p'] ** (2 * r['m'])} cells",
+             f"fraction {_fraction_text(r['fraction'])}"]
+    if "bound" in r:
+        lines.append(f"delay bound p^(n-m) = {_fraction_text(r['bound'])}")
+    if "out" in r:
+        lines.append(f"raster written to {r['out']}")
+    return lines
+
+
+def _transitivity_text(r: dict, subject: str) -> list[str]:
+    if r["passed"]:
+        verdict = "pass (every word pair is connected)"
+    else:
+        verdict = "fail, no state maps {} to {}".format(*r["counterexample"])
+    return [f"family transitivity for {subject}",
+            f"word length {r['level']}, depth {r['depth']}, {r['states']} state(s)",
+            f"verdict: {verdict}"]
+
+
+_TEXT = {
+    "coeffs": _coeffs_text,
+    "check": _check_text,
+    "brute": _brute_text,
+    "image": _image_text,
+    "transitivity": _transitivity_text,
+}
+
+
+def emit(args, payload: dict) -> int:
+    """Print one command's payload in the asked format; return its exit code."""
+    if args.report_format == "json":
+        print(json.dumps({"schema": REPORT_SCHEMA, **payload}, sort_keys=True, indent=2))
+    else:
+        print("\n".join(_TEXT[payload["command"]](payload, subject_label(args))))
+    return EXIT_CODE[payload.get("verdict", payload.get("passed"))]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_PASS if exc.code == 0 else EXIT_INPUT
+        return 0 if exc.code == 0 else 1  # --help, or a usage error (bad input)
     try:
-        return args.handler(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PrecisionError as exc:
-        print(f"insufficient precision: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return emit(args, args.handler(args))
+    except (ValueError, BudgetExceededError) as exc:
+        code = next(EXIT_CODE[cls] for cls in type(exc).__mro__ if cls in EXIT_CODE)
+        print(f"{ERROR_PREFIX[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 def console_main() -> None:

@@ -29,7 +29,7 @@ from math import lcm
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .oracle import FunctionOracle
 from .transducer import Transducer, reachable_states
 
@@ -115,15 +115,12 @@ def accumulate_image(
     """
     levels = sorted(set(levels))
     if not levels:
-        raise ValueError("cannot union zero point sets")
+        raise ValueError("empty level range: an image needs a level k >= 1")
     if levels[0] < 1:
         raise ValueError(f"level must be >= 1, got {levels[0]}")
     p, n, top = f.p, f.delay, levels[-1]
     den = p ** (n + top)
-    if den > budget:
-        raise BudgetExceededError(
-            f"level {top} needs {p}^{n + top} evaluations, over the budget {budget}"
-        )
+    check_budget(den, budget, f"oracle evaluations ({p}^{n + top}, level {top})")
     outs = f.values(top, den)
     # mirrors[L][x]: numerator over p^L of the mirrored length-L word of x
     mirrors = [[0]]
@@ -198,11 +195,8 @@ def family_points(
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = t.p
     states = reachable_states(t, depth)
-    runs = len(states) * sum(p ** j for j in range(1, depth + 1))
-    if runs > budget:
-        raise BudgetExceededError(
-            f"family image needs {runs} runs, over the budget {budget}"
-        )
+    runs = family_size(states) * sum(p ** j for j in range(1, depth + 1))
+    check_budget(runs, budget, "family image runs")
     rows: dict[Hashable, list[tuple[tuple[int, ...], Hashable]]] = {}
     coords: set[tuple[int, int]] = set()
     for s in states:

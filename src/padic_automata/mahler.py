@@ -212,9 +212,9 @@ def _min_valuation_check(
 
 
 def _unit_check(
-    index: int, label: str, value: int, p: int, precision: int, exact_zero: bool
+    index: int, label: str, value: int, p: int, precision: int
 ) -> CoefficientCheck:
-    observed = None if exact_zero else valuation(p, precision, value)
+    observed = valuation(p, precision, value)
     ok = observed == 0
     return CoefficientCheck(
         index, label, 0, observed, CheckStatus.PASS if ok else CheckStatus.FAIL
@@ -236,14 +236,15 @@ def _require_delay(series: MahlerSeries, which: str) -> None:
 
 
 def check_delay_conditions(series: MahlerSeries) -> ConditionReport:
-    """Coefficient bounds under which the series realizes its declared delay:
+    """Coefficient floors under which the series realizes its declared delay:
     valuation(a_i) >= floor_log(p, i) - n for every supported i >= 1.
 
     The binomial C(x, i) moves p-adic distances by at most a factor
-    p^floor_log(p, i), so under these bounds inputs agreeing on m + n digits
-    give outputs agreeing on m.  Indices below p^(n+1) demand nothing (the
-    bound is <= 0 there).  At n = 1 this equals floor_log(p^n, i) - 1, which
-    from n = 2 on is too weak to force the delay (README finding 2).
+    p^floor_log(p, i): v(C(x, i) - C(y, i)) >= v(x - y) - floor_log(p, i).
+    If x ≡ y (mod p^(m+n)), each term a_i (C(x, i) - C(y, i)) then has
+    valuation >= (floor_log(p, i) - n) + (m + n) - floor_log(p, i) = m, so
+    inputs agreeing on m + n digits give outputs agreeing on m.  Indices
+    below p^(n+1) demand nothing (the floor is <= 0 there).
     """
     _require_delay(series, "delay")
     checks = []
@@ -296,14 +297,8 @@ def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport
     """
     _require_delay(series, "measure-preservation")
     q = series.p ** series.n
-    in_support = q < series.support
-    unit_value = series.coeffs[q] if in_support else 0
-    checks = [
-        _unit_check(
-            q, f"a_{q}", unit_value, series.p, series.precision,
-            exact_zero=not in_support,
-        )
-    ]
+    unit_value = series.coeffs[q] if q < series.support else 0
+    checks = [_unit_check(q, f"a_{q}", unit_value, series.p, series.precision)]
     checks.extend(_tail_checks(series))
     return _report("measure-preserving", series, checks)
 
@@ -330,8 +325,7 @@ def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
             series.precision,
         )
     ]
-    in_support = q < series.support
-    unit_minus_one = (series.coeffs[q] - 1) if in_support else -1
+    unit_minus_one = (series.coeffs[q] - 1) if q < series.support else -1
     checks.append(
         _min_valuation_check(
             q, f"a_{q} - 1", unit_minus_one, 1, series.p, series.precision

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 from .oracle import FunctionOracle
 
 __all__ = [
@@ -59,13 +59,6 @@ def endomap_exponent(n: int, k: int) -> int:
     return max(n, 1) * k
 
 
-def _check_budget(p: int, exponent: int, budget: int) -> None:
-    if p ** exponent > budget:
-        raise BudgetExceededError(
-            f"level table of size {p}^{exponent} exceeds the budget {budget}"
-        )
-
-
 @dataclass(frozen=True)
 class ReducedMap:
     """Level-k reduction table: table[x] = f(x) mod p^codomain_exponent."""
@@ -89,7 +82,7 @@ def reduce_map(
 ) -> ReducedMap:
     """Tabulate the level-k reduction of ``f`` over its whole domain."""
     dom, cod = level_exponents(f.delay, k)
-    _check_budget(f.p, dom, budget)
+    check_budget(f.p ** dom, budget, f"level-table entries ({f.p}^{dom})")
     table = tuple(f.values(cod, f.p ** dom))
     return ReducedMap(p=f.p, n=f.delay, k=k, table=table)
 
@@ -170,7 +163,7 @@ def endomap(
     the same level.
     """
     e = endomap_exponent(f.delay, k)
-    _check_budget(f.p, e, budget)
+    check_budget(f.p ** e, budget, f"self-map entries ({f.p}^{e})")
     return tuple(f.values(e, f.p ** e))
 
 

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, check_budget, family_size
 from .oracle import FunctionOracle
 
 __all__ = [
@@ -281,11 +281,7 @@ def family_transitivity(
         raise ValueError(f"level must be >= 1, got {level}")
     states = reachable_states(t, depth)
     size = t.p ** level
-    letters = len(states) * size * level
-    if letters > budget:
-        raise BudgetExceededError(
-            f"family transitivity reads {letters} letters, over the budget {budget}"
-        )
+    check_budget(family_size(states) * size * level, budget, "family transitivity letters")
     rows: dict[State, list[tuple[int, State]]] = {}
     covered: set[tuple[int, int]] = set()
     for s in states:

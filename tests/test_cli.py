@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from padic_automata.cli import main
+from padic_automata.cli import build_parser, main
 from padic_automata.formats import serialize_series
 from padic_automata.mahler import MahlerSeries
 
@@ -170,6 +171,61 @@ def test_transitivity_budget_checked_before_listing_states(capsys):
     )
     assert code == 4
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["transitivity", "image"])
+def test_family_budget_counts_states_past_sys_maxsize(capsys, command):
+    # 3^40 states do not fit a C ssize_t, so len() of the family overflows
+    code, out, err = run(
+        capsys, command, "--builtin", "digitwise-add", "--p", "3",
+        "--resolution", "1", "--depth", "40", "--budget", "1000",
+    )
+    assert (code, out) == (4, "")
+    assert "budget" in err
+
+
+def test_image_empty_level_range(capsys):
+    code, out, err = run(capsys, "image", "--builtin", "shift", "--kmax", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: empty level range: an image needs a level k >= 1\n"
+
+
+COMMON_FLAGS = {
+    "-h", "--help", "--subject", "--builtin", "--p", "--n", "--coeffs",
+    "--budget", "--report-format",
+}
+COMMAND_FLAGS = {
+    "coeffs": {"--terms", "--precision", "--out"},
+    "check": {"--which", "--terms", "--precision"},
+    "brute": {"--mode", "--kmax"},
+    "image": {"--kmax", "--resolution", "--depth", "--out"},
+    "transitivity": {"--resolution", "--depth"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads(capsys, tmp_path):
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    flags = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, sub in commands.items()
+    }
+    assert flags == {name: COMMON_FLAGS | own for name, own in COMMAND_FLAGS.items()}
+    out_path = str(tmp_path / "never-written")
+    for argv in (
+        ["brute", "--builtin", "shift", "--mode", "mp", "--precision", "8"],
+        ["image", "--builtin", "shift", "--precision", "8"],
+        ["transitivity", "--builtin", "identity", "--precision", "8"],
+        ["check", "--builtin", "shift", "--which", "mp", "--out", out_path],
+        ["brute", "--builtin", "shift", "--mode", "mp", "--out", out_path],
+        ["transitivity", "--builtin", "identity", "--out", out_path],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transitivity_needs_sync_subject(capsys, tmp_path):

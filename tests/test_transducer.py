@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_automata.errors import BudgetExceededError
+from padic_automata.errors import BudgetExceededError, check_budget, family_size
 from padic_automata.geometry import family_points
 from padic_automata.subjects import (
     delay_echo_transducer,
@@ -243,6 +243,17 @@ def test_delay_profile_budget_bounds_the_frontier():
     with pytest.raises(BudgetExceededError):
         delay_profile(counter, 8, budget=8)
 
+
+
+def test_budget_gate_counts_families_past_sys_maxsize():
+    """len() of these ranges overflows; the gate still counts them exactly."""
+    assert family_size(["a", "b", "c"]) == 3
+    assert family_size(range(3 ** 40)) == 3 ** 40
+    assert family_size(range(5, 2 ** 70, 7)) == (2 ** 70 - 5 + 6) // 7
+    assert family_size(range(2 ** 80, -1, -3)) == 2 ** 80 // 3 + 1
+    check_budget(10, 10, "runs")
+    with pytest.raises(BudgetExceededError, match="11 runs exceed the budget 10"):
+        check_budget(11, 10, "runs")
 
 @settings(max_examples=60)
 @given(
