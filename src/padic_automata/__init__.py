@@ -36,7 +36,6 @@ from .transducer import (
     family_transitivity,
     function_of,
     reachable_states,
-    run,
 )
 
 __version__ = "0.1.0"

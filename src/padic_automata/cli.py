@@ -3,7 +3,7 @@
 Subjects are either a document file (``--subject``; series and transducer
 schemas are described in :mod:`padic_automata.formats`) or a bundled
 built-in (``--builtin`` with ``--p`` / ``--n`` / ``--coeffs``).  Every
-command also takes ``--budget`` and ``--report-format``, and only these:
+command also takes ``--budget`` (>= 1) and ``--report-format``, and only these:
 
 ``coeffs``        Mahler coefficients: --terms --precision --out (series file)
 ``check``         coefficient conditions: --which delay|mp|ergodic --terms --precision
@@ -14,8 +14,8 @@ command also takes ``--budget`` and ``--report-format``, and only these:
 Each command returns one report payload; :func:`emit` prints it as JSON or
 through the command's text template and maps it to the exit code.
 
-Exit codes: 0 pass, 1 input error, 2 insufficient precision,
-3 criterion fail, 4 budget exceeded.  Machine-readable output
+Exit codes: 0 pass, 1 input error (an unwritable --out too), 2 insufficient
+precision, 3 criterion fail, 4 budget exceeded.  Machine-readable output
 (``--report-format json``) is deterministic: two runs of one job give
 identical bytes.
 """
@@ -42,7 +42,7 @@ from .transducer import Transducer, family_transitivity, function_of
 # image), or the error that stopped the command, looked up by its nearest class.
 EXIT_CODE = {
     "pass": 0, True: 0, None: 0,
-    FormatError: 1, ValueError: 1,
+    FormatError: 1, ValueError: 1, OSError: 1,
     "insufficient-precision": 2, PrecisionError: 2,
     "fail": 3, False: 3,
     BudgetExceededError: 4,
@@ -50,6 +50,13 @@ EXIT_CODE = {
 ERROR_PREFIX = {1: "error", 2: "insufficient precision", 4: "budget exceeded"}
 
 REPORT_SCHEMA = "padic-automata-report-v1"
+
+
+def positive(text: str) -> int:
+    """The argparse type of --budget: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p", type=int, default=2, help="prime (built-ins)")
     common.add_argument("--n", type=int, default=1, help="delay parameter (built-ins)")
     common.add_argument("--coeffs", help="comma-separated integers for --builtin polynomial")
-    common.add_argument("--budget", type=int, default=quotient.DEFAULT_BUDGET)
+    common.add_argument("--budget", type=positive, default=quotient.DEFAULT_BUDGET)
     common.add_argument("--report-format", choices=("text", "json"), default="text")
 
     c = sub.add_parser(
@@ -351,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1  # --help, or a usage error (bad input)
     try:
         return emit(args, args.handler(args))
-    except (ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError, OSError) as exc:
         code = next(EXIT_CODE[cls] for cls in type(exc).__mro__ if cls in EXIT_CODE)
         print(f"{ERROR_PREFIX[code]}: {exc}", file=sys.stderr)
         return code

@@ -1,6 +1,6 @@
 """Geometric images of maps and machines, with exact box-counting.
 
-A run pairs an input word with an output word.  Words embed into [0, 1)
+An image pairs an input word with an output word.  Words embed into [0, 1)
 by the digit-mirror rule: the FIRST-consumed letter becomes the most
 significant base-p fractional digit, so a word w of length L maps to
 0.w_0 w_1 ... w_{L-1} in base p.  Under this embedding the grid cell of
@@ -9,16 +9,17 @@ of the words, the quantity an n-unit delay actually controls (m output
 letters are pinned by m+n input letters).  Mirroring is a bijection on
 each level, so per-level point counts, diagonal structure, and coverage
 fractions of prefix-transitive families are unchanged; what it buys is
-that refining a run (reading more letters) keeps the point inside the
+that extending a word (reading more letters) keeps the point inside the
 cell of its prefix.
 
 Points are integer numerators over one denominator per point set: the
 mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1}
 over p^L, scaled up to the set's ``den``, so every point lies in
-[0, 1)^2.  Dedup, sorting, gridding and rasterizing are integer work;
-``Fraction``s appear only at the boundary, in the ``PointSet2D.points``
-view and in ``CoverReport.fraction``.  Cover fractions are exact; the
-PGM rasterizer is byte-deterministic.
+[0, 1)^2, and are read off one digit-reversal table.  Dedup, sorting,
+gridding and rasterizing are integer work; ``Fraction``s appear only at
+the boundary, in the ``PointSet2D.points`` view and in
+``CoverReport.fraction``.  Cover fractions are exact; the PGM rasterizer
+is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .oracle import FunctionOracle
-from .transducer import Transducer, reachable_states
+from .transducer import Transducer, reachable_states, walk
 
 __all__ = [
     "CoverReport",
@@ -56,6 +57,16 @@ def mirror_fraction(value: int, length: int, p: int) -> Fraction:
         v, d = divmod(v, p)
         num = num * p + d
     return Fraction(num, p ** length)
+
+
+def _mirrors(p: int, top: int) -> list[list[int]]:
+    """mirrors[L][x], L <= top: numerator over p^top of x's mirrored
+    length-L word; letter L of x adds its digit times p^(top-1-L)."""
+    mirrors = [[0]]
+    for length in range(top):
+        step = p ** (top - 1 - length)
+        mirrors.append([r + d * step for d in range(p) for r in mirrors[-1]])
+    return mirrors
 
 
 @dataclass(frozen=True)
@@ -122,18 +133,11 @@ def accumulate_image(
     den = p ** (n + top)
     check_budget(den, budget, f"oracle evaluations ({p}^{n + top}, level {top})")
     outs = f.values(top, den)
-    # mirrors[L][x]: numerator over p^L of the mirrored length-L word of x
-    mirrors = [[0]]
-    for length in range(n + top):
-        mirrors.append([d * p ** length + r for r in mirrors[-1] for d in range(p)])
+    mirrors = _mirrors(p, n + top)
     coords: set[tuple[int, int]] = set()
     for k in levels:
-        sx = p ** (top - k)
-        sy, mod, ys = sx * p ** n, p ** k, mirrors[k]
-        coords.update(zip(
-            [r * sx for r in mirrors[n + k]],
-            [ys[v % mod] * sy for v in outs[: p ** (n + k)]],
-        ))
+        ys, mod = mirrors[k], p ** k
+        coords.update(zip(mirrors[n + k], [ys[v % mod] for v in outs[: p ** (n + k)]]))
     return PointSet2D(
         p=p, n=n, levels=tuple(levels), den=den, coords=tuple(sorted(coords))
     )
@@ -179,39 +183,32 @@ def family_points(
     """Image points of the whole state family of a synchronous machine.
 
     For every state s known at ``depth`` and every input word u of length
-    j <= depth, the run of the machine started at s contributes the point
+    j <= depth, the machine started at s contributes the point
     (embed(u), embed(output)).  The union over states is what the closure
-    of the single-run image accumulates: a long run passes through s and
-    then behaves like the machine started there.
+    of the initial state's image accumulates: reading a long word passes
+    through s and then goes on like the machine started there.
 
-    Words are walked as a trie: a word extends its parent by one letter, so
-    its numerators over p^j are the parent's times p plus the letters read
-    and written, scaled by p^(depth - j) to the set's denominator p^depth.
-    Each state's (output word, next state) row is built once.  The budget
-    bounds the runs, states times words; :class:`BudgetExceededError` is
-    raised before any run when that exceeds ``budget``.
+    Each state's words are one :func:`~padic_automata.transducer.walk`,
+    whose frontier j lists the output of every u of length j in order, so
+    level j pairs the mirrored u with the mirrored output, both read off
+    one table of numerators over the set's denominator p^depth.  The
+    budget bounds the nodes walked, states times words;
+    :class:`BudgetExceededError` is raised before any walk when that
+    exceeds ``budget``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = t.p
     states = reachable_states(t, depth)
-    runs = family_size(states) * sum(p ** j for j in range(1, depth + 1))
-    check_budget(runs, budget, "family image runs")
-    rows: dict[Hashable, list[tuple[tuple[int, ...], Hashable]]] = {}
+    nodes = family_size(states) * sum(p ** j for j in range(1, depth + 1))
+    check_budget(nodes, budget, "family image nodes")
+    mirrors = _mirrors(p, depth)[1:]
+    xs = [x for column in mirrors for x in column]  # every state's words, level by level
     coords: set[tuple[int, int]] = set()
+    letters, rows = [range(p)] * depth, ({}, {})
     for s in states:
-        frontier = [(s, 0, 0)]
-        for rest in range(depth - 1, -1, -1):
-            scale, grown = p ** rest, []
-            for state, u, v in frontier:
-                if state not in rows:
-                    rows[state] = [(t.output(state, a), t.delta(state, a)) for a in range(p)]
-                # one letter per step; unpacking fails loudly on any other word
-                for a, ((out,), nxt) in enumerate(rows[state]):
-                    x, y = u * p + a, v * p + out
-                    coords.add((x * scale, y * scale))
-                    grown.append((nxt, x, y))
-            frontier = grown
+        frontiers = zip(mirrors, walk(t, s, 0, letters, rows))
+        coords.update(zip(xs, [column[v] for column, frontier in frontiers for _, v in frontier]))
     return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=p ** depth,
                       coords=tuple(sorted(coords)))
 

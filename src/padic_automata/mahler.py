@@ -89,12 +89,14 @@ def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerS
 
     a_i = (Delta^i f)(0) = sum_{j<=i} (-1)^(i-j) C(i, j) f(j), an integer
     combination of the residues f(j) mod p^precision, hence well defined
-    mod p^precision; each difference row is reduced mod p^precision.
+    mod p^precision; each difference row is reduced mod p^precision.  One
+    oracle table gives f(j), read at j mod p^(K+n) like ``value`` reads it.
     """
     if count < 1:
         raise ValueError(f"coefficient count must be >= 1, got {count}")
-    mod = f.p ** precision
-    row = [f.value(j, precision) for j in range(count)]
+    mod, size = f.p ** precision, f.p ** (precision + f.delay)
+    table = f.values(precision, min(count, size))
+    row = [table[j % size] for j in range(count)]
     coeffs = []
     while row:
         coeffs.append(row[0])

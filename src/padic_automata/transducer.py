@@ -7,6 +7,10 @@ always exactly n letters behind its input realizes an n-unit delay map,
 exposed through :class:`~padic_automata.oracle.FunctionOracle`; a
 synchronous machine is the case n = 0, one letter per step.
 
+Every traversal of a machine is one :func:`walk` over all the words of
+a letter range at once; oracle tables and points, family images and
+family transitivity read its frontiers.
+
 State spaces may be infinite: a machine can carry a ``family`` callable
 that enumerates the states belonging to exploration depth D, and every
 whole-family query (reachability, transitivity, family images) is
@@ -17,9 +21,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, check_budget, family_size
+from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .oracle import FunctionOracle
 
 __all__ = [
@@ -30,35 +34,10 @@ __all__ = [
     "family_transitivity",
     "function_of",
     "reachable_states",
-    "run",
-    "word_of",
-    "word_value",
+    "walk",
 ]
 
 State = Hashable
-
-
-def word_of(value: int, length: int, p: int) -> tuple[int, ...]:
-    """The length-``length`` digit word of ``value``, first-read digit first."""
-    digits = []
-    v = value % p ** length
-    for _ in range(length):
-        v, d = divmod(v, p)
-        digits.append(d)
-    return tuple(digits)
-
-
-def word_value(word: Sequence[int], p: int) -> int:
-    """Inverse of :func:`word_of`: the residue mod p^len(word)."""
-    out = 0
-    for d in reversed(word):
-        out = out * p + d
-    return out
-
-
-def _check_letter(a: int, p: int) -> None:
-    if not 0 <= a < p:
-        raise ValueError(f"letter {a} outside the alphabet 0..{p - 1}")
 
 
 def _lookup(table: dict, what: str) -> Callable[[State, int], object]:
@@ -102,16 +81,41 @@ class Transducer:
                    output=_lookup(outputs, "output"), name=name)
 
 
-def run(t: Transducer, word: Sequence[int], start: State | None = None) -> tuple[int, ...]:
-    """Concatenation of the per-step output words, from ``start`` (default:
-    the initial state)."""
-    s = t.initial if start is None else start
-    out: list[int] = []
-    for a in word:
-        _check_letter(a, t.p)
-        out.extend(t.output(s, a))
-        s = t.delta(s, a)
-    return tuple(out)
+def walk(
+    t: Transducer, start: State, n: int, letters: Sequence[range], rows: tuple | None = None
+) -> Iterator[list[tuple[State, int]]]:
+    """Read every word whose letter j lies in ``letters[j]``, from ``start``.
+
+    After each position j this yields the frontier: one (state, written
+    residue) pair per word read so far, in ascending word value (the
+    letter just read is the most significant digit).  The first n steps
+    must write nothing and every later step exactly one letter of
+    0..p-1.  Each (state, phase) row of (letter written, next state) is
+    built and checked once; :class:`ValueError` is raised on a row that
+    breaks this, or on a letter outside the alphabet.  Walks of one
+    machine can share their ``rows``, a pair of dicts.
+    """
+    p = t.p
+    rows = rows or ({}, {})  # by phase: writing, silent
+    frontier = [(start, 0)]
+    for j, span in enumerate(letters):
+        if span and not 0 <= span[0] <= span[-1] < p:
+            raise ValueError(f"letters {span} outside the alphabet 0..{p - 1}")
+        silent = j < n
+        known, scale = rows[silent], 0 if silent else p ** (j - n)
+        for s in dict(frontier):  # each state once, in order of first appearance
+            if s not in known:
+                known[s] = row = []
+                for a in range(p):
+                    out = tuple(t.output(s, a))
+                    if out != () if silent else len(out) != 1 or not 0 <= out[0] < p:
+                        need = "nothing" if silent else f"one letter of 0..{p - 1}"
+                        raise ValueError(f"transducer {t.name!r} writes {out} from state {s!r} "
+                                         f"on letter {a}; step {j + 1} must write {need}")
+                    row.append((out[0] if out else 0, t.delta(s, a)))
+        frontier = [(nxt, v + b * scale)
+                    for a in span for s, v in frontier for b, nxt in [known[s][a]]]
+        yield frontier
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,7 @@ def delay_profile(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> De
             for a in range(t.p):
                 key = (t.delta(s, a), produced + len(t.output(s, a)))
                 if key not in nxt:
-                    if len(nxt) == budget:
-                        raise BudgetExceededError(
-                            f"delay probe frontier at length {k} exceeds the budget {budget}"
-                        )
+                    check_budget(len(nxt) + 1, budget, f"delay probe frontier pairs at length {k}")
                     nxt[key] = wit + (a,)
         lengths = {produced for (_, produced) in nxt}
         if len(lengths) > 1:
@@ -195,8 +196,9 @@ def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
 
     The constant delay n is established by :func:`delay_profile` up to
     ``probe_depth`` first (a synchronous machine comes out at n = 0); each
-    later run re-checks the emitted length, so a delay violation beyond
-    the probed depth fails loudly instead of corrupting answers.
+    query is a :func:`walk`, which re-checks every step, so a delay
+    violation beyond the probed depth fails loudly.  A table of f(x),
+    x < count, reads letter j from 0..p-1 while p^j < count, else 0.
     """
     profile = delay_profile(t, probe_depth)
     if not profile.constant:
@@ -204,18 +206,19 @@ def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
             f"transducer {t.name!r} has no constant delay "
             f"within depth {probe_depth}: {profile.reason}"
         )
-    n = profile.n
+    n, p = profile.n, t.p
 
-    def evaluate(x: int, m: int) -> int:
-        out = run(t, word_of(x, m + n, t.p))
-        if len(out) != m:
-            raise ValueError(
-                f"transducer {t.name!r} produced {len(out)} letters on a "
-                f"{m + n}-letter word; expected {m} at delay {n}"
-            )
-        return word_value(out, t.p)
+    def table(m: int, count: int) -> list[int]:
+        letters = [range(p if p ** j < count else 1) for j in range(m + n)]
+        *_, last = walk(t, t.initial, n, letters)
+        return [v for _, v in last[:count]]
 
-    return FunctionOracle(p=t.p, delay=n, source="transducer", _fn=evaluate)
+    def point(x: int, m: int) -> int:
+        digits = (x // p ** j % p for j in range(m + n))  # first-read digit first
+        *_, [(_, v)] = walk(t, t.initial, n, [range(d, d + 1) for d in digits])
+        return v
+
+    return FunctionOracle(p=p, delay=n, source="transducer", _fn=point, _bulk=table)
 
 
 def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
@@ -269,34 +272,24 @@ def family_transitivity(
     the synchronous family maps u to v.
 
     Words are identified with residues mod p^level, first letter least
-    significant.  The search covers every state found within ``depth``
-    and walks each state's words as a trie: a word extends its parent by
-    one letter a, read at position j, so its (u, v) is the parent's plus
-    (a p^j, out p^j), and each state's (output, next state) row is built
-    once.  The budget bounds len(states) * p^level * level, the letters
-    that word-by-word runs would read; :class:`BudgetExceededError` is
+    significant.  The search covers every state found within ``depth``;
+    each state's words are one :func:`walk`, whose last frontier lists
+    the v of every u in order.  The budget bounds the nodes walked,
+    len(states) * (p + ... + p^level); :class:`BudgetExceededError` is
     raised before any walk when that exceeds ``budget``.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
+    p = t.p
     states = reachable_states(t, depth)
-    size = t.p ** level
-    check_budget(family_size(states) * size * level, budget, "family transitivity letters")
-    rows: dict[State, list[tuple[int, State]]] = {}
+    nodes = family_size(states) * sum(p ** j for j in range(1, level + 1))
+    check_budget(nodes, budget, "family transitivity nodes")
+    size = p ** level
     covered: set[tuple[int, int]] = set()
+    rows = ({}, {})
     for s in states:
-        frontier = [(s, 0, 0)]
-        for j in range(level):
-            scale, grown = t.p ** j, []
-            for state, u, v in frontier:
-                if state not in rows:
-                    rows[state] = [(t.output(state, a), t.delta(state, a)) for a in range(t.p)]
-                # one letter per step; unpacking fails loudly on any other word
-                for a, ((out,), nxt) in enumerate(rows[state]):
-                    grown.append((nxt, u + a * scale, v + out * scale))
-            frontier = grown
-        # a letter outside 0..p-1 puts v off the grid, where it covers nothing
-        covered.update((u, v) for _, u, v in frontier if 0 <= v < size)
+        *_, last = walk(t, s, 0, [range(p)] * level, rows)
+        covered.update(enumerate(v for _, v in last))
     missing = None
     if len(covered) < size * size:
         missing = next((u, v) for u in range(size) for v in range(size) if (u, v) not in covered)

@@ -15,7 +15,10 @@ valuation floors, so each sample provably belongs to its population:
   ``mp_passing`` constraints).
 * ``unconstrained``: anything at all.
 
-``table_machine`` draws a seeded synchronous table machine.
+``table_machine`` draws a seeded table machine at a given delay, and
+``simulate`` is the reference for every machine traversal: it reads one
+word letter by letter and uses nothing of the package but the machine's
+own ``output`` and ``delta``.
 """
 
 from __future__ import annotations
@@ -128,9 +131,58 @@ def draw_support(rng: random.Random, p: int, n: int) -> int:
     return rng.randrange(lo, hi + 1)
 
 
-def table_machine(seed: int, p: int, states: int) -> Transducer:
-    """A synchronous machine on states 0..states-1 with seeded random tables."""
+def table_machine(seed: int, p: int, states: int, delay: int = 0) -> Transducer:
+    """A machine on states 0..states-1 with seeded random tables.
+
+    At delay n it first reads n letters silently through lag states
+    ("lag", i, r), r the residue of the i letters read, and the last of
+    them enters a seeded state, so every silent letter can matter.
+    """
     rng = random.Random(seed)
     transitions = {(s, a): rng.randrange(states) for s in range(states) for a in range(p)}
     outputs = {(s, a): (rng.randrange(p),) for s in range(states) for a in range(p)}
-    return Transducer.from_tables(p, 0, transitions, outputs, name="table")
+    for i in range(delay):
+        for r in range(p ** i):
+            for a in range(p):
+                lag = ("lag", i + 1, r + a * p ** i)
+                transitions[("lag", i, r), a] = lag if i + 1 < delay else rng.randrange(states)
+                outputs[("lag", i, r), a] = ()
+    initial = ("lag", 0, 0) if delay else 0
+    return Transducer.from_tables(p, initial, transitions, outputs, name="table")
+
+
+def ref_word(value: int, length: int, p: int) -> tuple[int, ...]:
+    """The length-``length`` word of ``value`` mod p^length, first-read digit first."""
+    digits = []
+    for _ in range(length):
+        value, d = divmod(value, p)
+        digits.append(d)
+    return tuple(digits)
+
+
+def ref_value(word, p: int) -> int:
+    """Inverse of :func:`ref_word`: the residue of ``word`` mod p^len(word)."""
+    out = 0
+    for d in reversed(word):
+        out = out * p + d
+    return out
+
+
+def simulate(t: Transducer, word, start=None) -> tuple[int, ...]:
+    """The concatenated output words of ``t`` reading ``word`` letter by
+    letter from ``start`` (default: the initial state)."""
+    s = t.initial if start is None else start
+    out: list[int] = []
+    for a in word:
+        if not 0 <= a < t.p:
+            raise ValueError(f"letter {a} outside the alphabet 0..{t.p - 1}")
+        out.extend(t.output(s, a))
+        s = t.delta(s, a)
+    return tuple(out)
+
+
+def simulate_value(t: Transducer, x: int, m: int, n: int) -> int:
+    """f(x) mod p^m of the delay-n machine ``t``, from the m + n letters of x."""
+    out = simulate(t, ref_word(x, m + n, t.p))
+    assert len(out) == m, (t.name, x, m, n, out)
+    return ref_value(out, t.p)

@@ -154,7 +154,7 @@ def test_transitivity_verdicts(capsys):
 
 
 def test_transitivity_budget_exceeded(capsys):
-    # 2^12 states x 2^12 words x 12 letters is over the default budget 2^24
+    # 2^12 states x (2 + ... + 2^12) walked nodes is over the default budget 2^24
     code, _, err = run(
         capsys, "transitivity", "--builtin", "digitwise-add",
         "--resolution", "12", "--depth", "12",
@@ -188,6 +188,35 @@ def test_image_empty_level_range(capsys):
     code, out, err = run(capsys, "image", "--builtin", "shift", "--kmax", "0")
     assert (code, out) == (1, "")
     assert err == "error: empty level range: an image needs a level k >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--builtin", "shift", "--terms", "3", "--out"],
+        ["image", "--builtin", "shift", "--kmax", "2", "--out"],
+    ],
+    ids=["coeffs", "image"],
+)
+def test_out_into_missing_directory_is_an_input_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing-dir" / "x.out"
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "missing-dir" in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["check", "--builtin", "shift", "--which", "mp"],
+    ["brute", "--builtin", "shift", "--mode", "mp"],
+    ["transitivity", "--builtin", "identity"],
+])
+def test_budget_below_one_is_a_usage_error(capsys, command, budget):
+    code, out, err = run(capsys, *command, "--budget", budget)
+    assert (code, out) == (1, "")
+    assert f"argument --budget: must be at least 1, got {budget}" in err
+    assert run(capsys, *command, "--budget", "1")[0] == 4  # accepted, then spent
 
 
 COMMON_FLAGS = {

@@ -7,7 +7,9 @@ from padic_automata.formats import (
     serialize_series,
 )
 from padic_automata.mahler import MahlerSeries
-from padic_automata.transducer import Transducer, delay_profile, run
+from padic_automata.transducer import Transducer, delay_profile
+
+import series_factory as sf
 
 SERIES_DOC = """\
 schema padic-mahler-series-v1
@@ -77,7 +79,7 @@ def test_series_malformed_documents(mutation):
 def test_async_transducer_parses_and_runs():
     t = parse_transducer(ASYNC_DOC)
     assert isinstance(t, Transducer)
-    assert run(t, (1, 0, 1)) == (0, 1)
+    assert sf.simulate(t, (1, 0, 1)) == (0, 1)
     assert delay_profile(t, 6).n == 1
 
 
@@ -85,7 +87,7 @@ def test_sync_transducer_parses_and_runs():
     t = parse_transducer(SYNC_DOC)
     assert isinstance(t, Transducer)
     assert t.output("carry", 0) == (1,)
-    assert run(t, (1, 1, 0)) == (0, 0, 1)  # odometer on 3
+    assert sf.simulate(t, (1, 1, 0)) == (0, 0, 1)  # odometer on 3
     assert delay_profile(t, 6).n == 0
 
 

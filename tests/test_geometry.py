@@ -29,9 +29,6 @@ from padic_automata.transducer import (
     family_transitivity,
     function_of,
     reachable_states,
-    run,
-    word_of,
-    word_value,
 )
 
 import series_factory as sf
@@ -141,13 +138,19 @@ def test_family_image_constant_output_row():
     assert all(j == 0 for _, j in report.cells)
 
 
-@pytest.mark.parametrize("word", [(), (0, 1)])
+@pytest.mark.parametrize("word", [(), (0, 1), "off-grid"])
 def test_family_walks_reject_words_of_other_lengths(word):
-    """Family images and transitivity read one letter per step."""
-    t = Transducer(p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: word)
+    """Family images, transitivity and the machine's oracle read one letter
+    of 0..p-1 per step.  Each machine writes ``word`` on every letter; the
+    off-grid one writes s + a instead, so 2 from state 1 on letter 1."""
+    output = (lambda s, a: (s + a,)) if word == "off-grid" else (lambda s, a: word)
+    t = Transducer(p=2, initial=1, delta=lambda s, a: s, output=output,
+                   family=lambda depth: range(2 ** depth))
     for query in (
         lambda: family_points(t, 2),
         lambda: family_transitivity(t, 1, 1),
+        lambda: function_of(t).value(3, 2),
+        lambda: function_of(t).values(2, 4),
     ):
         with pytest.raises(ValueError):
             query()
@@ -246,13 +249,13 @@ def _ref_image(oracle, levels):
 
 
 def _ref_family(t, depth):
-    """Every word from every state, run letter by letter from scratch."""
+    """Every word from every state, simulated letter by letter from scratch."""
     p = t.p
     pts = set()
     for s in reachable_states(t, depth):
         for j in range(1, depth + 1):
             for u in range(p ** j):
-                out = run(t, word_of(u, j, p), start=s)
+                out = sf.simulate(t, sf.ref_word(u, j, p), start=s)
                 num = 0
                 for d in out:
                     num = num * p + d
@@ -261,13 +264,14 @@ def _ref_family(t, depth):
 
 
 def _ref_graph(t, depth):
-    """The mirrored (input, output) pairs of runs from the initial state."""
+    """The mirrored (input, output) pairs of the words read from the
+    initial state."""
     p = t.p
     pts = set()
     for j in range(1, depth + 1):
         for u in range(p ** j):
-            out = run(t, word_of(u, j, p))
-            pts.add((mirror_fraction(u, j, p), mirror_fraction(word_value(out, p), j, p)))
+            out = sf.simulate(t, sf.ref_word(u, j, p))
+            pts.add((mirror_fraction(u, j, p), mirror_fraction(sf.ref_value(out, p), j, p)))
     return pts
 
 
@@ -338,7 +342,7 @@ def test_image_matches_fraction_reference(m, tmp_path):
 )
 def test_family_and_graph_match_fraction_reference(t, tmp_path):
     """The family image matches its reference and contains the graph of
-    the machine's own function, the runs from the initial state."""
+    the machine's own function, the words read from the initial state."""
     for depth in range(1, 7 if t.p == 2 else 5):
         pts = family_points(t, depth)
         ref = _ref_family(t, depth)

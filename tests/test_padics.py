@@ -6,19 +6,20 @@ from hypothesis import strategies as st
 
 from padic_automata.mahler import MahlerSeries
 from padic_automata.padics import floor_log, valuation
-from padic_automata.transducer import word_of
+from padic_automata.subjects import identity_transducer
+from padic_automata.transducer import function_of
 
 
 def test_make_reduces_modulo():
     # residues are made canonical mod p^K: 30 == 3 (mod 27)
     assert MahlerSeries.from_ints(3, 0, 3, [30]).coeffs == (3,)
-    assert word_of(30, 3, 3) == (0, 1, 0)
+    assert function_of(identity_transducer(3)).value(30, 3) == 3
     assert valuation(3, 3, 30) == 1
 
 
 def test_make_negative_wraps():
     assert MahlerSeries.from_ints(2, 0, 4, [-1]).coeffs == (15,)
-    assert word_of(-1, 4, 2) == (1, 1, 1, 1)
+    assert function_of(identity_transducer(2)).value(-1, 4) == 15
 
 
 def test_valuation_examples():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from collections.abc import Sequence
 
 import pytest
@@ -21,9 +22,7 @@ from padic_automata.transducer import (
     family_transitivity,
     function_of,
     reachable_states,
-    run,
-    word_of,
-    word_value,
+    walk,
 )
 
 import series_factory as sf
@@ -37,38 +36,51 @@ def negation_transducer():
 
 
 def test_word_round_trip():
-    assert word_of(13, 4, 2) == (1, 0, 1, 1)
-    assert word_value((1, 0, 1, 1), 2) == 13
-    assert word_of(5, 2, 3) == (2, 1)
+    """The reference words: first-read digit least significant."""
+    assert sf.ref_word(13, 4, 2) == (1, 0, 1, 1)
+    assert sf.ref_value((1, 0, 1, 1), 2) == 13
+    assert sf.ref_word(5, 2, 3) == (2, 1)
+
+
+def oracle_word(t, word):
+    """The word ``t`` writes on ``word``, read off its oracle: the value of
+    the word at precision m = len(word) - delay, as an m-letter word."""
+    f = function_of(t)
+    m = len(word) - f.delay
+    return sf.ref_word(f.value(sf.ref_value(word, t.p), m), m, t.p)
 
 
 def test_run_sync_identity():
     t = identity_transducer(2)
-    assert run(t, (0, 1, 1)) == (0, 1, 1)
+    assert oracle_word(t, (0, 1, 1)) == (0, 1, 1)
 
 
 def test_run_sync_odometer_carries():
     t = odometer_transducer(2)
-    assert run(t, (1, 1, 0)) == (0, 0, 1)  # 3 + 1 = 4
+    assert oracle_word(t, (1, 1, 0)) == (0, 0, 1)  # 3 + 1 = 4
 
 
 def test_run_sync_negation():
-    assert run(negation_transducer(), (1, 0, 1)) == (0, 1, 0)
+    assert oracle_word(negation_transducer(), (1, 0, 1)) == (0, 1, 0)
 
 
 def test_run_sync_rejects_bad_letter():
+    t = identity_transducer(2)
     with pytest.raises(ValueError):
-        run(identity_transducer(2), (0, 2))
+        list(walk(t, t.initial, 0, [range(1), range(2, 3)]))
 
 
 def test_run_async_echo_drops_first_letter():
     t = delay_echo_transducer(2, 1)
-    assert run(t, (1, 0, 1)) == (0, 1)
+    assert oracle_word(t, (1, 0, 1)) == (0, 1)
 
 
 def test_run_async_two_delay_short_word_is_empty():
+    # no output letter is below the oracle's precision floor m >= 1, so read
+    # the walk under it, which fails on a silent step that writes anything
     t = delay_echo_transducer(2, 2)
-    assert run(t, (1, 1)) == ()
+    *_, last = walk(t, t.initial, 2, [range(1, 2)] * 2)
+    assert last == [(0, 0)]
 
 
 def test_delay_profile_echo():
@@ -193,11 +205,11 @@ def test_family_transitivity_digitwise_add_passes():
 
 
 def _reference_transitivity(t, level, depth):
-    """Every word of every family state run from scratch with ``run``."""
+    """Every word of every family state simulated from scratch."""
     states = reachable_states(t, depth)
     size = t.p ** level
     covered = {
-        (u, word_value(run(t, word_of(u, level, t.p), start=s), t.p))
+        (u, sf.ref_value(sf.simulate(t, sf.ref_word(u, level, t.p), start=s), t.p))
         for s in states
         for u in range(size)
     }
@@ -219,9 +231,6 @@ def _reference_transitivity(t, level, depth):
         odometer_transducer(3),
         sf.table_machine(5, 2, 5),
         sf.table_machine(6, 3, 4),
-        # writes letters past p - 1, whose pairs fall off the u, v grid
-        Transducer(p=2, initial=0, delta=lambda s, a: s, output=lambda s, a: (s + a,),
-                   family=lambda depth: range(2 ** depth), name="off-grid"),
     ],
     ids=lambda t: f"{t.name}-p{t.p}",
 )
@@ -266,8 +275,8 @@ def test_synchronous_runs_are_1_lipschitz(data, m):
     prefix = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     tail1 = data.draw(st.lists(st.integers(0, 1), max_size=4))
     tail2 = data.draw(st.lists(st.integers(0, 1), max_size=4))
-    out1 = run(t, prefix + tail1)
-    out2 = run(t, prefix + tail2)
+    out1 = sf.simulate(t, prefix + tail1)
+    out2 = sf.simulate(t, prefix + tail2)
     assert out1[:m] == out2[:m]
 
 
@@ -280,7 +289,7 @@ def test_delay_dependence_of_echo_runs():
         shared = [rng.randrange(2) for _ in range(m + 2)]
         w1 = shared + [rng.randrange(2) for _ in range(3)]
         w2 = shared + [rng.randrange(2) for _ in range(3)]
-        assert run(t, w1)[:m] == run(t, w2)[:m]
+        assert sf.simulate(t, w1)[:m] == sf.simulate(t, w2)[:m]
 
 
 @pytest.mark.parametrize(
@@ -298,3 +307,63 @@ def test_oracle_prefix_consistency(factory):
     for m in range(1, 5):
         for x in range(p ** (m + 1 + n)):
             assert oracle.value(x, m + 1) % p ** m == oracle.value(x, m)
+
+
+# --------------------------------------------------------------------------
+# the walk-backed oracle against the letter-by-letter reference simulator
+# --------------------------------------------------------------------------
+
+ORACLE_MACHINES = {
+    **{f"table-p{p}-n{n}-{seed}": sf.table_machine(seed, p, states, n)
+       for seed, p, states, n in ((11, 2, 5, 0), (12, 3, 4, 0), (13, 2, 6, 1), (14, 3, 3, 1),
+                                  (15, 2, 4, 2), (16, 3, 3, 2))},
+    "identity-p3": identity_transducer(3),
+    "odometer-p2": odometer_transducer(2),
+    "odometer-p3": odometer_transducer(3),
+    "negate-p2": negation_transducer(),
+    "delay-echo-p2-n1": delay_echo_transducer(2, 1),
+    "delay-echo-p3-n2": delay_echo_transducer(3, 2),
+    "digitwise-add-p2": digitwise_add_family(2),
+}
+
+
+@pytest.mark.parametrize("t", ORACLE_MACHINES.values(), ids=ORACLE_MACHINES.keys())
+def test_walk_backed_oracle_matches_reference_simulator(t):
+    """``value`` and ``values`` agree with the simulator on whole domains,
+    on counts that are and are not powers of p, and on the prefix counts
+    p^e < p^(e+n) that the self-map tables ask for at delay n >= 1."""
+    f = function_of(t)
+    p, n = t.p, f.delay
+    for m in range(1, 5 if p == 2 else 3):
+        domain = p ** (m + n)
+        expected = [sf.simulate_value(t, x, m, n) for x in range(domain)]
+        counts = {1, 2, p + 1, p ** m - 1, domain - 1, domain, *(p ** e for e in range(m + n + 1))}
+        for count in sorted(c for c in counts if c <= domain):
+            assert f.values(m, count) == expected[:count], (m, count)
+        for x in range(domain):
+            assert f.value(x, m) == f.value(x + 3 * domain, m) == expected[x], (m, x)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_values_builds_each_state_row_once_per_phase(n):
+    """One ``values`` call asks ``output`` at most 2p times per state it reaches."""
+    base = sf.table_machine(21 + n, 3, 6, n)
+    calls = Counter()
+
+    def output(s, a):
+        calls[s] += 1
+        return base.output(s, a)
+
+    t = Transducer(p=3, initial=base.initial, delta=base.delta, output=output)
+    f = function_of(t)
+    calls.clear()  # the delay probe's calls
+    m = 4
+    table = f.values(m, 3 ** (m + n))
+    assert table == [sf.simulate_value(base, x, m, n) for x in range(3 ** (m + n))]
+    reached = {t.initial}
+    frontier = {t.initial}
+    for _ in range(m + n - 1):
+        frontier = {base.delta(s, a) for s in frontier for a in range(3)}
+        reached |= frontier
+    assert set(calls) <= reached
+    assert max(calls.values()) <= 2 * 3
