@@ -131,7 +131,7 @@ def accumulate_image(
         raise ValueError(f"level must be >= 1, got {levels[0]}")
     p, n, top = f.p, f.delay, levels[-1]
     den = p ** (n + top)
-    check_budget(den, budget, f"oracle evaluations ({p}^{n + top}, level {top})")
+    f.check_table(den, budget, f"oracle evaluations ({p}^{n + top}, level {top})")
     outs = f.values(top, den)
     mirrors = _mirrors(p, n + top)
     coords: set[tuple[int, int]] = set()

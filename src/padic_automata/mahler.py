@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Iterable
 
 from .errors import PrecisionError
@@ -38,6 +39,9 @@ __all__ = [
     "coeffs_from_oracle",
     "series_oracle",
 ]
+
+# prefix sums stay below two 30-bit CPython int digits between reductions
+_UNREDUCED_LIMIT = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,17 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     f(0), f(1), ... by iterated prefix sums: with g_{M-1} = a_{M-1} and
     g_i(x) = a_i + sum_{y<x} g_{i+1}(y), the identity
     sum_{y<x} C(y, j) = C(x, j+1) gives g_0(x) = sum_j a_j C(x, j) = f(x).
-    Each pass runs in ``itertools.accumulate`` and is reduced mod
-    p^precision.  The oracle keeps that table and rebuilds it only when a
-    longer one is asked for; every bulk query at m <= precision reads it.
+    Each pass runs in ``itertools.accumulate``.  Its terms are >= 0, so an
+    unreduced pass is nondecreasing and its last entry is its largest; a
+    reduced one lies below p^precision.  So a_i + (count - 1) *
+    max(g_{i+1}[-1], p^precision) bounds pass i, which is reduced mod
+    p^precision only when that bound reaches ``_UNREDUCED_LIMIT``, and
+    always when it is the last.  Reduction commutes with the sums, so the
+    kept table holds exactly the residues of a table reduced on every
+    pass, and no unreduced copy outlives the build.  The oracle keeps that
+    table and rebuilds it only when a longer one is asked for; every bulk
+    query at m <= precision reads it.  Each table entry costs ``support``
+    additions, the oracle's ``entry_cost``.
     """
     coeff_values = series.coeffs
     p, mod = series.p, series.p ** series.precision
@@ -135,13 +147,18 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
         require(m)
         if count > len(table):
             g = [coeff_values[-1]] * count
-            for a in reversed(coeff_values[:-1]):
-                g = list(map(mod.__rmod__, accumulate(islice(g, count - 1), initial=a)))
+            for i in reversed(range(len(coeff_values) - 1)):
+                a = coeff_values[i]
+                sums = accumulate(islice(g, count - 1), initial=a)
+                if i == 0 or a + (count - 1) * max(g[-1], mod) >= _UNREDUCED_LIMIT:
+                    sums = map(operator.mod, sums, repeat(mod))
+                g = list(sums)
             table = g
         return islice(table, count)
 
     return FunctionOracle(
-        p=p, delay=series.n, source="mahler-series", _fn=at_point, _bulk=bulk
+        p=p, delay=series.n, source="mahler-series", _fn=at_point, _bulk=bulk,
+        entry_cost=series.support,
     )
 
 

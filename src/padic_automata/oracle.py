@@ -11,8 +11,12 @@ a subject that only claims to be one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable
+
+from .errors import check_budget
 
 __all__ = ["FunctionOracle"]
 
@@ -26,7 +30,9 @@ class FunctionOracle:
     x in [0, p^(m+delay)) and must return f(x) mod p^m.  An optional
     ``_bulk(m, count)`` yields f(0), ..., f(count-1) mod p^m, as an
     iterable read once, for backers with a faster whole-table path;
-    consistency of the two routes is property-tested.
+    consistency of the two routes is property-tested.  ``entry_cost`` is
+    the work of one table entry in budget units: 1, or the support of a
+    series, whose table takes one addition per term per entry.
     """
 
     p: int
@@ -36,6 +42,7 @@ class FunctionOracle:
     _bulk: Callable[[int, int], Iterable[int]] | None = field(
         default=None, compare=False, repr=False
     )
+    entry_cost: int = 1
 
     def __post_init__(self) -> None:
         if self.delay < 0:
@@ -58,6 +65,13 @@ class FunctionOracle:
                 f"count {count} exceeds the residue domain p^(m+delay)"
             )
         if self._bulk is not None:
-            mod = self.p ** m
-            return list(map(mod.__rmod__, self._bulk(m, count)))
+            return list(map(operator.mod, self._bulk(m, count), repeat(self.p ** m)))
         return [self.value(x, m) for x in range(count)]
+
+    def check_table(self, count: int, budget: int, what: str) -> None:
+        """Gate a ``values`` table of ``count`` entries before it is built."""
+        if self.entry_cost == 1:
+            check_budget(count, budget, what)
+        else:
+            check_budget(count * self.entry_cost, budget,
+                         f"additions for {count} {what} at {self.entry_cost} terms each")

@@ -19,12 +19,13 @@ every lower level off it: their residues are a prefix of its domain.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET
 from .oracle import FunctionOracle
 
 __all__ = [
@@ -82,7 +83,7 @@ def reduce_map(
 ) -> ReducedMap:
     """Tabulate the level-k reduction of ``f`` over its whole domain."""
     dom, cod = level_exponents(f.delay, k)
-    check_budget(f.p ** dom, budget, f"level-table entries ({f.p}^{dom})")
+    f.check_table(f.p ** dom, budget, f"level-table entries ({f.p}^{dom})")
     table = tuple(f.values(cod, f.p ** dom))
     return ReducedMap(p=f.p, n=f.delay, k=k, table=table)
 
@@ -138,7 +139,7 @@ def is_measure_preserving_upto(
         dom, cod = level_exponents(f.delay, k)
         size = f.p ** cod
         level = islice(top, f.p ** dom)
-        counts = _fiber_sizes(level if k == k_max else map(size.__rmod__, level), size)
+        counts = _fiber_sizes(level if k == k_max else map(operator.mod, level, repeat(size)), size)
         collapsed = tuple(sorted(Counter(counts).items()))
         histograms.append((k, collapsed))
         if first_fail is None and collapsed != ((expected, size),):
@@ -163,7 +164,7 @@ def endomap(
     the same level.
     """
     e = endomap_exponent(f.delay, k)
-    check_budget(f.p ** e, budget, f"self-map entries ({f.p}^{e})")
+    f.check_table(f.p ** e, budget, f"self-map entries ({f.p}^{e})")
     return tuple(f.values(e, f.p ** e))
 
 
@@ -171,25 +172,21 @@ def cycle_count(table: Sequence[int]) -> int:
     """Number of cycles of a self-map table (rho shapes allowed, not a
     permutation).
 
-    Each walk starts at an unvisited point and marks the points it passes
-    until it meets a marked one; it closed a new cycle exactly when that
-    point was marked by this walk.  The walk is then retraced to settle it.
+    Each walk starts at an unvisited point and stamps the points it
+    passes with its own number until it meets a stamped one; it closed a
+    new cycle exactly when that point carries its own stamp, and it ran
+    into an earlier walk's tail or cycle otherwise.  Nothing is retraced.
     """
-    # 0 = unvisited, 1 = on the current walk, 2 = settled
-    state = bytearray(len(table))
+    seen = [0] * len(table)  # 0 = unvisited, else 1 + the start of the walk that got there
     found = 0
     for start in range(len(table)):
-        if state[start]:
+        if seen[start]:
             continue
-        x = start
-        while not state[x]:
-            state[x] = 1
+        stamp, x = start + 1, start
+        while not seen[x]:
+            seen[x] = stamp
             x = table[x]
-        found += state[x] == 1
-        x = start
-        while state[x] == 1:
-            state[x] = 2
-            x = table[x]
+        found += seen[x] == stamp
     return found
 
 
@@ -221,7 +218,7 @@ def unique_cycle_upto(
     first_fail = None
     for k in range(1, k_max + 1):
         size = f.p ** endomap_exponent(f.delay, k)
-        table = top if k == k_max else list(map(size.__rmod__, islice(top, size)))
+        table = top if k == k_max else list(map(operator.mod, islice(top, size), repeat(size)))
         found = cycle_count(table)
         counts.append((k, found))
         if first_fail is None and found != 1:

@@ -207,15 +207,16 @@ def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
             f"within depth {probe_depth}: {profile.reason}"
         )
     n, p = profile.n, t.p
+    rows = ({}, {})  # shared by every walk of this oracle
 
     def table(m: int, count: int) -> list[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
-        *_, last = walk(t, t.initial, n, letters)
+        *_, last = walk(t, t.initial, n, letters, rows)
         return [v for _, v in last[:count]]
 
     def point(x: int, m: int) -> int:
         digits = (x // p ** j % p for j in range(m + n))  # first-read digit first
-        *_, [(_, v)] = walk(t, t.initial, n, [range(d, d + 1) for d in digits])
+        *_, [(_, v)] = walk(t, t.initial, n, [range(d, d + 1) for d in digits], rows)
         return v
 
     return FunctionOracle(p=p, delay=n, source="transducer", _fn=point, _bulk=table)

@@ -286,6 +286,44 @@ def test_budget_bounds_series_derivation(capsys, tmp_path):
     assert run(capsys, "check", "--subject", str(path), "--which", "mp", "--budget", "1")[0] == 0
 
 
+def _series_file(tmp_path, support):
+    path = tmp_path / "wide.series"
+    path.write_text(serialize_series(MahlerSeries.from_ints(2, 1, 16, range(1, support + 1))))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("brute", "--mode", "mp", "--kmax", "6"),
+        ("brute", "--mode", "cycles", "--kmax", "6"),
+        ("image", "--kmax", "5", "--resolution", "2"),
+    ],
+)
+def test_budget_counts_series_table_additions(capsys, tmp_path, command):
+    """Each of the 2^6 table entries of a 30-term series takes 30 additions."""
+    argv = [command[0], "--subject", _series_file(tmp_path, 30), *command[1:]]
+    code, out, err = run(capsys, *argv, "--budget", "1919")
+    assert (code, out) == (4, "")
+    assert "1920 additions for 64" in err
+    assert run(capsys, *argv, "--budget", "1920")[0] in (0, 3)
+
+
+def test_budget_stops_a_wide_series_before_its_table(capsys, tmp_path, monkeypatch):
+    """2^14 entries fit the budget, 2^14 x 3000 additions do not."""
+    path = _series_file(tmp_path, 3000)
+
+    def accumulate(*args, **kwargs):
+        raise AssertionError("a prefix-sum pass ran before the budget gate")
+
+    monkeypatch.setattr("padic_automata.mahler.accumulate", accumulate)
+    code, out, err = run(
+        capsys, "brute", "--subject", path, "--mode", "mp", "--kmax", "14", "--budget", "300000"
+    )
+    assert (code, out) == (4, "")
+    assert "at 3000 terms each exceed the budget 300000" in err
+
+
 def test_malformed_subject_file(capsys, tmp_path):
     path = tmp_path / "junk.series"
     path.write_text("schema padic-mahler-series-v1\np 2\nn 1\n")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from padic_automata import mahler
 from padic_automata.errors import PrecisionError
 from padic_automata.mahler import (
     CheckStatus,
@@ -168,6 +169,50 @@ def test_kept_table_serves_smaller_and_larger_queries(p, n):
     for m in (1, K, 2, K - 1, 1, K):
         count = p ** (m + n)
         assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
+
+
+def _pass_peaks(monkeypatch):
+    """The largest entry each prefix-sum pass reads, recorded by a spy on
+    the ``accumulate`` that ``series_oracle`` calls."""
+    peaks = []
+    real = mahler.accumulate
+
+    def spy(entries, initial):
+        entries = list(entries)
+        peaks.append(max(entries, default=0))
+        return real(entries, initial=initial)
+
+    monkeypatch.setattr(mahler, "accumulate", spy)
+    return peaks
+
+
+@pytest.mark.parametrize("p,n,count,support", [(2, 2, 2 ** 14, 20), (3, 2, 3 ** 8, 85)])
+def test_deferred_reduction_keeps_canonical_residues(monkeypatch, p, n, count, support):
+    """At precision 16 the passes run unreduced until their bound reaches
+    2^60, so the reduction fires mid-build; every kept entry is still the
+    canonical residue of f(x) mod p^16."""
+    rng = random.Random(19 + 7 * p + n)
+    series = sf.unconstrained(rng, p, n, support, precision=16)
+    mod = p ** 16
+    peaks = _pass_peaks(monkeypatch)
+    oracle = series_oracle(series)
+    kept = list(oracle._bulk(16, count))
+    assert len(peaks) == support - 1
+    assert max(peaks) < 1 << 60  # no pass reads an entry past the limit
+    first_unreduced = next(i for i, peak in enumerate(peaks) if peak >= mod)
+    assert min(peaks[first_unreduced:]) < mod  # reduced again before the last pass
+    assert all(0 <= v < mod for v in kept)
+    for x in rng.sample(range(count), 40) + [count - 1]:
+        assert kept[x] == oracle.value(x, 16), x
+
+
+def test_one_coefficient_series_and_count_one():
+    constant = series_oracle(MahlerSeries.from_ints(3, 1, 4, [-1]))
+    assert list(constant._bulk(4, 1)) == [80]
+    assert constant.values(2, 3 ** 3) == [8] * 3 ** 3
+    two = series_oracle(MahlerSeries.from_ints(2, 1, 4, [5, 7]))
+    assert list(two._bulk(4, 1)) == [5]
+    assert two.values(4, 3) == [5, 12, 3]
 
 
 def test_series_oracle_precision_error_past_precision():

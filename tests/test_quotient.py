@@ -122,6 +122,19 @@ def test_cycles_rho_shape():
     assert cycle_count((1, 2, 1, 3)) == 2
 
 
+@pytest.mark.parametrize(
+    "table,cycles",
+    [
+        ((0, 0, 1, 2), 1),  # later walks end on the first walk's tail
+        ((1, 0, 3, 2, 2), 2),  # the last walk ends on the second walk's cycle
+        ((1, 2, 1, 0), 1),  # 3 -> 0 joins the tail into the 2-cycle (1 2)
+        ((2, 2, 2), 1),
+    ],
+)
+def test_cycles_walk_ends_on_an_earlier_walk(table, cycles):
+    assert cycle_count(table) == cycles
+
+
 def test_unique_cycle_shift_and_odometer():
     assert unique_cycle_upto(shift_oracle(2, 1), 10).passed
     assert unique_cycle_upto(odometer_oracle(2), 8).passed

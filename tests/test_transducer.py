@@ -346,7 +346,8 @@ def test_walk_backed_oracle_matches_reference_simulator(t):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_values_builds_each_state_row_once_per_phase(n):
-    """One ``values`` call asks ``output`` at most 2p times per state it reaches."""
+    """One ``values`` call asks ``output`` at most 2p times per state it
+    reaches, and so do many ``value`` calls on one oracle."""
     base = sf.table_machine(21 + n, 3, 6, n)
     calls = Counter()
 
@@ -365,5 +366,10 @@ def test_values_builds_each_state_row_once_per_phase(n):
     for _ in range(m + n - 1):
         frontier = {base.delta(s, a) for s in frontier for a in range(3)}
         reached |= frontier
+    assert set(calls) <= reached
+    assert max(calls.values()) <= 2 * 3
+    f = function_of(t)
+    calls.clear()
+    assert [f.value(x, m) for x in range(3 ** (m + n))] == table
     assert set(calls) <= reached
     assert max(calls.values()) <= 2 * 3
