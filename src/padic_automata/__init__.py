@@ -21,15 +21,7 @@ from .mahler import (
 )
 from .oracle import FunctionOracle
 from .padics import floor_log, valuation
-from .quotient import (
-    ReducedMap,
-    cycle_count,
-    endomap,
-    is_measure_preserving_upto,
-    preimage_counts,
-    reduce_map,
-    unique_cycle_upto,
-)
+from .quotient import cycle_count, is_measure_preserving_upto, unique_cycle_upto
 from .transducer import (
     Transducer,
     delay_profile,

@@ -229,6 +229,8 @@ def cmd_image(args) -> dict:
     subject = load_subject(args)
     m = args.resolution
     oracle = to_oracle(subject)
+    if args.out:
+        check_budget(oracle.p ** (2 * m), args.budget, f"raster pixels ({oracle.p}^{2 * m})")
     family = isinstance(subject, Transducer) and oracle.delay == 0
     if family:
         points = geometry.family_points(subject, args.depth, args.budget)

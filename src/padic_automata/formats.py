@@ -26,14 +26,16 @@ Coefficients are decimal residues, index-annotated; indices must run
 Each ``trans`` line is ``state letter next-state : output-letters``; a
 synchronous document must put exactly one letter after the colon, an
 asynchronous one any number including none.  Both kinds build the same
-:class:`~padic_automata.transducer.Transducer`.  Blank lines and ``#``
-comments are ignored.  Both formats are versioned by their schema tag.
+:class:`~padic_automata.transducer.Transducer`.  In both schemas ``p``
+must be prime.  Blank lines and ``#`` comments are ignored.  Both
+formats are versioned by their schema tag.
 """
 
 from __future__ import annotations
 
 from .errors import FormatError
 from .mahler import MahlerSeries
+from .padics import is_prime
 from .transducer import Transducer
 
 __all__ = [
@@ -118,6 +120,8 @@ def parse_transducer(text: str) -> Transducer:
     if len(lines) < 4:
         raise FormatError("transducer document is missing its header lines")
     p = _int_field(lines[1], "p")
+    if not is_prime(p):
+        raise FormatError(f"p must be prime, got {p}")
     if len(lines[2]) != 2 or lines[2][0] != "kind" or lines[2][1] not in ("sync", "async"):
         raise FormatError("expected 'kind sync' or 'kind async'")
     kind = lines[2][1]

@@ -120,9 +120,8 @@ def accumulate_image(
 ) -> PointSet2D:
     """Image of an oracle over the given levels.  Level k gives one point
     per residue x mod p^(n+k), pairing the input word of length n+k with
-    the output word of length k.  One oracle table at the top level K
-    serves every level: level k < K reads f(x) mod p^k off it for
-    x < p^(n+k), which the oracle contract makes its level-k answer.
+    the output word of length k, f(x) mod p^k; the tables of every level
+    come from one :meth:`FunctionOracle.levels` call.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -130,16 +129,14 @@ def accumulate_image(
     if levels[0] < 1:
         raise ValueError(f"level must be >= 1, got {levels[0]}")
     p, n, top = f.p, f.delay, levels[-1]
-    den = p ** (n + top)
-    f.check_table(den, budget, f"oracle evaluations ({p}^{n + top}, level {top})")
-    outs = f.values(top, den)
+    tables = f.levels([(n + k, k) for k in levels], budget,
+                      f"oracle evaluations ({p}^{n + top}, level {top})")
     mirrors = _mirrors(p, n + top)
     coords: set[tuple[int, int]] = set()
-    for k in levels:
-        ys, mod = mirrors[k], p ** k
-        coords.update(zip(mirrors[n + k], [ys[v % mod] for v in outs[: p ** (n + k)]]))
+    for k, outs in zip(levels, tables):
+        coords.update(zip(mirrors[n + k], map(mirrors[k].__getitem__, outs)))
     return PointSet2D(
-        p=p, n=n, levels=tuple(levels), den=den, coords=tuple(sorted(coords))
+        p=p, n=n, levels=tuple(levels), den=p ** (n + top), coords=tuple(sorted(coords))
     )
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import check_budget
 
@@ -32,7 +32,9 @@ class FunctionOracle:
     iterable read once, for backers with a faster whole-table path;
     consistency of the two routes is property-tested.  ``entry_cost`` is
     the work of one table entry in budget units: 1, or the support of a
-    series, whose table takes one addition per term per entry.
+    series, whose table takes one addition per term per entry.  Every
+    level-by-level check reads its tables from :meth:`levels`, which
+    gates and builds the top table and reads the lower ones off it.
     """
 
     p: int
@@ -68,10 +70,24 @@ class FunctionOracle:
             return list(map(operator.mod, self._bulk(m, count), repeat(self.p ** m)))
         return [self.value(x, m) for x in range(count)]
 
-    def check_table(self, count: int, budget: int, what: str) -> None:
-        """Gate a ``values`` table of ``count`` entries before it is built."""
-        if self.entry_cost == 1:
-            check_budget(count, budget, what)
+    def levels(
+        self, shapes: Sequence[tuple[int, int]], budget: int, what: str
+    ) -> Iterator[list[int]]:
+        """The level tables x -> f(x) mod p^c over x < p^d, one per shape
+        (d, c), the shapes in ascending order.
+
+        Only the last table is evaluated, by one ``values`` call made before
+        this returns, after its p^d entries times ``entry_cost`` are checked
+        against ``budget``.  Each earlier table is its prefix x < p^d reduced
+        mod p^c, which the oracle contract makes the answer at that shape;
+        it is built when it is read, so only the last one is held throughout.
+        """
+        top, cost = self.p ** shapes[-1][0], self.entry_cost
+        if cost == 1:
+            check_budget(top, budget, what)
         else:
-            check_budget(count * self.entry_cost, budget,
-                         f"additions for {count} {what} at {self.entry_cost} terms each")
+            check_budget(top * cost, budget, f"additions for {top} {what} at {cost} terms each")
+        table = self.values(shapes[-1][1], top)
+        lower = (list(map(operator.mod, islice(table, self.p ** d), repeat(self.p ** c)))
+                 for d, c in shapes[:-1])
+        return chain(lower, [table])

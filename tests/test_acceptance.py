@@ -48,10 +48,7 @@ from padic_automata.mahler import (
 )
 from padic_automata.quotient import (
     cycle_count,
-    endomap,
     is_measure_preserving_upto,
-    preimage_counts,
-    reduce_map,
     unique_cycle_upto,
 )
 from padic_automata.subjects import (
@@ -122,7 +119,7 @@ def test_criterion_1_shift_anchor():
         assert hist == ((2, 2 ** (level - 1)),), f"level {level}"
 
     for k in range(1, 11):
-        table = endomap(oracle, k)
+        table = oracle.values(k, 2 ** k)  # the level-k self-map
         assert cycle_count(table) == 1 and table[0] == 0, f"level {k}"
 
     elapsed = time.perf_counter() - started
@@ -155,18 +152,14 @@ def test_criterion_2_mp_conditions_match_oracle_n1(p):
         assert check_measure_preserving_conditions(series).passed
         verdict = is_measure_preserving_upto(series_oracle(series), 4)
         if not verdict.passed:
-            table, fibers = independent_reduction_fibers(
-                series, verdict.first_failing_level
-            )
-            oracle_table = reduce_map(
-                series_oracle(series), verdict.first_failing_level
-            ).table
-            assert list(oracle_table) == table, "evaluation routes disagree"
+            k = verdict.first_failing_level
+            table, fibers = independent_reduction_fibers(series, k)
+            oracle_table = series_oracle(series).values(k - 1, p ** k)
+            assert oracle_table == table, "evaluation routes disagree"
             pytest.fail(
                 f"disagreement at p={p}, n=1: coefficients "
                 f"{series.coefficient_values()} pass the conditions but have "
-                f"fibers {dict(sorted(fibers.items()))} at level "
-                f"{verdict.first_failing_level} (confirmed exactly)"
+                f"fibers {dict(sorted(fibers.items()))} at level {k} (confirmed exactly)"
             )
     for series in failing:
         assert not check_measure_preserving_conditions(series).passed
@@ -194,7 +187,7 @@ def test_criterion_2_mp_conditions_match_oracle_n2(p):
         verdict = is_measure_preserving_upto(series_oracle(witness), 4)
         assert verdict.first_failing_level == 2
         table, fibers = independent_reduction_fibers(witness, 2)
-        assert list(reduce_map(series_oracle(witness), 2).table) == table
+        assert series_oracle(witness).values(2, 2 ** 4) == table
         assert dict(fibers) == {0: 8, 1: 6, 3: 2}  # 8/6/0/2, not all 4
 
     passing, failing = _criterion_2_population(p, 2, seed=2000 + p)
@@ -209,8 +202,8 @@ def test_criterion_2_mp_conditions_match_oracle_n2(p):
         if not verdict.passed:
             k = verdict.first_failing_level
             table, fibers = independent_reduction_fibers(series, k)
-            oracle_table = reduce_map(series_oracle(series), k).table
-            assert list(oracle_table) == table, "evaluation routes disagree"
+            oracle_table = series_oracle(series).values(2 * (k - 1), p ** (2 * k))
+            assert oracle_table == table, "evaluation routes disagree"
             disagreements.append((series, k, dict(sorted(fibers.items()))))
             break
 
@@ -273,7 +266,7 @@ def test_criterion_4_ergodic_vs_cycle_oracle():
     assert check_measure_preserving_conditions(series).passed
     verdict = unique_cycle_upto(series_oracle(series), 4)
     assert not verdict.passed and verdict.first_failing_level == 2
-    assert cycle_count(endomap(series_oracle(series), 2)) == 2
+    assert cycle_count(series_oracle(series).values(2, 2 ** 2)) == 2
 
     # sweep the ergodic-passing sub-population; count both outcomes
     rng = random.Random(44)
@@ -375,12 +368,13 @@ def test_criterion_7_odometer_n0():
         oracle = odometer_oracle(p)
         for k in range(1, 9):
             # one cycle through a permutation: full length, no transients
-            table = endomap(oracle, k)
+            table = oracle.values(k, p ** k)
             assert cycle_count(table) == 1
             assert sorted(table) == list(range(p ** k))
         for k in range(2, 9):
-            counts = preimage_counts(reduce_map(oracle, k))
-            assert set(counts) == {1}
+            # level k reduces Z/p^k to itself at n = 0
+            counts = Counter(oracle.values(k, p ** k))
+            assert len(counts) == p ** k and set(counts.values()) == {1}
     print("ACCEPTANCE 7 odometer-anchor: PASS (single p^k-cycle, fibers all 1)")
 
 

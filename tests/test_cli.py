@@ -113,6 +113,20 @@ def test_image_writes_pgm_and_bound(capsys, tmp_path):
     assert data.startswith(b"P5\n8 8\n255\n")
 
 
+@pytest.mark.parametrize("subject", [("--builtin", "shift"), ("--builtin", "identity")])
+def test_image_out_gates_raster_pixels(capsys, tmp_path, subject):
+    """--out needs a 2^6 x 2^6 raster at m = 6: 4096 pixels against --budget."""
+    path = tmp_path / "x.pgm"
+    argv = ["image", *subject, "--kmax", "3", "--depth", "3", "--resolution", "6",
+            "--out", str(path)]
+    code, out, err = run(capsys, *argv, "--budget", "4095")
+    assert (code, out) == (4, "")
+    assert err == "budget exceeded: 4096 raster pixels (2^12) exceed the budget 4095\n"
+    assert not path.exists()
+    assert run(capsys, *argv, "--budget", "4096")[0] == 0
+    assert path.read_bytes().startswith(b"P5\n64 64\n255\n")
+
+
 def test_image_family_identity(capsys):
     code, out, _ = run(
         capsys, "image", "--builtin", "identity", "--depth", "6",
@@ -368,6 +382,22 @@ def test_transducer_file_subject_full_path(capsys, tmp_path):
         capsys, "brute", "--subject", str(path), "--mode", "mp", "--kmax", "5"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -2])
+@pytest.mark.parametrize("command", [
+    ["brute", "--mode", "mp"],
+    ["brute", "--mode", "cycles"],
+    ["image"],
+    ["transitivity"],
+])
+def test_transducer_document_needs_a_prime_p(capsys, tmp_path, p, command):
+    path = tmp_path / "composite.transducer"
+    trans = "".join(f"trans a {x} a : {x}\n" for x in range(p))
+    path.write_text(f"schema padic-transducer-v1\np {p}\nkind sync\ninitial a\n{trans}")
+    code, out, err = run(capsys, command[0], "--subject", str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert "prime" in err
 
 
 def test_polynomial_builtin(capsys):

@@ -1,0 +1,103 @@
+"""FunctionOracle.levels: one gated table at the top shape, every lower
+shape a reduced prefix of it."""
+
+import random
+
+import pytest
+
+from padic_automata.errors import BudgetExceededError
+from padic_automata.mahler import series_oracle
+from padic_automata.oracle import FunctionOracle
+from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
+from padic_automata.transducer import function_of
+
+import series_factory as sf
+
+
+def _subjects():
+    """(factory, k_max) over seeded series, seeded table machines at
+    delay 0, 1 and 2, and built-ins with and without a bulk route."""
+    rng = random.Random(71)
+    subjects = []
+    for p, n, k_max in ((2, 1, 7), (3, 1, 4), (2, 2, 3)):
+        series = sf.unconstrained(rng, p, n, sf.draw_support(rng, p, n))
+        subjects.append((f"series-{p}-{n}", lambda s=series: series_oracle(s), k_max))
+    for seed, (p, n, k_max) in enumerate(((2, 0, 7), (3, 0, 4), (2, 1, 6), (3, 1, 4), (2, 2, 3))):
+        machine = sf.table_machine(seed, p, 5, n)
+        subjects.append((f"machine-{p}-n{n}", lambda t=machine: function_of(t), k_max))
+    subjects += [
+        ("shift-2-1", lambda: shift_oracle(2, 1), 7),
+        ("shift-3-2", lambda: shift_oracle(3, 2), 3),
+        ("zero-2-1", lambda: zero_oracle(2, 1), 6),
+        ("zero-3-0", lambda: zero_oracle(3, 0), 4),
+        ("polynomial-3", lambda: polynomial_oracle(3, [1, 2, 5]), 4),
+    ]
+    return [pytest.param(factory, k_max, id=name) for name, factory, k_max in subjects]
+
+
+def _readings(n, k_max):
+    """The shapes the fiber, cycle and image checks ask for."""
+    e = max(n, 1)
+    return {
+        "fibers": [(n * k, n * (k - 1)) if n else (k, k) for k in range(2, k_max + 1)],
+        "cycles": [(e * k, e * k) for k in range(1, k_max + 1)],
+        "image": [(n + k, k) for k in range(1, k_max + 1)],
+        "image-gaps": [(n + k, k) for k in (1, k_max)],
+    }
+
+
+@pytest.fixture
+def values_calls(monkeypatch):
+    """Every FunctionOracle.values call, as (m, count)."""
+    calls = []
+    values = FunctionOracle.values
+
+    def spy(self, m, count):
+        calls.append((m, count))
+        return values(self, m, count)
+
+    monkeypatch.setattr(FunctionOracle, "values", spy)
+    return calls
+
+
+@pytest.mark.parametrize("factory,k_max", _subjects())
+def test_levels_match_direct_tables_from_one_values_call(factory, k_max, values_calls):
+    f = factory()
+    for reading, shapes in _readings(f.delay, k_max).items():
+        values_calls.clear()
+        tables = list(f.levels(shapes, 1 << 24, "entries"))
+        d, c = shapes[-1]
+        assert values_calls == [(c, f.p ** d)], reading
+        assert len(tables) == len(shapes)
+        fresh = factory()
+        for (d, c), table in zip(shapes, tables):
+            assert table == fresh.values(c, f.p ** d), (reading, d, c)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        pytest.param(lambda: shift_oracle(2, 1), id="shift-cost-1"),
+        pytest.param(lambda: zero_oracle(3, 1), id="zero-cost-1"),
+        pytest.param(lambda: series_oracle(sf.unconstrained(random.Random(72), 2, 1, 9)),
+                     id="series-cost-9"),
+        pytest.param(lambda: series_oracle(sf.unconstrained(random.Random(73), 3, 1, 5)),
+                     id="series-cost-5"),
+    ],
+)
+def test_levels_gate_the_top_table_before_it_is_built(factory, values_calls):
+    f = factory()
+    shapes = [(2, 1), (3, 2), (4, 3)]
+    entries = f.p ** 4
+    cost = entries * f.entry_cost
+    with pytest.raises(BudgetExceededError) as raised:
+        f.levels(shapes, cost - 1, f"level-table entries ({f.p}^4)")
+    assert values_calls == []
+    if f.entry_cost == 1:
+        message = f"{entries} level-table entries ({f.p}^4)"
+    else:
+        message = (f"{cost} additions for {entries} level-table entries ({f.p}^4)"
+                   f" at {f.entry_cost} terms each")
+    assert str(raised.value) == f"{message} exceed the budget {cost - 1}"
+    assert len(list(f.levels(shapes, cost, "entries"))) == 3
+    assert values_calls == [(3, entries)]

@@ -12,12 +12,7 @@ from padic_automata.quotient import (
     CycleVerdict,
     MeasureVerdict,
     cycle_count,
-    endomap,
-    endomap_exponent,
     is_measure_preserving_upto,
-    level_exponents,
-    preimage_counts,
-    reduce_map,
     unique_cycle_upto,
 )
 from padic_automata.subjects import (
@@ -39,39 +34,53 @@ def binomial_square():
     return series_oracle(MahlerSeries.from_ints(2, 1, 12, [0, 0, 1]))
 
 
-def test_level_exponents():
-    assert level_exponents(1, 3) == (3, 2)
-    assert level_exponents(2, 2) == (4, 2)
-    assert level_exponents(0, 4) == (4, 4)
-    assert endomap_exponent(2, 3) == 6
-    assert endomap_exponent(0, 3) == 3
+def shape(n, k):
+    """(domain, codomain) exponents of the level-k reduction."""
+    return (n * k, n * (k - 1)) if n else (k, k)
+
+
+def reduction(f, k):
+    """The level-k reduction table, x < p^domain -> f(x) mod p^codomain."""
+    dom, cod = shape(f.delay, k)
+    return tuple(f.values(cod, f.p ** dom))
+
+
+def self_map(f, k):
+    """The level-k self-map table on Z/p^(ek), e = max(n, 1)."""
+    e = max(f.delay, 1) * k
+    return tuple(f.values(e, f.p ** e))
+
+
+def fibers(table, size):
+    """Fiber sizes of a table indexed by codomain residue."""
+    counts = Counter(table)
+    return tuple(counts[y] for y in range(size))
 
 
 def test_reduce_shift_level3():
-    table = reduce_map(shift_oracle(2, 1), 3).table
+    table = reduction(shift_oracle(2, 1), 3)
     assert table == tuple(x // 2 % 4 for x in range(8))
 
 
 def test_reduce_zero_level2():
-    assert reduce_map(zero_oracle(2, 1), 2).table == (0, 0, 0, 0)
+    assert reduction(zero_oracle(2, 1), 2) == (0, 0, 0, 0)
 
 
 def test_reduce_binomial_square():
     # C(0..3, 2) = 0, 0, 1, 3 == (0, 0, 1, 1) mod 2
-    assert reduce_map(binomial_square(), 2).table == (0, 0, 1, 1)
+    assert reduction(binomial_square(), 2) == (0, 0, 1, 1)
 
 
 def test_preimage_counts_shift_all_two():
-    counts = preimage_counts(reduce_map(shift_oracle(2, 1), 3))
-    assert counts == (2, 2, 2, 2)
+    assert fibers(reduction(shift_oracle(2, 1), 3), 4) == (2, 2, 2, 2)
 
 
 def test_preimage_counts_zero_concentrated():
-    assert preimage_counts(reduce_map(zero_oracle(2, 1), 2)) == (4, 0)
+    assert fibers(reduction(zero_oracle(2, 1), 2), 2) == (4, 0)
 
 
 def test_preimage_counts_binomial_square():
-    assert preimage_counts(reduce_map(binomial_square(), 2)) == (2, 2)
+    assert fibers(reduction(binomial_square(), 2), 2) == (2, 2)
 
 
 def test_measure_preserving_shift_through_10():
@@ -92,9 +101,9 @@ def test_measure_preserving_binomial_square_through_6():
 
 
 def test_endomap_examples():
-    assert endomap(shift_oracle(2, 1), 2) == (0, 0, 1, 1)
-    assert endomap(odometer_oracle(2), 3) == tuple((x + 1) % 8 for x in range(8))
-    assert endomap(binomial_square(), 2) == (0, 0, 1, 3)
+    assert self_map(shift_oracle(2, 1), 2) == (0, 0, 1, 1)
+    assert self_map(odometer_oracle(2), 3) == tuple((x + 1) % 8 for x in range(8))
+    assert self_map(binomial_square(), 2) == (0, 0, 1, 3)
 
 
 def test_cycles_identity_all_fixed():
@@ -103,7 +112,7 @@ def test_cycles_identity_all_fixed():
 
 def test_cycles_odometer_single_full_cycle():
     # one cycle through a permutation: all 8 points on it
-    table = endomap(odometer_oracle(2), 3)
+    table = self_map(odometer_oracle(2), 3)
     assert cycle_count(table) == 1
     assert sorted(table) == list(range(8))
 
@@ -111,7 +120,7 @@ def test_cycles_odometer_single_full_cycle():
 def test_cycles_shift_collapse_to_zero():
     # one cycle through the fixed point 0: every other point is transient
     for k in range(1, 7):
-        table = endomap(shift_oracle(2, 1), k)
+        table = self_map(shift_oracle(2, 1), k)
         assert cycle_count(table) == 1
         assert table[0] == 0
 
@@ -146,7 +155,7 @@ def test_transducer_route_agrees_with_builtin_dynamics():
     machine = function_of(delay_echo_transducer(2, 1))
     builtin = shift_oracle(2, 1)
     for k in (2, 3, 4):
-        assert reduce_map(machine, k).table == reduce_map(builtin, k).table
+        assert reduction(machine, k) == reduction(builtin, k)
     assert unique_cycle_upto(machine, 6).passed
     assert is_measure_preserving_upto(machine, 6).passed
 
@@ -158,10 +167,10 @@ def test_unique_cycle_identity_fails_immediately():
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceededError):
-        reduce_map(shift_oracle(2, 1), 8, budget=100)
-    with pytest.raises(BudgetExceededError):
-        endomap(shift_oracle(2, 1), 8, budget=100)
+    with pytest.raises(BudgetExceededError, match=r"256 level-table entries \(2\^8\)"):
+        is_measure_preserving_upto(shift_oracle(2, 1), 8, budget=100)
+    with pytest.raises(BudgetExceededError, match=r"256 self-map entries \(2\^8\)"):
+        unique_cycle_upto(shift_oracle(2, 1), 8, budget=100)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -186,8 +195,8 @@ def test_preimage_conservation_on_random_series():
     for p, n in sf.ACCEPTANCE_CONFIGS:
         oracle = series_oracle(sf.unconstrained(rng, p, n, sf.draw_support(rng, p, n)))
         for k in (2, 3):
-            reduced = reduce_map(oracle, k)
-            assert sum(preimage_counts(reduced)) == p ** reduced.domain_exponent
+            dom, cod = shape(n, k)
+            assert sum(fibers(reduction(oracle, k), p ** cod)) == p ** dom
 
 
 def test_reduction_consistency_tower():
@@ -203,15 +212,10 @@ def test_reduction_consistency_tower():
     for oracle in subjects:
         p, n = oracle.p, oracle.delay
         for k in (3, 4):
-            fk = reduce_map(oracle, k)
-            fk1 = reduce_map(oracle, k - 1)
-            _, cod_prev = level_exponents(n, k - 1)
-            dom_prev, _ = level_exponents(n, k - 1)
-            for x in range(p ** fk.domain_exponent):
-                assert (
-                    fk.table[x] % p ** cod_prev
-                    == fk1.table[x % p ** dom_prev]
-                )
+            fk, fk1 = reduction(oracle, k), reduction(oracle, k - 1)
+            dom_prev, cod_prev = shape(n, k - 1)
+            for x in range(len(fk)):
+                assert fk[x] % p ** cod_prev == fk1[x % p ** dom_prev]
 
 
 @settings(max_examples=80)
@@ -256,7 +260,7 @@ def _reference_mp(f, k_max):
     expected = f.p ** f.delay
     histograms, first_fail = [], None
     for k in range(2, k_max + 1):
-        counts = preimage_counts(reduce_map(f, k))
+        counts = fibers(reduction(f, k), f.p ** shape(f.delay, k)[1])
         histograms.append((k, tuple(sorted(Counter(counts).items()))))
         if first_fail is None and any(c != expected for c in counts):
             first_fail = k
@@ -271,7 +275,7 @@ def _reference_cycles(f, k_max):
     """The unique-cycle test level by level, one self-map table per level."""
     counts, first_fail = [], None
     for k in range(1, k_max + 1):
-        found = cycle_count(endomap(f, k))
+        found = cycle_count(self_map(f, k))
         counts.append((k, found))
         if first_fail is None and found != 1:
             first_fail = k
@@ -313,9 +317,9 @@ def test_upto_checks_evaluate_one_table(factory, k_max):
     p, n = f.p, f.delay
     counted, calls = _counting(f)
     assert is_measure_preserving_upto(counted, k_max) == _reference_mp(factory(), k_max)
-    dom, cod = level_exponents(n, k_max)
+    dom, cod = shape(n, k_max)
     assert calls == [("values", cod, p ** dom)]
     calls.clear()
     assert unique_cycle_upto(counted, k_max) == _reference_cycles(factory(), k_max)
-    e = endomap_exponent(n, k_max)
+    e = max(n, 1) * k_max
     assert calls == [("values", e, p ** e)]
