@@ -40,23 +40,8 @@ __all__ = [
     "accumulate_image",
     "cover_fraction",
     "family_points",
-    "mirror_fraction",
     "render_pgm",
 ]
-
-
-def mirror_fraction(value: int, length: int, p: int) -> Fraction:
-    """Embed the length-``length`` word of ``value`` into [0, 1).
-
-    The first-consumed (least significant) digit of ``value`` becomes the
-    most significant fractional digit.
-    """
-    v = value % p ** length
-    num = 0
-    for _ in range(length):
-        v, d = divmod(v, p)
-        num = num * p + d
-    return Fraction(num, p ** length)
 
 
 def _mirrors(p: int, top: int) -> list[list[int]]:

@@ -18,7 +18,6 @@ The remaining cases are reported as insufficient precision, never guessed.
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
@@ -94,7 +93,7 @@ def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerS
     a_i = (Delta^i f)(0) = sum_{j<=i} (-1)^(i-j) C(i, j) f(j), an integer
     combination of the residues f(j) mod p^precision, hence well defined
     mod p^precision; each difference row is reduced mod p^precision.  One
-    oracle table gives f(j), read at j mod p^(K+n) like ``value`` reads it.
+    oracle table gives f(j), read at the canonical residue j mod p^(K+n).
     """
     if count < 1:
         raise ValueError(f"coefficient count must be >= 1, got {count}")
@@ -111,10 +110,8 @@ def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerS
 def series_oracle(series: MahlerSeries) -> FunctionOracle:
     """The series as a function oracle at its declared delay.
 
-    Queries evaluate the supported terms exactly at the canonical
-    representative of x mod p^(m+n).  The bulk route builds the table of
-    f(0), f(1), ... by iterated prefix sums: with g_{M-1} = a_{M-1} and
-    g_i(x) = a_i + sum_{y<x} g_{i+1}(y), the identity
+    Its table of f(0), f(1), ... is built by iterated prefix sums: with
+    g_{M-1} = a_{M-1} and g_i(x) = a_i + sum_{y<x} g_{i+1}(y), the identity
     sum_{y<x} C(y, j) = C(x, j+1) gives g_0(x) = sum_j a_j C(x, j) = f(x).
     Each pass runs in ``itertools.accumulate``.  Its terms are >= 0, so an
     unreduced pass is nondecreasing and its last entry is its largest; a
@@ -124,7 +121,7 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     always when it is the last.  Reduction commutes with the sums, so the
     kept table holds exactly the residues of a table reduced on every
     pass, and no unreduced copy outlives the build.  The oracle keeps that
-    table and rebuilds it only when a longer one is asked for; every bulk
+    table and rebuilds it only when a longer one is asked for; every
     query at m <= precision reads it.  Each table entry costs ``support``
     additions, the oracle's ``entry_cost``.
     """
@@ -132,19 +129,12 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     p, mod = series.p, series.p ** series.precision
     table: list[int] = []
 
-    def require(m: int) -> None:
+    def build(m: int, count: int) -> Iterable[int]:
+        nonlocal table
         if m > series.precision:
             raise PrecisionError(
                 f"series precision {series.precision} cannot answer mod p^{m}"
             )
-
-    def at_point(x: int, m: int) -> int:
-        require(m)
-        return sum(a * math.comb(x, i) for i, a in enumerate(coeff_values)) % p ** m
-
-    def bulk(m: int, count: int) -> Iterable[int]:
-        nonlocal table
-        require(m)
         if count > len(table):
             g = [coeff_values[-1]] * count
             for i in reversed(range(len(coeff_values) - 1)):
@@ -156,10 +146,8 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
             table = g
         return islice(table, count)
 
-    return FunctionOracle(
-        p=p, delay=series.n, source="mahler-series", _fn=at_point, _bulk=bulk,
-        entry_cost=series.support,
-    )
+    return FunctionOracle(p=p, delay=series.n, source="mahler-series", _table=build,
+                          entry_cost=series.support)
 
 
 class CheckStatus(enum.Enum):

@@ -1,12 +1,13 @@
 """Uniform function-oracle interface for maps on the p-adic integers.
 
 An oracle answers "f(x) mod p^m given x mod p^(m+n)", where n is the
-declared delay (n = 0 for synchronous / 1-Lipschitz maps).  Arguments are
-plain residues; ``value`` canonicalizes x modulo p^(m+n) first, so every
-query is answered at the zero-extended canonical representative.  For a
-genuine n-unit delay map the answer is independent of that choice; the
-canonicalization makes the oracle total and deterministic even when fed
-a subject that only claims to be one.
+declared delay (n = 0 for synchronous / 1-Lipschitz maps), as one table:
+f(x) mod p^m for the canonical residues x = 0, 1, ... of Z/p^(m+n).
+``value`` reads a single residue off that table after canonicalizing x
+modulo p^(m+n), so every answer is the one at the zero-extended canonical
+representative.  For a genuine n-unit delay map the answer is independent
+of that choice; the canonicalization makes the oracle total and
+deterministic even when fed a subject that only claims to be one.
 """
 
 from __future__ import annotations
@@ -26,24 +27,19 @@ class FunctionOracle:
     """Evaluator for f: Z_p -> Z_p with an n-unit output delay.
 
     ``source`` records provenance ("transducer", "mahler-series" or
-    "built-in").  ``_fn(x, m)`` receives the canonical representative
-    x in [0, p^(m+delay)) and must return f(x) mod p^m.  An optional
-    ``_bulk(m, count)`` yields f(0), ..., f(count-1) mod p^m, as an
-    iterable read once, for backers with a faster whole-table path;
-    consistency of the two routes is property-tested.  ``entry_cost`` is
-    the work of one table entry in budget units: 1, or the support of a
-    series, whose table takes one addition per term per entry.  Every
-    level-by-level check reads its tables from :meth:`levels`, which
-    gates and builds the top table and reads the lower ones off it.
+    "built-in").  ``_table(m, count)`` yields f(0), ..., f(count-1) mod
+    p^m, count <= p^(m+delay), as an iterable read once; it is the
+    oracle's one route.  ``entry_cost`` is the work of one table entry in
+    budget units: 1, or the support of a series, whose table takes one
+    addition per term per entry.  Every level-by-level check reads its
+    tables from :meth:`levels`, which gates and builds the top table and
+    reads the lower ones off it.
     """
 
     p: int
     delay: int
     source: str
-    _fn: Callable[[int, int], int] = field(compare=False, repr=False)
-    _bulk: Callable[[int, int], Iterable[int]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    _table: Callable[[int, int], Iterable[int]] = field(compare=False, repr=False)
     entry_cost: int = 1
 
     def __post_init__(self) -> None:
@@ -51,12 +47,9 @@ class FunctionOracle:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
 
     def value(self, x: int, m: int) -> int:
-        """f(x) mod p^m, from x known modulo p^(m + delay)."""
-        if m < 1:
-            raise ValueError(f"output precision must be >= 1, got {m}")
-        x = x % self.p ** (m + self.delay)
-        out = self._fn(x, m)
-        return out % self.p ** m
+        """f(x) mod p^m, from x known modulo p^(m + delay): one table entry."""
+        x %= self.p ** (m + self.delay)
+        return self.values(m, x + 1)[x]
 
     def values(self, m: int, count: int) -> list[int]:
         """f(x) mod p^m for the canonical residues x = 0 .. count-1."""
@@ -66,9 +59,7 @@ class FunctionOracle:
             raise ValueError(
                 f"count {count} exceeds the residue domain p^(m+delay)"
             )
-        if self._bulk is not None:
-            return list(map(operator.mod, self._bulk(m, count), repeat(self.p ** m)))
-        return [self.value(x, m) for x in range(count)]
+        return list(map(operator.mod, self._table(m, count), repeat(self.p ** m)))
 
     def levels(
         self, shapes: Sequence[tuple[int, int]], budget: int, what: str

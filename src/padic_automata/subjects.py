@@ -4,12 +4,13 @@ Everything here is constructed from first principles so that every
 acceptance check can run with zero authoring: the identity and odometer
 machines, the n-step delayed echo, the digitwise-add family (the bundled
 transitive family), plus directly-coded map oracles (shift, constant
-zero, integer polynomials).
+zero, integer polynomials), each of which yields its level table.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .oracle import FunctionOracle
 from .padics import is_prime
@@ -21,7 +22,6 @@ __all__ = [
     "digitwise_add_family",
     "identity_transducer",
     "make_builtin",
-    "odometer_oracle",
     "odometer_transducer",
     "polynomial_oracle",
     "shift_oracle",
@@ -105,8 +105,7 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
         p=p,
         delay=n,
         source="built-in",
-        _fn=lambda x, m: x // q,
-        _bulk=lambda m, count: (x // q for x in range(count)),
+        _table=lambda m, count: (x // q for x in range(count)),
     )
 
 
@@ -115,7 +114,8 @@ def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
     _require_prime(p)
     if n < 0:
         raise ValueError(f"delay must be >= 0, got {n}")
-    return FunctionOracle(p=p, delay=n, source="built-in", _fn=lambda x, m: 0)
+    return FunctionOracle(p=p, delay=n, source="built-in",
+                          _table=lambda m, count: repeat(0, count))
 
 
 def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
@@ -129,19 +129,15 @@ def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
     if not coeffs:
         raise ValueError("polynomial needs at least one coefficient")
 
-    def horner(x: int, m: int) -> int:
+    def horner(m: int, count: int) -> Iterator[int]:
         mod = p ** m
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % mod
-        return acc
+        for x in range(count):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc * x + c) % mod
+            yield acc
 
-    return FunctionOracle(p=p, delay=0, source="built-in", _fn=horner)
-
-
-def odometer_oracle(p: int) -> FunctionOracle:
-    """x + 1 as a polynomial oracle; the classical ergodic anchor."""
-    return polynomial_oracle(p, (1, 1))
+    return FunctionOracle(p=p, delay=0, source="built-in", _table=horner)
 
 
 BUILTIN_NAMES = (

@@ -8,8 +8,8 @@ exposed through :class:`~padic_automata.oracle.FunctionOracle`; a
 synchronous machine is the case n = 0, one letter per step.
 
 Every traversal of a machine is one :func:`walk` over all the words of
-a letter range at once; oracle tables and points, family images and
-family transitivity read its frontiers.
+a letter range at once; oracle tables, family images and family
+transitivity read its frontiers.
 
 State spaces may be infinite: a machine can carry a ``family`` callable
 that enumerates the states belonging to exploration depth D, and every
@@ -196,7 +196,7 @@ def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
 
     The constant delay n is established by :func:`delay_profile` up to
     ``probe_depth`` first (a synchronous machine comes out at n = 0); each
-    query is a :func:`walk`, which re-checks every step, so a delay
+    table is one :func:`walk`, which re-checks every step, so a delay
     violation beyond the probed depth fails loudly.  A table of f(x),
     x < count, reads letter j from 0..p-1 while p^j < count, else 0.
     """
@@ -214,12 +214,7 @@ def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
         *_, last = walk(t, t.initial, n, letters, rows)
         return [v for _, v in last[:count]]
 
-    def point(x: int, m: int) -> int:
-        digits = (x // p ** j % p for j in range(m + n))  # first-read digit first
-        *_, [(_, v)] = walk(t, t.initial, n, [range(d, d + 1) for d in digits], rows)
-        return v
-
-    return FunctionOracle(p=p, delay=n, source="transducer", _fn=point, _bulk=table)
+    return FunctionOracle(p=p, delay=n, source="transducer", _table=table)
 
 
 def reachable_states(t: Transducer, depth: int) -> Sequence[State]:

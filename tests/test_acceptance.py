@@ -55,8 +55,8 @@ from padic_automata.subjects import (
     delay_echo_transducer,
     digitwise_add_family,
     identity_transducer,
-    odometer_oracle,
     odometer_transducer,
+    polynomial_oracle,
     shift_oracle,
     zero_oracle,
 )
@@ -365,7 +365,7 @@ def test_criterion_6_family_dichotomy():
 
 def test_criterion_7_odometer_n0():
     for p in (2, 3):
-        oracle = odometer_oracle(p)
+        oracle = polynomial_oracle(p, (1, 1))  # x + 1
         for k in range(1, 9):
             # one cycle through a permutation: full length, no transients
             table = oracle.values(k, p ** k)

@@ -10,7 +10,6 @@ from padic_automata.geometry import (
     accumulate_image,
     cover_fraction,
     family_points,
-    mirror_fraction,
     render_pgm,
 )
 from padic_automata.mahler import series_oracle
@@ -36,6 +35,14 @@ import series_factory as sf
 
 def F(a, b):
     return Fraction(a, b)
+
+
+def mirror_fraction(value, length, p):
+    """The reference embedding of the length-``length`` word of ``value``
+    into [0, 1): its first-read (least significant) digit becomes the most
+    significant fractional digit."""
+    word = sf.ref_word(value, length, p)
+    return F(sf.ref_value(word[::-1], p), p ** length)
 
 
 def test_mirror_fraction_first_letter_most_significant():
@@ -367,8 +374,7 @@ def test_accumulate_image_evaluates_one_table():
         calls.append((m, count))
         return [x // 2 for x in range(count)]
 
-    oracle = FunctionOracle(p=2, delay=1, source="built-in",
-                            _fn=lambda x, m: x // 2, _bulk=bulk)
+    oracle = FunctionOracle(p=2, delay=1, source="built-in", _table=bulk)
     levels = range(2, 6)
     pts = accumulate_image(oracle, levels)
     assert calls == [(5, 2 ** 6)]

@@ -14,14 +14,14 @@ from padic_automata.mahler import (
     coeffs_from_oracle,
     series_oracle,
 )
-from padic_automata.subjects import (
-    odometer_oracle,
-    polynomial_oracle,
-    shift_oracle,
-    zero_oracle,
-)
+from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
 
 import series_factory as sf
+
+
+def exact_value(series, x, m):
+    """Independent route: the supported sum at an arbitrary representative."""
+    return sum(a * math.comb(x, i) for i, a in enumerate(series.coeffs)) % series.p ** m
 
 
 def solve_coefficients(values, p, precision):
@@ -95,28 +95,35 @@ def test_eval_examples():
     "name,factory",
     [
         ("identity", lambda p: polynomial_oracle(p, [0, 1])),
-        ("odometer", lambda p: odometer_oracle(p)),
+        ("odometer", lambda p: polynomial_oracle(p, [1, 1])),
         ("square-ish", lambda p: polynomial_oracle(p, [3, 2, 1])),
         ("shift", lambda p: shift_oracle(p, 1)),
         ("zero", lambda p: zero_oracle(p, 1)),
     ],
 )
 def test_round_trip_reproduces_oracle(p, K, name, factory):
-    oracle = factory(p)
+    """The series extracted from M table values reproduces those values,
+    checked against each map's closed form."""
+    reference = {
+        "identity": lambda x: x,
+        "odometer": lambda x: x + 1,
+        "square-ish": lambda x: 3 + 2 * x + x * x,
+        "shift": lambda x: x // p,
+        "zero": lambda x: 0,
+    }[name]
     M = 10
-    series = series_oracle(coeffs_from_oracle(oracle, M, K))
-    for j in range(M):
-        assert series.value(j, K) == oracle.value(j, K), f"{name} at {j}"
+    series = series_oracle(coeffs_from_oracle(factory(p), M, K))
+    assert series.values(K, M) == [reference(x) % p ** K for x in range(M)], name
 
 
 def test_series_oracle_bulk_matches_pointwise():
+    """The prefix-sum table against the Mahler sum at every residue."""
     rng = random.Random(11)
     for p, n in sf.ACCEPTANCE_CONFIGS:
         series = sf.unconstrained(rng, p, n, sf.draw_support(rng, p, n))
-        oracle = series_oracle(series)
         m = 4
-        bulk = oracle.values(m, p ** (m + n))
-        assert bulk == [oracle.value(x, m) for x in range(p ** (m + n))]
+        table = series_oracle(series).values(m, p ** (m + n))
+        assert table == [exact_value(series, x, m) for x in range(p ** (m + n))]
 
 
 def _small_precision(p, n):
@@ -128,16 +135,8 @@ def _small_precision(p, n):
 
 
 def _exact_table(series, m, count):
-    """f(0) .. f(count-1) mod p^m by the oracle's per-point route, checked
-    against the exact sum of a_i C(x, i) written here."""
-    oracle, table = series_oracle(series), []
-    for x in range(count):
-        value = oracle.value(x, m)
-        assert value == sum(
-            a * math.comb(x, i) for i, a in enumerate(series.coeffs)
-        ) % series.p ** m
-        table.append(value)
-    return table
+    """f(0) .. f(count-1) mod p^m by the Mahler sum."""
+    return [exact_value(series, x, m) for x in range(count)]
 
 
 @pytest.mark.parametrize("p,n", sf.ACCEPTANCE_CONFIGS)
@@ -196,22 +195,22 @@ def test_deferred_reduction_keeps_canonical_residues(monkeypatch, p, n, count, s
     mod = p ** 16
     peaks = _pass_peaks(monkeypatch)
     oracle = series_oracle(series)
-    kept = list(oracle._bulk(16, count))
+    kept = list(oracle._table(16, count))
     assert len(peaks) == support - 1
     assert max(peaks) < 1 << 60  # no pass reads an entry past the limit
     first_unreduced = next(i for i, peak in enumerate(peaks) if peak >= mod)
     assert min(peaks[first_unreduced:]) < mod  # reduced again before the last pass
     assert all(0 <= v < mod for v in kept)
     for x in rng.sample(range(count), 40) + [count - 1]:
-        assert kept[x] == oracle.value(x, 16), x
+        assert kept[x] == exact_value(series, x, 16), x
 
 
 def test_one_coefficient_series_and_count_one():
     constant = series_oracle(MahlerSeries.from_ints(3, 1, 4, [-1]))
-    assert list(constant._bulk(4, 1)) == [80]
+    assert list(constant._table(4, 1)) == [80]
     assert constant.values(2, 3 ** 3) == [8] * 3 ** 3
     two = series_oracle(MahlerSeries.from_ints(2, 1, 4, [5, 7]))
-    assert list(two._bulk(4, 1)) == [5]
+    assert list(two._table(4, 1)) == [5]
     assert two.values(4, 3) == [5, 12, 3]
 
 
@@ -229,10 +228,13 @@ def test_series_oracle_prefix_consistency_for_sound_draws():
     answer is a prefix of the (m+1)-digit answer."""
     rng = random.Random(12)
     for p, n in sf.ACCEPTANCE_CONFIGS:
-        oracle = series_oracle(sf.delay_sound(rng, p, n, sf.draw_support(rng, p, n)))
+        series = sf.delay_sound(rng, p, n, sf.draw_support(rng, p, n))
+        oracle = series_oracle(series)
         for m in (1, 2, 3):
-            for x in range(p ** (m + 1 + n)):
-                assert oracle.value(x, m + 1) % p ** m == oracle.value(x, m)
+            lower, upper = oracle.values(m, p ** (m + n)), oracle.values(m + 1, p ** (m + 1 + n))
+            assert lower == _exact_table(series, m, p ** (m + n))
+            assert [v % p ** m for v in upper] == [lower[x % p ** (m + n)]
+                                                  for x in range(p ** (m + 1 + n))]
 
 
 # --- delay conditions -------------------------------------------------------
@@ -361,13 +363,6 @@ def test_ergodic_implies_mp_on_random_series():
 
 
 # --- delay conditions vs actual digit dependence -----------------------------
-
-
-def exact_value(series, x, m):
-    """Independent route: the supported sum at an arbitrary representative."""
-    return sum(
-        a * math.comb(x, i) for i, a in enumerate(series.coefficient_values())
-    ) % series.p ** m
 
 
 def test_delay_pass_gives_digit_dependence_at_n1():

@@ -1,4 +1,5 @@
-"""FunctionOracle.levels: one gated table at the top shape, every lower
+"""FunctionOracle: the built-in maps' tables, ``value`` as one table
+entry, and ``levels``: one gated table at the top shape, every lower
 shape a reduced prefix of it."""
 
 import random
@@ -16,7 +17,7 @@ import series_factory as sf
 
 def _subjects():
     """(factory, k_max) over seeded series, seeded table machines at
-    delay 0, 1 and 2, and built-ins with and without a bulk route."""
+    delay 0, 1 and 2, and the built-in maps."""
     rng = random.Random(71)
     subjects = []
     for p, n, k_max in ((2, 1, 7), (3, 1, 4), (2, 2, 3)):
@@ -33,6 +34,32 @@ def _subjects():
         ("polynomial-3", lambda: polynomial_oracle(3, [1, 2, 5]), 4),
     ]
     return [pytest.param(factory, k_max, id=name) for name, factory, k_max in subjects]
+
+
+BUILTIN_TABLES = {
+    "zero-n0": (lambda p: zero_oracle(p, 0), lambda x, p: 0),
+    "zero-n2": (lambda p: zero_oracle(p, 2), lambda x, p: 0),
+    "polynomial": (lambda p: polynomial_oracle(p, (3, -1, 0, 2)), lambda x, p: 3 - x + 2 * x ** 3),
+    "shift-n1": (lambda p: shift_oracle(p, 1), lambda x, p: x // p),
+    "shift-n2": (lambda p: shift_oracle(p, 2), lambda x, p: x // p ** 2),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", BUILTIN_TABLES)
+def test_builtin_tables_match_closed_forms(name, p):
+    """Each built-in's table against its closed form at every count shape,
+    and ``value`` as the canonical residue's entry of the full table."""
+    make, reference = BUILTIN_TABLES[name]
+    f = make(p)
+    for m in range(1, 4):
+        domain = p ** (m + f.delay)
+        for count in sorted({0, 1, p + 1, domain - 1, domain} & set(range(domain + 1))):
+            expected = [reference(x, p) % p ** m for x in range(count)]
+            assert f.values(m, count) == expected, (m, count)
+        table = f.values(m, domain)
+        for x in (domain, 3 * domain + p, -1, -domain - 2):
+            assert f.value(x, m) == table[x % domain], (m, x)
 
 
 def _readings(n, k_max):

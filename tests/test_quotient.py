@@ -18,7 +18,6 @@ from padic_automata.quotient import (
 from padic_automata.subjects import (
     delay_echo_transducer,
     odometer_transducer,
-    odometer_oracle,
     polynomial_oracle,
     shift_oracle,
     zero_oracle,
@@ -102,7 +101,7 @@ def test_measure_preserving_binomial_square_through_6():
 
 def test_endomap_examples():
     assert self_map(shift_oracle(2, 1), 2) == (0, 0, 1, 1)
-    assert self_map(odometer_oracle(2), 3) == tuple((x + 1) % 8 for x in range(8))
+    assert self_map(polynomial_oracle(2, (1, 1)), 3) == tuple((x + 1) % 8 for x in range(8))
     assert self_map(binomial_square(), 2) == (0, 0, 1, 3)
 
 
@@ -112,7 +111,7 @@ def test_cycles_identity_all_fixed():
 
 def test_cycles_odometer_single_full_cycle():
     # one cycle through a permutation: all 8 points on it
-    table = self_map(odometer_oracle(2), 3)
+    table = self_map(polynomial_oracle(2, (1, 1)), 3)
     assert cycle_count(table) == 1
     assert sorted(table) == list(range(8))
 
@@ -146,7 +145,7 @@ def test_cycles_walk_ends_on_an_earlier_walk(table, cycles):
 
 def test_unique_cycle_shift_and_odometer():
     assert unique_cycle_upto(shift_oracle(2, 1), 10).passed
-    assert unique_cycle_upto(odometer_oracle(2), 8).passed
+    assert unique_cycle_upto(polynomial_oracle(2, (1, 1)), 8).passed
 
 
 def test_transducer_route_agrees_with_builtin_dynamics():
@@ -177,11 +176,11 @@ def test_budget_exceeded():
 def test_upto_checks_budget_before_any_level(n):
     calls = []
 
-    def counted(x, m):
-        calls.append(x)
-        return x % 2 ** m
+    def counted(m, count):
+        calls.append(count)
+        return (x % 2 ** m for x in range(count))
 
-    oracle = FunctionOracle(p=2, delay=n, source="built-in", _fn=counted)
+    oracle = FunctionOracle(p=2, delay=n, source="built-in", _table=counted)
     # level 2 fits in 2^8 entries, level 30 does not
     with pytest.raises(BudgetExceededError):
         is_measure_preserving_upto(oracle, 30, budget=1 << 8)
@@ -206,7 +205,7 @@ def test_reduction_consistency_tower():
     subjects = [
         shift_oracle(2, 1),
         shift_oracle(3, 1),
-        odometer_oracle(2),
+        polynomial_oracle(2, (1, 1)),
         series_oracle(sf.delay_sound(rng, 2, 1, 7)),
     ]
     for oracle in subjects:
@@ -239,19 +238,15 @@ def test_cycle_decomposition_soundness(table):
 
 
 def _counting(oracle):
-    """``oracle`` behind a wrapper that logs every bulk and per-point call."""
+    """``oracle`` behind a wrapper that logs every table it is asked for."""
     calls = []
 
-    def point(x, m):
-        calls.append(("value", x, m))
-        return oracle.value(x, m)
-
-    def bulk(m, count):
+    def table(m, count):
         calls.append(("values", m, count))
         return oracle.values(m, count)
 
     wrapped = FunctionOracle(p=oracle.p, delay=oracle.delay, source=oracle.source,
-                             _fn=point, _bulk=bulk)
+                             _table=table)
     return wrapped, calls
 
 
@@ -293,8 +288,8 @@ def _one_table_subjects():
         ("shift-2-1", lambda: shift_oracle(2, 1), 8),
         ("shift-3-1", lambda: shift_oracle(3, 1), 5),
         ("shift-2-2", lambda: shift_oracle(2, 2), 4),
-        ("odometer-2", lambda: odometer_oracle(2), 8),
-        ("odometer-3", lambda: odometer_oracle(3), 5),
+        ("odometer-2", lambda: polynomial_oracle(2, (1, 1)), 8),
+        ("odometer-3", lambda: polynomial_oracle(3, (1, 1)), 5),
         ("zero-2-1", lambda: zero_oracle(2, 1), 6),
         ("zero-3-2", lambda: zero_oracle(3, 2), 3),
         ("binomial-square", binomial_square, 7),

@@ -122,10 +122,9 @@ def test_delay_profile_branch_dependent_not_constant():
 
 
 def test_function_of_beyond_probe_depth():
-    # the probe certifies depth 4; queries then run far longer words
+    # the probe certifies depth 4; the table then runs 11-letter words
     oracle = function_of(delay_echo_transducer(2, 1), probe_depth=4)
-    for x in (0, 1, 1023, 2 ** 11 - 5):
-        assert oracle.value(x, 10) == (x % 2 ** 11) // 2 % 2 ** 10
+    assert oracle.values(10, 2 ** 11) == [x // 2 for x in range(2 ** 11)]
 
 
 def test_function_of_shift_matches_builtin():
@@ -133,8 +132,8 @@ def test_function_of_shift_matches_builtin():
     builtin = shift_oracle(2, 1)
     assert oracle.delay == 1
     for m in range(1, 6):
-        for x in range(2 ** (m + 1)):
-            assert oracle.value(x, m) == builtin.value(x, m)
+        expected = [x // 2 for x in range(2 ** (m + 1))]
+        assert oracle.values(m, 2 ** (m + 1)) == builtin.values(m, 2 ** (m + 1)) == expected
 
 
 def test_function_of_examples():
@@ -295,18 +294,21 @@ def test_delay_dependence_of_echo_runs():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: function_of(identity_transducer(2)),
-        lambda: function_of(odometer_transducer(2)),
-        lambda: function_of(delay_echo_transducer(2, 1)),
-        lambda: shift_oracle(3, 1),
+        lambda: (function_of(identity_transducer(2)), lambda x: x),
+        lambda: (function_of(odometer_transducer(2)), lambda x: x + 1),
+        lambda: (function_of(delay_echo_transducer(2, 1)), lambda x: x // 2),
+        lambda: (shift_oracle(3, 1), lambda x: x // 3),
     ],
 )
 def test_oracle_prefix_consistency(factory):
-    oracle = factory()
+    """Each table matches the map's closed form, and the m-digit table is
+    the (m+1)-digit one reduced mod p^m, read at x mod p^(m+n)."""
+    oracle, reference = factory()
     p, n = oracle.p, oracle.delay
     for m in range(1, 5):
-        for x in range(p ** (m + 1 + n)):
-            assert oracle.value(x, m + 1) % p ** m == oracle.value(x, m)
+        lower, upper = oracle.values(m, p ** (m + n)), oracle.values(m + 1, p ** (m + 1 + n))
+        assert lower == [reference(x) % p ** m for x in range(p ** (m + n))]
+        assert [v % p ** m for v in upper] == [lower[x % p ** (m + n)] for x in range(len(upper))]
 
 
 # --------------------------------------------------------------------------
@@ -329,9 +331,10 @@ ORACLE_MACHINES = {
 
 @pytest.mark.parametrize("t", ORACLE_MACHINES.values(), ids=ORACLE_MACHINES.keys())
 def test_walk_backed_oracle_matches_reference_simulator(t):
-    """``value`` and ``values`` agree with the simulator on whole domains,
-    on counts that are and are not powers of p, and on the prefix counts
-    p^e < p^(e+n) that the self-map tables ask for at delay n >= 1."""
+    """``values`` agrees with the simulator on whole domains, on counts
+    that are and are not powers of p, and on the prefix counts
+    p^e < p^(e+n) that the self-map tables ask for at delay n >= 1;
+    ``value`` reads the last entry at a larger and a negative representative."""
     f = function_of(t)
     p, n = t.p, f.delay
     for m in range(1, 5 if p == 2 else 3):
@@ -340,14 +343,13 @@ def test_walk_backed_oracle_matches_reference_simulator(t):
         counts = {1, 2, p + 1, p ** m - 1, domain - 1, domain, *(p ** e for e in range(m + n + 1))}
         for count in sorted(c for c in counts if c <= domain):
             assert f.values(m, count) == expected[:count], (m, count)
-        for x in range(domain):
-            assert f.value(x, m) == f.value(x + 3 * domain, m) == expected[x], (m, x)
+        assert f.value(4 * domain - 1, m) == f.value(-1, m) == expected[-1], m
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_values_builds_each_state_row_once_per_phase(n):
     """One ``values`` call asks ``output`` at most 2p times per state it
-    reaches, and so do many ``value`` calls on one oracle."""
+    reaches, and later tables of the same oracle ask no more."""
     base = sf.table_machine(21 + n, 3, 6, n)
     calls = Counter()
 
@@ -368,8 +370,8 @@ def test_values_builds_each_state_row_once_per_phase(n):
         reached |= frontier
     assert set(calls) <= reached
     assert max(calls.values()) <= 2 * 3
-    f = function_of(t)
-    calls.clear()
-    assert [f.value(x, m) for x in range(3 ** (m + n))] == table
+    for level, count in ((m, 3 ** (m + n)), (m - 1, 3 ** (m - 1 + n)), (m, 5)):
+        expected = [sf.simulate_value(base, x, level, n) for x in range(count)]
+        assert f.values(level, count) == expected
     assert set(calls) <= reached
     assert max(calls.values()) <= 2 * 3
