@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import enum
 import operator
+import struct
+import sys
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
-from typing import Iterable
+from itertools import islice, repeat
+from typing import Iterable, Sequence
 
 from .errors import PrecisionError
 from .oracle import FunctionOracle
@@ -39,8 +41,7 @@ __all__ = [
     "series_oracle",
 ]
 
-# prefix sums stay below two 30-bit CPython int digits between reductions
-_UNREDUCED_LIMIT = 1 << 60
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,25 @@ def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerS
 def series_oracle(series: MahlerSeries) -> FunctionOracle:
     """The series as a function oracle at its declared delay.
 
-    Its table of f(0), f(1), ... is built by iterated prefix sums: with
-    g_{M-1} = a_{M-1} and g_i(x) = a_i + sum_{y<x} g_{i+1}(y), the identity
-    sum_{y<x} C(y, j) = C(x, j+1) gives g_0(x) = sum_j a_j C(x, j) = f(x).
-    Each pass runs in ``itertools.accumulate``.  Its terms are >= 0, so an
-    unreduced pass is nondecreasing and its last entry is its largest; a
-    reduced one lies below p^precision.  So a_i + (count - 1) *
-    max(g_{i+1}[-1], p^precision) bounds pass i, which is reduced mod
-    p^precision only when that bound reaches ``_UNREDUCED_LIMIT``, and
-    always when it is the last.  Reduction commutes with the sums, so the
-    kept table holds exactly the residues of a table reduced on every
-    pass, and no unreduced copy outlives the build.  The oracle keeps that
-    table and rebuilds it only when a longer one is asked for; every
-    query at m <= precision reads it.  Each table entry costs ``support``
-    additions, the oracle's ``entry_cost``.
+    Its table of f(0), ..., f(N-1) is the first N coefficients of one
+    product.  Since sum_x C(x, j) X^x = X^j / (1 - X)^(j+1), the values of
+    f = sum_j a_j C(x, j) are the coefficients of P(X) / (1 - X)^M with
+    P(X) = sum_j a_j X^j (1 - X)^(M-1-j), of degree < M, and so of
+    P(X) * sum_x C(x + M - 1, M - 1) X^x.  Both factors are reduced mod
+    q = p^precision and packed into integers, one slot of s 64-bit words
+    per coefficient (Kronecker substitution), and multiplied once.  Each
+    product coefficient is a sum of at most M terms below q^2, so it lies
+    below M (q - 1)^2 < 2^(64 s) and no slot carries into the next; the
+    slots are read back unreduced, and ``FunctionOracle.values`` reduces
+    them.  The oracle keeps that table and rebuilds it only when a longer
+    one is asked for; every query at m <= precision reads it.  The budget
+    counts the build as N * M, the oracle's ``entry_cost`` of ``support``
+    per entry.
     """
-    coeff_values = series.coeffs
-    p, mod = series.p, series.p ** series.precision
-    table: list[int] = []
+    coeffs, terms = series.coeffs, series.support
+    q = series.p ** series.precision
+    words = -(-(terms * (q - 1) ** 2).bit_length() // 64)
+    table: Sequence[int] = ()
 
     def build(m: int, count: int) -> Iterable[int]:
         nonlocal table
@@ -136,18 +138,40 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
                 f"series precision {series.precision} cannot answer mod p^{m}"
             )
         if count > len(table):
-            g = [coeff_values[-1]] * count
-            for i in reversed(range(len(coeff_values) - 1)):
-                a = coeff_values[i]
-                sums = accumulate(islice(g, count - 1), initial=a)
-                if i == 0 or a + (count - 1) * max(g[-1], mod) >= _UNREDUCED_LIMIT:
-                    sums = map(operator.mod, sums, repeat(mod))
-                g = list(sums)
-            table = g
+            poly = [coeffs[0]]
+            for a in coeffs[1:]:  # (1 - X) poly + a X^j
+                poly = list(map(operator.mod, map(operator.sub, poly + [a], [0] + poly),
+                                repeat(q)))
+            c = 1
+            column = [1] + [(c := c * (x + terms - 1) // x) % q for x in range(1, count)]
+            product = _packed(poly, words) * _packed(column, words)
+            slots = _unpacked(product, words * (count + terms - 1))
+            table = slots[: words * count : words]
+            for w in range(1, words):
+                shifted = map(operator.lshift, slots[w : words * count : words], repeat(64 * w))
+                table = list(map(operator.add, table, shifted))
         return islice(table, count)
 
-    return FunctionOracle(p=p, delay=series.n, source="mahler-series", _table=build,
-                          entry_cost=series.support)
+    return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
+                          entry_cost=terms)
+
+
+def _packed(values: list[int], words: int) -> int:
+    """sum_i values[i] 2^(64 words i), each value below 2^(64 words)."""
+    packed = memoryview(bytearray(8 * words * len(values))).cast("Q")
+    for w in range(words):
+        digits = map(operator.rshift, values, repeat(64 * w)) if w else values
+        if w < words - 1:
+            digits = map(operator.and_, digits, repeat(_WORD))
+        little = struct.pack(f"<{len(values)}Q", *digits)  # little-endian on any host
+        packed[w::words] = memoryview(little).cast("Q")
+    return int.from_bytes(packed, "little")
+
+
+def _unpacked(number: int, count: int) -> Sequence[int]:
+    """The 64-bit words of ``number`` below 2^(64 count), least significant first."""
+    view = memoryview(number.to_bytes(8 * count, sys.byteorder)).cast("Q")
+    return view[::-1] if sys.byteorder == "big" else view  # big-endian: top word first
 
 
 class CheckStatus(enum.Enum):

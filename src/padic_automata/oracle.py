@@ -27,13 +27,14 @@ class FunctionOracle:
     """Evaluator for f: Z_p -> Z_p with an n-unit output delay.
 
     ``source`` records provenance ("transducer", "mahler-series" or
-    "built-in").  ``_table(m, count)`` yields f(0), ..., f(count-1) mod
-    p^m, count <= p^(m+delay), as an iterable read once; it is the
-    oracle's one route.  ``entry_cost`` is the work of one table entry in
-    budget units: 1, or the support of a series, whose table takes one
-    addition per term per entry.  Every level-by-level check reads its
-    tables from :meth:`levels`, which gates and builds the top table and
-    reads the lower ones off it.
+    "built-in").  ``_table(m, count)`` yields integers congruent to f(0),
+    ..., f(count-1) mod p^m, count <= p^(m+delay), as an iterable read
+    once, which :meth:`values` reduces; it is the oracle's one route.
+    ``entry_cost`` is the work of one table entry in budget units: 1, or
+    the support of a series, whose table costs entries x terms, the work
+    bound of the build.  Every level-by-level check reads its tables from
+    :meth:`levels`, which gates and builds the top table and reads the
+    lower ones off it.
     """
 
     p: int

@@ -327,10 +327,10 @@ def test_budget_stops_a_wide_series_before_its_table(capsys, tmp_path, monkeypat
     """2^14 entries fit the budget, 2^14 x 3000 additions do not."""
     path = _series_file(tmp_path, 3000)
 
-    def accumulate(*args, **kwargs):
-        raise AssertionError("a prefix-sum pass ran before the budget gate")
+    def packed(*args, **kwargs):
+        raise AssertionError("a series table was built before the budget gate")
 
-    monkeypatch.setattr("padic_automata.mahler.accumulate", accumulate)
+    monkeypatch.setattr("padic_automata.mahler._packed", packed)
     code, out, err = run(
         capsys, "brute", "--subject", path, "--mode", "mp", "--kmax", "14", "--budget", "300000"
     )
@@ -441,6 +441,9 @@ GOLDEN_FILES = {
     "n1.series": serialize_series(MahlerSeries.from_ints(2, 1, 8, [3, 1, 1, 6, 2, 0, 2])),
     "n2.series": serialize_series(MahlerSeries.from_ints(2, 2, 16, [0] * 16 + [2])),
     "thin.series": serialize_series(UNDECIDABLE_SERIES),
+    # series tables whose products need two 64-bit words per slot
+    "p5.series": serialize_series(MahlerSeries.from_ints(5, 1, 16, [-1, -2, 7, -3, 4, -1, -5, 10, -25])),
+    "wide.series": serialize_series(MahlerSeries.from_ints(2, 1, 40, [-1, -3, -1, -2, -4, 4, -12, -8])),
 }
 
 _GOLDEN_BASE = [
@@ -485,9 +488,13 @@ _GOLDEN_BASE = [
             "--subject async.transducer --kmax 6",
             "--subject n1.series --kmax 5",
             "--subject n2.series --kmax 3",
+            "--subject p5.series --kmax 4",
+            "--subject wide.series --kmax 10",
         )
         for mode in ("mp", "cycles")
     ),
+    "check --subject p5.series --which mp",
+    "check --subject wide.series --which mp",
     "brute --builtin shift --mode mp --kmax 12 --budget 64",
     *(
         f"image {subject} --out img.pgm"
@@ -767,6 +774,30 @@ GOLDEN = {
         (3, "f502732569af95d2f2058fbd07ec189ef0fa4ea7dc6f42d1556487b8b2f90918"),
     "brute --subject n2.series --kmax 3 --mode cycles --report-format json":
         (3, "5ec3bc761cbc5ef5f8a4bed36aa30e8ffe61cfce89c198da7000f2e55c8d1723"),
+    "brute --subject p5.series --kmax 4 --mode mp":
+        (0, "db8b3d896b9e259094818710643024c9821b7596b8c5aa3961e1dd8b1cc6fefe"),
+    "brute --subject p5.series --kmax 4 --mode mp --report-format json":
+        (0, "f13a511503d0396cc3ab2f5ffd2c062d6c37c2b39a41b2c88be24e1d18d660d8"),
+    "brute --subject p5.series --kmax 4 --mode cycles":
+        (3, "e52a723adc75bffb5a5685fc71ce406677dfa35d6d0b335faa331a8b5a0defef"),
+    "brute --subject p5.series --kmax 4 --mode cycles --report-format json":
+        (3, "dba1757346a75ccc11ef2c42233c00929ea2e7452d06e8c2934f2ac948219390"),
+    "brute --subject wide.series --kmax 10 --mode mp":
+        (0, "8c12c5017d887c59d8255d89f859277081d2026bb2cc4e307d1f5887c50b9738"),
+    "brute --subject wide.series --kmax 10 --mode mp --report-format json":
+        (0, "251dc2b5a6819f85fe4a1740ef1b83d08cb38d20afdf81cede226cd122ab5668"),
+    "brute --subject wide.series --kmax 10 --mode cycles":
+        (3, "56501cb71a020737059091b47a24fd4bd36338fc74419473451d42e78d749d19"),
+    "brute --subject wide.series --kmax 10 --mode cycles --report-format json":
+        (3, "2970cd6daa259871cbc2438cfc888d7dcda857f84a7e1d661e5213e2ae930cea"),
+    "check --subject p5.series --which mp":
+        (0, "950956a365d9cf1d016ef1de5c171a3cb6b4aa7529dbeed2e5c621d2ffa623a5"),
+    "check --subject p5.series --which mp --report-format json":
+        (0, "cd8e594be62a02efce5e9ec9ebee176a9b98afbcb6987790b1ccc87bb04a76ad"),
+    "check --subject wide.series --which mp":
+        (0, "363ed21929129191084a8e814817b91baf4775021a83ac877b3447626ca036a2"),
+    "check --subject wide.series --which mp --report-format json":
+        (0, "7afe6ece263172635b7220b47c94ca406cf1d589025dd1a812823e85b3ed06c7"),
     "brute --builtin shift --mode mp --kmax 12 --budget 64":
         (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "brute --builtin shift --mode mp --kmax 12 --budget 64 --report-format json":

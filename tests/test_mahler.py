@@ -117,7 +117,7 @@ def test_round_trip_reproduces_oracle(p, K, name, factory):
 
 
 def test_series_oracle_bulk_matches_pointwise():
-    """The prefix-sum table against the Mahler sum at every residue."""
+    """The product table against the Mahler sum at every residue."""
     rng = random.Random(11)
     for p, n in sf.ACCEPTANCE_CONFIGS:
         series = sf.unconstrained(rng, p, n, sf.draw_support(rng, p, n))
@@ -170,39 +170,35 @@ def test_kept_table_serves_smaller_and_larger_queries(p, n):
         assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
 
 
-def _pass_peaks(monkeypatch):
-    """The largest entry each prefix-sum pass reads, recorded by a spy on
-    the ``accumulate`` that ``series_oracle`` calls."""
-    peaks = []
-    real = mahler.accumulate
-
-    def spy(entries, initial):
-        entries = list(entries)
-        peaks.append(max(entries, default=0))
-        return real(entries, initial=initial)
-
-    monkeypatch.setattr(mahler, "accumulate", spy)
-    return peaks
-
-
-@pytest.mark.parametrize("p,n,count,support", [(2, 2, 2 ** 14, 20), (3, 2, 3 ** 8, 85)])
-def test_deferred_reduction_keeps_canonical_residues(monkeypatch, p, n, count, support):
-    """At precision 16 the passes run unreduced until their bound reaches
-    2^60, so the reduction fires mid-build; every kept entry is still the
-    canonical residue of f(x) mod p^16."""
-    rng = random.Random(19 + 7 * p + n)
-    series = sf.unconstrained(rng, p, n, support, precision=16)
-    mod = p ** 16
-    peaks = _pass_peaks(monkeypatch)
+@pytest.mark.parametrize("precision", [16, 40])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_table_of_worst_case_coefficients(p, precision):
+    """Every coefficient p^K - 1.  The slots take one 64-bit word at p = 2
+    and 3 at K = 16 and two to four words otherwise; at p = 5 and 7 with
+    K = 40 each packed factor entry is itself two words.  Every kept entry
+    lies within the slot bound M (q - 1)^2 and is f(x) mod q."""
+    q, support, count = p ** precision, 12, 1000 + p
+    series = MahlerSeries(p=p, n=1, precision=precision, coeffs=(q - 1,) * support)
     oracle = series_oracle(series)
-    kept = list(oracle._table(16, count))
-    assert len(peaks) == support - 1
-    assert max(peaks) < 1 << 60  # no pass reads an entry past the limit
-    first_unreduced = next(i for i, peak in enumerate(peaks) if peak >= mod)
-    assert min(peaks[first_unreduced:]) < mod  # reduced again before the last pass
-    assert all(0 <= v < mod for v in kept)
-    for x in rng.sample(range(count), 40) + [count - 1]:
-        assert kept[x] == exact_value(series, x, 16), x
+    kept = list(oracle._table(precision, count))
+    assert len(kept) == count
+    assert all(0 <= v <= support * (q - 1) ** 2 for v in kept)
+    exact = [exact_value(series, x, precision) for x in range(count)]
+    assert [v % q for v in kept] == exact
+    assert oracle.values(precision, count) == exact
+
+
+@pytest.mark.parametrize("terms,words", [(4, 1), (5, 2)])
+def test_product_slots_hold_their_bound(terms, words):
+    """At q = 2^31, 4 (q - 1)^2 < 2^64 < 5 (q - 1)^2.  Packing M and N
+    entries of q - 1 makes every slot from M - 1 on exactly the bound
+    M (q - 1)^2, which is read back whole in one word and in two."""
+    q, count = 2 ** 31, 50
+    assert (terms * (q - 1) ** 2).bit_length() == 63 + words
+    product = mahler._packed([q - 1] * terms, words) * mahler._packed([q - 1] * count, words)
+    slots = mahler._unpacked(product, words * (count + terms - 1))
+    sums = [sum(slots[words * x + w] << 64 * w for w in range(words)) for x in range(count)]
+    assert sums == [min(x + 1, terms) * (q - 1) ** 2 for x in range(count)]
 
 
 def test_one_coefficient_series_and_count_one():
