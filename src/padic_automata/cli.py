@@ -18,11 +18,16 @@ Exit codes: 0 pass, 1 input error (an unwritable --out too), 2 insufficient
 precision, 3 criterion fail, 4 budget exceeded.  Machine-readable output
 (``--report-format json``) is deterministic: two runs of one job give
 identical bytes.
+
+:func:`main` may be called repeatedly in one process.  Every call reuses one
+parser, built by :func:`build_parser` on the first call; callers must not
+mutate that parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -59,7 +64,9 @@ def positive(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; never mutate it."""
     parser = argparse.ArgumentParser(
         prog="padic-automata",
         description="transducers and Mahler series as p-adic dynamical systems",
@@ -354,6 +361,12 @@ def emit(args, payload: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one CLI job on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    It may be called repeatedly in one process; every call reuses the one
+    parser :func:`build_parser` built on the first call, which callers must
+    not mutate.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -9,6 +9,7 @@ zero, integer polynomials), each of which yields its level table.
 
 from __future__ import annotations
 
+import operator
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -105,7 +106,7 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
         p=p,
         delay=n,
         source="built-in",
-        _table=lambda m, count: (x // q for x in range(count)),
+        _table=lambda m, count: map(operator.floordiv, range(count), repeat(q)),
     )
 
 

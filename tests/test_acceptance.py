@@ -5,10 +5,13 @@ One test per criterion; each prints a single ``ACCEPTANCE <n> ...`` line
 
 Two checks deserve a note up front:
 
-* Criterion 2 (coefficient conditions vs fiber-count oracle) is exact at
-  delay n = 1 and n = 2.  The measure-preservation tail counts digits in
-  base p: v(a_i) >= floor_log(p, i) - n + 1 past p^n.  A frozen n = 2
-  witness passed the old base-p^n tail (v(a_i) >= floor_log(p^n, i)) yet
+* Criterion 2 (coefficient conditions vs fiber-count oracle) is sound, not
+  necessary, at delay n = 1 and n = 2: a series that passes the conditions
+  never has unbalanced fibers, but a series that fails them can still have
+  balanced fibers at every level checked (the frozen n = 1 witness
+  f = 3 C(x,2) + 2 C(x,6) at p = 2).  The measure-preservation tail counts
+  digits in base p: v(a_i) >= floor_log(p, i) - n + 1 past p^n.  A frozen
+  n = 2 witness passed the old base-p^n tail (v(a_i) >= floor_log(p^n, i)) yet
   has unbalanced fibers; the n = 2 test keeps it as a regression that the
   corrected conditions reject, confirmed unbalanced through two
   independent evaluation routes.  See README "Known findings".
@@ -71,6 +74,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # has unbalanced level-2 fibers (8/6/0/2).  The corrected base-p tail
 # demands v(a_8) >= floor_log(2, 8) - 2 + 1 = 2 and rejects it.
 MP_N2_COUNTEREXAMPLE = (0, 1, 3, 1, 1, 6, 2, 0, 2)
+
+# Frozen witness that the conditions are not necessary at p=2, n=1:
+# f = 3 C(x,2) + 2 C(x,6) fails them at a_6 (a unit where the tail floor is
+# 1) yet has balanced fibers at every level checked.
+MP_N1_UNNECESSARY = (0, 0, 3, 0, 0, 0, 2)
 
 # Frozen counterexample: passes the ergodicity coefficient conditions at
 # p=2, n=1 yet splits into two cycles at level 2 under the
@@ -164,6 +172,16 @@ def test_criterion_2_mp_conditions_match_oracle_n1(p):
     for series in failing:
         assert not check_measure_preserving_conditions(series).passed
     print(f"ACCEPTANCE 2 mp-conditions-vs-oracle (p={p}, n=1): PASS (200 series)")
+
+
+def test_criterion_2_mp_conditions_are_not_necessary():
+    """A series the conditions do not pass whose fibers are balanced
+    through level 12.  Asserts "not PASS" rather than FAIL, so a verdict
+    that reports the conditions as not met keeps it."""
+    witness = MahlerSeries.from_ints(2, 1, 12, MP_N1_UNNECESSARY)
+    assert not check_measure_preserving_conditions(witness).passed
+    assert is_measure_preserving_upto(series_oracle(witness), 12).passed
+    print("ACCEPTANCE 2 mp-conditions-not-necessary (p=2, n=1): PASS")
 
 
 @pytest.mark.parametrize("p", [2, 3])

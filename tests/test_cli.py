@@ -422,6 +422,40 @@ def test_json_reports_are_deterministic(capsys):
     assert payload["verdict"] == "pass"
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
+    """A usage error, --help, a job with --out and the same job without it,
+    run in that order in one process, give the exit codes, output and files
+    of a parser built afresh for every call."""
+    out_path = tmp_path / "x.series"
+    coeffs = ["coeffs", "--builtin", "shift", "--terms", "4", "--precision", "4"]
+    sequence = [
+        ["brute", "--builtin", "shift", "--mode", "nope"],
+        ["--help"],
+        [*coeffs, "--out", str(out_path), "--report-format", "json"],
+        [*coeffs, "--report-format", "json"],
+    ]
+
+    def run_sequence():
+        results = []
+        for argv in sequence:
+            results.append((*run(capsys, *argv), out_path.exists()))
+            out_path.unlink(missing_ok=True)
+        return results
+
+    reused = run_sequence()
+    assert [code for code, *_ in reused] == [1, 0, 0, 0]
+    assert [written for *_, written in reused] == [False, False, True, False]
+    assert json.loads(reused[2][1])["out"] == str(out_path)
+    assert "out" not in json.loads(reused[3][1])
+
+    monkeypatch.setattr("padic_automata.cli.build_parser", build_parser.__wrapped__)
+    assert run_sequence() == reused
+
+
 # --- golden reports -----------------------------------------------------------
 
 SYNC_DOC = """\
