@@ -30,9 +30,9 @@ from math import lcm
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET, check_budget, family_size
+from .errors import DEFAULT_BUDGET
 from .oracle import FunctionOracle
-from .transducer import Transducer, reachable_states, walk
+from .transducer import Transducer, family_walks
 
 __all__ = [
     "CoverReport",
@@ -170,27 +170,24 @@ def family_points(
     of the initial state's image accumulates: reading a long word passes
     through s and then goes on like the machine started there.
 
-    Each state's words are one :func:`~padic_automata.transducer.walk`,
-    whose frontier j lists the output of every u of length j in order, so
-    level j pairs the mirrored u with the mirrored output, both read off
-    one table of numerators over the set's denominator p^depth.  The
-    budget bounds the nodes walked, states times words;
-    :class:`BudgetExceededError` is raised before any walk when that
-    exceeds ``budget``.
+    Each state's words are one walk of
+    :func:`~padic_automata.transducer.family_walks`, whose frontier j
+    lists the output of every u of length j in order, so level j pairs
+    the mirrored u with the mirrored output, both read off one table of
+    numerators over the set's denominator p^depth.  The budget bounds the
+    nodes walked, states times words; :class:`BudgetExceededError` is
+    raised before any walk when that exceeds ``budget``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = t.p
-    states = reachable_states(t, depth)
-    nodes = family_size(states) * sum(p ** j for j in range(1, depth + 1))
-    check_budget(nodes, budget, "family image nodes")
+    _, walks = family_walks(t, depth, depth, budget, "family image nodes")
     mirrors = _mirrors(p, depth)[1:]
     xs = [x for column in mirrors for x in column]  # every state's words, level by level
     coords: set[tuple[int, int]] = set()
-    letters, rows = [range(p)] * depth, ({}, {})
-    for s in states:
-        frontiers = zip(mirrors, walk(t, s, 0, letters, rows))
-        coords.update(zip(xs, [column[v] for column, frontier in frontiers for _, v in frontier]))
+    for frontiers in walks:
+        coords.update(zip(xs, [column[v] for column, frontier in zip(mirrors, frontiers)
+                               for _, v in frontier]))
     return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=p ** depth,
                       coords=tuple(sorted(coords)))
 

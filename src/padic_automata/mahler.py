@@ -115,16 +115,17 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     product.  Since sum_x C(x, j) X^x = X^j / (1 - X)^(j+1), the values of
     f = sum_j a_j C(x, j) are the coefficients of P(X) / (1 - X)^M with
     P(X) = sum_j a_j X^j (1 - X)^(M-1-j), of degree < M, and so of
-    P(X) * sum_x C(x + M - 1, M - 1) X^x.  Both factors are reduced mod
-    q = p^precision and packed into integers, one slot of s 64-bit words
-    per coefficient (Kronecker substitution), and multiplied once.  Each
-    product coefficient is a sum of at most M terms below q^2, so it lies
-    below M (q - 1)^2 < 2^(64 s) and no slot carries into the next; the
-    slots are read back unreduced, and ``FunctionOracle.values`` reduces
-    them.  The oracle keeps that table and rebuilds it only when a longer
-    one is asked for; every query at m <= precision reads it.  The budget
-    counts the build as N * M, the oracle's ``entry_cost`` of ``support``
-    per entry.
+    P(X) * sum_x C(x + M - 1, M - 1) X^x.  Those N coefficients need
+    nothing of P past X^N, so P is built mod X^N.  Both factors are
+    reduced mod q = p^precision and packed into integers, one slot of s
+    64-bit words per coefficient (Kronecker substitution), and multiplied
+    once.  Each product coefficient is a sum of at most M terms below
+    q^2, so it lies below M (q - 1)^2 < 2^(64 s) and no slot carries into
+    the next; the slots are read back unreduced, and
+    ``FunctionOracle.values`` reduces them.  The oracle keeps that table
+    and rebuilds it only when a longer one is asked for; every query at
+    m <= precision reads it.  The budget counts the build as N * M, the
+    oracle's ``entry_cost`` of ``support`` per entry.
     """
     coeffs, terms = series.coeffs, series.support
     q = series.p ** series.precision
@@ -139,13 +140,13 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
             )
         if count > len(table):
             poly = [coeffs[0]]
-            for a in coeffs[1:]:  # (1 - X) poly + a X^j
-                poly = list(map(operator.mod, map(operator.sub, poly + [a], [0] + poly),
-                                repeat(q)))
+            for a in coeffs[1:]:  # (1 - X) poly + a X^j, mod X^count
+                x_poly = [0] + poly[:count - 1]
+                poly = list(map(operator.mod, map(operator.sub, poly + [a], x_poly), repeat(q)))
             c = 1
             column = [1] + [(c := c * (x + terms - 1) // x) % q for x in range(1, count)]
             product = _packed(poly, words) * _packed(column, words)
-            slots = _unpacked(product, words * (count + terms - 1))
+            slots = _unpacked(product, words * (len(poly) + count - 1))
             table = slots[: words * count : words]
             for w in range(1, words):
                 shifted = map(operator.lshift, slots[w : words * count : words], repeat(64 * w))

@@ -9,7 +9,10 @@ synchronous machine is the case n = 0, one letter per step.
 
 Every traversal of a machine is one :func:`walk` over all the words of
 a letter range at once; oracle tables, family images and family
-transitivity read its frontiers.
+transitivity read its frontiers.  The delay n of an oracle comes from
+the delay probe on the walk's rows: it builds and checks each state's
+row with the walk's own rule, on the states that the words of each
+length reach.
 
 State spaces may be infinite: a machine can carry a ``family`` callable
 that enumerates the states belonging to exploration depth D, and every
@@ -27,11 +30,11 @@ from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .oracle import FunctionOracle
 
 __all__ = [
-    "DelayProfile",
     "Transducer",
     "TransitivityReport",
     "delay_profile",
     "family_transitivity",
+    "family_walks",
     "function_of",
     "reachable_states",
     "walk",
@@ -81,6 +84,29 @@ class Transducer:
                    output=_lookup(outputs, "output"), name=name)
 
 
+def _row(t: Transducer, s: State, j: int, silent: bool | None, rows: tuple) -> bool:
+    """Build and check state s's row for step j + 1 into ``rows``, and
+    return whether the step is silent.
+
+    The row lists (letter written, next state) for each letter read.  A
+    silent step must write nothing and a writing step one letter of
+    0..p-1; a step whose phase is still open (``silent`` None) takes the
+    phase of the row's first output.  :class:`ValueError` is raised on a
+    row that breaks its step's phase.
+    """
+    p, row = t.p, []
+    for a in range(p):
+        out = tuple(t.output(s, a))
+        silent = not out if silent is None else silent
+        if out != () if silent else len(out) != 1 or not 0 <= out[0] < p:
+            need = "nothing" if silent else f"one letter of 0..{p - 1}"
+            raise ValueError(f"transducer {t.name!r} writes {out} from state {s!r} "
+                             f"on letter {a}; step {j + 1} must write {need}")
+        row.append((out[0] if out else 0, t.delta(s, a)))
+    rows[silent][s] = row
+    return silent
+
+
 def walk(
     t: Transducer, start: State, n: int, letters: Sequence[range], rows: tuple | None = None
 ) -> Iterator[list[tuple[State, int]]]:
@@ -93,7 +119,8 @@ def walk(
     0..p-1.  Each (state, phase) row of (letter written, next state) is
     built and checked once; :class:`ValueError` is raised on a row that
     breaks this, or on a letter outside the alphabet.  Walks of one
-    machine can share their ``rows``, a pair of dicts.
+    machine, and its delay probe, can share their ``rows``, a pair of
+    dicts.
     """
     p = t.p
     rows = rows or ({}, {})  # by phase: writing, silent
@@ -105,109 +132,58 @@ def walk(
         known, scale = rows[silent], 0 if silent else p ** (j - n)
         for s in dict(frontier):  # each state once, in order of first appearance
             if s not in known:
-                known[s] = row = []
-                for a in range(p):
-                    out = tuple(t.output(s, a))
-                    if out != () if silent else len(out) != 1 or not 0 <= out[0] < p:
-                        need = "nothing" if silent else f"one letter of 0..{p - 1}"
-                        raise ValueError(f"transducer {t.name!r} writes {out} from state {s!r} "
-                                         f"on letter {a}; step {j + 1} must write {need}")
-                    row.append((out[0] if out else 0, t.delta(s, a)))
+                _row(t, s, j, silent, rows)
         frontier = [(nxt, v + b * scale)
                     for a in span for s, v in frontier for b, nxt in [known[s][a]]]
         yield frontier
 
 
-@dataclass(frozen=True)
-class DelayProfile:
-    """Outcome of probing output lengths on all words up to a depth.
+def delay_profile(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> int:
+    """The constant delay n of ``t``, read on all words up to ``depth``.
 
-    ``constant`` means every word of length k <= depth produced exactly
-    max(k - n, 0) output letters.  A machine that stayed silent through
-    the whole probe is reported non-constant (no delay is witnessed), and
-    a violating word is returned otherwise.
+    n is the first step at which some state reached by the words read so
+    far writes anything: every row of the steps before must write
+    nothing and every row from there on one letter, as :func:`walk`
+    demands.  :class:`ValueError` is raised on a row that breaks this or
+    when nothing is written through ``depth``, and
+    :class:`BudgetExceededError` before the states reached by the words
+    of one length would number more than ``budget``.
     """
-
-    constant: bool
-    depth: int
-    n: int | None = None
-    witness: tuple[int, ...] | None = None
-    reason: str = ""
+    return _delay(t, depth, budget, ({}, {}))
 
 
-def delay_profile(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> DelayProfile:
-    """Determine the constant output delay of ``t``, if it has one.
-
-    Explores (state, emitted-length) pairs breadth-first, which covers
-    every word of length <= depth without enumerating p^depth words.
-    :class:`BudgetExceededError` is raised before a frontier would hold
-    more than ``budget`` pairs.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    # frontier: (state, output length) -> witness word reaching it
-    frontier: dict[tuple[State, int], tuple[int, ...]] = {(t.initial, 0): ()}
-    candidate: int | None = None
-    for k in range(1, depth + 1):
-        nxt: dict[tuple[State, int], tuple[int, ...]] = {}
-        for (s, produced), wit in frontier.items():
-            for a in range(t.p):
-                key = (t.delta(s, a), produced + len(t.output(s, a)))
-                if key not in nxt:
-                    check_budget(len(nxt) + 1, budget, f"delay probe frontier pairs at length {k}")
-                    nxt[key] = wit + (a,)
-        lengths = {produced for (_, produced) in nxt}
-        if len(lengths) > 1:
-            short = min(lengths)
-            bad = next(w for (s, l), w in nxt.items() if l != short)
-            return DelayProfile(
-                constant=False,
-                depth=depth,
-                witness=bad,
-                reason=f"words of length {k} produce output lengths {sorted(lengths)}",
-            )
-        (length,) = lengths
-        if length > 0:
-            # lengths are monotone along extensions, so once positive the
-            # inferred delay must stay the same at every later depth
-            n_here = k - length
-            if n_here < 0 or (candidate is not None and n_here != candidate):
-                bad = next(iter(nxt.values()))
-                return DelayProfile(
-                    constant=False,
-                    depth=depth,
-                    witness=bad,
-                    reason=f"output length {length} at input length {k} "
-                    f"fits no constant delay",
-                )
-            candidate = n_here
-        frontier = nxt
-    if candidate is None:
-        return DelayProfile(
-            constant=False,
-            depth=depth,
-            reason=f"no output through depth {depth}; delay not witnessed",
-        )
-    return DelayProfile(constant=True, depth=depth, n=candidate)
+def _delay(t: Transducer, depth: int, budget: int, rows: tuple) -> int:
+    """:func:`delay_profile`, building its rows into ``rows``."""
+    states, n = [t.initial], None
+    for j in range(depth):
+        first = states[0]  # an open step takes the phase of its first row
+        if n is None and first not in rows[True] and not _row(t, first, j, None, rows):
+            n = j
+        silent = n is None or j < n
+        known = rows[silent]
+        for s in states:
+            if s not in known:
+                _row(t, s, j, silent, rows)
+        states = list(dict.fromkeys(nxt for s in states for _, nxt in known[s]))
+        check_budget(len(states), budget, f"delay probe states at length {j + 1}")
+    if n is None:
+        raise ValueError(f"transducer {t.name!r} writes nothing through depth {depth}; "
+                         f"no delay is witnessed")
+    return n
 
 
-def function_of(t: Transducer, probe_depth: int = 8) -> FunctionOracle:
+def function_of(t: Transducer) -> FunctionOracle:
     """The map realized by ``t`` from its initial state, as an oracle.
 
-    The constant delay n is established by :func:`delay_profile` up to
-    ``probe_depth`` first (a synchronous machine comes out at n = 0); each
-    table is one :func:`walk`, which re-checks every step, so a delay
-    violation beyond the probed depth fails loudly.  A table of f(x),
-    x < count, reads letter j from 0..p-1 while p^j < count, else 0.
+    The constant delay n is established by :func:`delay_profile` through
+    depth 8 first (a synchronous machine comes out at n = 0); each table
+    is one :func:`walk`, which re-checks every step, so a delay violation
+    beyond the probed depth fails loudly.  The probe and the walks share
+    their rows.  A table of f(x), x < count, reads letter j from 0..p-1
+    while p^j < count, else 0.
     """
-    profile = delay_profile(t, probe_depth)
-    if not profile.constant:
-        raise ValueError(
-            f"transducer {t.name!r} has no constant delay "
-            f"within depth {probe_depth}: {profile.reason}"
-        )
-    n, p = profile.n, t.p
-    rows = ({}, {})  # shared by every walk of this oracle
+    rows = ({}, {})  # shared by the probe and every walk of this oracle
+    n, p = _delay(t, 8, DEFAULT_BUDGET, rows), t.p
 
     def table(m: int, count: int) -> list[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
@@ -245,6 +221,24 @@ def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
     return list(seen)
 
 
+def family_walks(
+    t: Transducer, depth: int, length: int, budget: int, what: str
+) -> tuple[Sequence[State], Iterator[Iterator[list[tuple[State, int]]]]]:
+    """The states known at ``depth``, and from each of them one
+    synchronous :func:`walk` over all words of ``length`` letters.
+
+    The walks share their rows.  The budget bounds the nodes walked,
+    len(states) * (p + ... + p^length); :class:`BudgetExceededError`,
+    naming ``what``, is raised before any state is enumerated when that
+    exceeds ``budget``.
+    """
+    p = t.p
+    states = reachable_states(t, depth)
+    check_budget(family_size(states) * sum(p ** j for j in range(1, length + 1)), budget, what)
+    letters, rows = [range(p)] * length, ({}, {})
+    return states, (walk(t, s, 0, letters, rows) for s in states)
+
+
 @dataclass(frozen=True)
 class TransitivityReport:
     """Depth-qualified verdict: can the state family map any u to any v?
@@ -269,22 +263,16 @@ def family_transitivity(
 
     Words are identified with residues mod p^level, first letter least
     significant.  The search covers every state found within ``depth``;
-    each state's words are one :func:`walk`, whose last frontier lists
-    the v of every u in order.  The budget bounds the nodes walked,
-    len(states) * (p + ... + p^level); :class:`BudgetExceededError` is
-    raised before any walk when that exceeds ``budget``.
+    each state's words are one walk of :func:`family_walks`, whose last
+    frontier lists the v of every u in order, under its budget gate.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    p = t.p
-    states = reachable_states(t, depth)
-    nodes = family_size(states) * sum(p ** j for j in range(1, level + 1))
-    check_budget(nodes, budget, "family transitivity nodes")
-    size = p ** level
+    states, walks = family_walks(t, depth, level, budget, "family transitivity nodes")
+    size = t.p ** level
     covered: set[tuple[int, int]] = set()
-    rows = ({}, {})
-    for s in states:
-        *_, last = walk(t, s, 0, [range(p)] * level, rows)
+    for frontiers in walks:
+        *_, last = frontiers
         covered.update(enumerate(v for _, v in last))
     missing = None
     if len(covered) < size * size:

@@ -126,6 +126,25 @@ def test_series_oracle_bulk_matches_pointwise():
         assert table == [exact_value(series, x, m) for x in range(p ** (m + n))]
 
 
+def test_series_oracle_builds_p_only_below_the_table_length(monkeypatch):
+    """A support M longer than the table N: the P factor is kept mod X^N,
+    so it has at most N entries, and the table is still the Mahler sum."""
+    packed = []
+
+    def spy(values, words):
+        packed.append(len(values))
+        return real(values, words)
+
+    real = mahler._packed
+    monkeypatch.setattr(mahler, "_packed", spy)
+    rng = random.Random(5)
+    for p, n, K, M, N in ((2, 1, 4, 300, 29), (3, 2, 3, 200, 81), (5, 1, 2, 60, 25)):
+        series = MahlerSeries.from_ints(p, n, K, [rng.randrange(p ** K) for _ in range(M)])
+        packed.clear()
+        assert series_oracle(series).values(K, N) == [exact_value(series, x, K) for x in range(N)]
+        assert len(packed) == 2 and max(packed) <= N, (p, M, N, packed)
+
+
 def _small_precision(p, n):
     """Largest precision whose full residue domain p^(K+n) stays <= 256."""
     k = 1

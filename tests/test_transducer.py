@@ -84,12 +84,12 @@ def test_run_async_two_delay_short_word_is_empty():
 
 
 def test_delay_profile_echo():
-    assert delay_profile(delay_echo_transducer(2, 1), 8).n == 1
-    assert delay_profile(delay_echo_transducer(3, 2), 8).n == 2
+    assert delay_profile(delay_echo_transducer(2, 1), 8) == 1
+    assert delay_profile(delay_echo_transducer(3, 2), 8) == 2
 
 
 def test_delay_profile_synchronous_is_zero():
-    assert delay_profile(identity_transducer(2), 8).n == 0
+    assert delay_profile(identity_transducer(2), 8) == 0
     assert function_of(odometer_transducer(3)).delay == 0
 
 
@@ -98,15 +98,13 @@ def test_delay_profile_double_emitter_not_constant():
         p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (a, a),
         name="double",
     )
-    profile = delay_profile(t, 8)
-    assert not profile.constant
-    assert len(profile.witness) == 1
+    with pytest.raises(ValueError, match=r"writes \(0, 0\) .* step 1 must write one letter"):
+        delay_profile(t, 8)
 
 
 def test_delay_profile_silent_machine_unwitnessed():
-    profile = delay_profile(delay_echo_transducer(2, 5), 4)
-    assert not profile.constant
-    assert "no output" in profile.reason
+    with pytest.raises(ValueError, match="writes nothing through depth 4"):
+        delay_profile(delay_echo_transducer(2, 5), 4)
 
 
 def test_delay_profile_branch_dependent_not_constant():
@@ -116,14 +114,28 @@ def test_delay_profile_branch_dependent_not_constant():
         output=lambda s, a: (a,) if a == 1 else (),
         name="ones-only",
     )
-    profile = delay_profile(t, 6)
-    assert not profile.constant
-    assert profile.witness is not None
+    with pytest.raises(ValueError, match=r"\(1,\) .* on letter 1; step 1 must write nothing"):
+        delay_profile(t, 6)
+
+
+def burst_transducer():
+    """Silent for two steps, then two letters at once, then one per step."""
+    outputs = {0: lambda a: (), 1: lambda a: (), 2: lambda a: (a, a), 3: lambda a: (a,)}
+    return Transducer(p=2, initial=0, delta=lambda s, a: min(s + 1, 3),
+                      output=lambda s, a: outputs[s](a), name="burst")
+
+
+def test_function_of_rejects_a_burst_after_silence():
+    """The probe applies the walk's row rule: a step that writes two
+    letters fails where it happens, and no delay is inferred from the
+    output lengths."""
+    with pytest.raises(ValueError, match=r"writes \(0, 0\) from state 2 on letter 0; step 3"):
+        function_of(burst_transducer())
 
 
 def test_function_of_beyond_probe_depth():
-    # the probe certifies depth 4; the table then runs 11-letter words
-    oracle = function_of(delay_echo_transducer(2, 1), probe_depth=4)
+    # the probe reads words up to length 8; the table then runs 11-letter words
+    oracle = function_of(delay_echo_transducer(2, 1))
     assert oracle.values(10, 2 ** 11) == [x // 2 for x in range(2 ** 11)]
 
 
@@ -247,7 +259,7 @@ def test_delay_profile_budget_bounds_the_frontier():
         p=2, initial=0, delta=lambda s, a: s + a, output=lambda s, a: (a,),
         name="counter",
     )
-    assert delay_profile(counter, 8, budget=9).n == 0
+    assert delay_profile(counter, 8, budget=9) == 0
     with pytest.raises(BudgetExceededError):
         delay_profile(counter, 8, budget=8)
 
@@ -348,8 +360,9 @@ def test_walk_backed_oracle_matches_reference_simulator(t):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_values_builds_each_state_row_once_per_phase(n):
-    """One ``values`` call asks ``output`` at most 2p times per state it
-    reaches, and later tables of the same oracle ask no more."""
+    """The delay probe and one ``values`` call together ask ``output`` at
+    most 2p times per state they reach, and later tables of the same
+    oracle ask no more."""
     base = sf.table_machine(21 + n, 3, 6, n)
     calls = Counter()
 
@@ -359,7 +372,6 @@ def test_values_builds_each_state_row_once_per_phase(n):
 
     t = Transducer(p=3, initial=base.initial, delta=base.delta, output=output)
     f = function_of(t)
-    calls.clear()  # the delay probe's calls
     m = 4
     table = f.values(m, 3 ** (m + n))
     assert table == [sf.simulate_value(base, x, m, n) for x in range(3 ** (m + n))]
