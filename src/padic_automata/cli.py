@@ -134,7 +134,7 @@ def load_subject(args):
     head = text.lstrip().split("\n", 1)[0]
     if "mahler-series" in head:
         return parse_series(text)
-    return parse_transducer(text)
+    return parse_transducer(text, name=str(path))
 
 
 def to_oracle(subject) -> FunctionOracle:

@@ -111,7 +111,7 @@ def serialize_series(series: MahlerSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_transducer(text: str) -> Transducer:
+def parse_transducer(text: str, name: str = "file") -> Transducer:
     lines = _lines(text)
     if not lines or lines[0] != ["schema", TRANSDUCER_SCHEMA]:
         raise FormatError(
@@ -169,4 +169,4 @@ def parse_transducer(text: str) -> Transducer:
                     f"synchronous machines emit exactly one letter per step; "
                     f"state {key[0]!r} letter {key[1]} emits {len(word)}"
                 )
-    return Transducer.from_tables(p, initial, transitions, outputs, name="file")
+    return Transducer.from_tables(p, initial, transitions, outputs, name=name)

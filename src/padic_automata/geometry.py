@@ -12,21 +12,24 @@ fractions of prefix-transitive families are unchanged; what it buys is
 that extending a word (reading more letters) keeps the point inside the
 cell of its prefix.
 
-Points are integer numerators over one denominator per point set: the
-mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1}
-over p^L, scaled up to the set's ``den``, so every point lies in
-[0, 1)^2, and are read off one digit-reversal table.  Dedup, sorting,
-gridding and rasterizing are integer work; ``Fraction``s appear only at
-the boundary, in the ``PointSet2D.points`` view and in
-``CoverReport.fraction``.  Cover fractions are exact; the PGM rasterizer
-is byte-deterministic.
+Each point is one integer code over the set's denominator ``den``: a
+mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1} over
+p^L, scaled up to ``den`` and read off one digit-reversal table, and the
+point (X/den, Y/den) has code X * den + Y.  As 0 <= Y < den, code order is
+(X, Y) order, so dedup, sorting and gridding work on plain ints; pairs
+appear only at the boundary (``PointSet2D.coords``, ``CoverReport.cells``),
+``Fraction``s only in ``PointSet2D.points`` and ``CoverReport.fraction``.
+Cover fractions are exact; the PGM rasterizer is byte-deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import add, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,14 +37,8 @@ from .errors import DEFAULT_BUDGET
 from .oracle import FunctionOracle
 from .transducer import Transducer, family_walks
 
-__all__ = [
-    "CoverReport",
-    "PointSet2D",
-    "accumulate_image",
-    "cover_fraction",
-    "family_points",
-    "render_pgm",
-]
+__all__ = ["CoverReport", "PointSet2D", "accumulate_image", "cover_fraction", "family_points",
+           "render_pgm"]
 
 
 def _mirrors(p: int, top: int) -> list[list[int]]:
@@ -56,25 +53,32 @@ def _mirrors(p: int, top: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class PointSet2D:
-    """Deduplicated exact points in [0, 1)^2.
+    """Deduplicated exact points in [0, 1)^2, one integer code each.
 
-    Point i is (X/den, Y/den) for ``coords[i] = (X, Y)``; ``coords`` is
-    sorted and free of duplicates.  ``levels`` records which word lengths
-    contributed.
+    Point i is (X/den, Y/den) for ``codes[i] = X * den + Y``, 0 <= X, Y <
+    den; ``codes`` strictly increases, so the points are distinct and in
+    (X, Y) order.  ``levels`` records which word lengths contributed.
     """
 
     p: int
     n: int
     levels: tuple[int, ...]
     den: int
-    coords: tuple[tuple[int, int], ...]
+    codes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.den < 1:
             raise ValueError(f"denominator must be >= 1, got {self.den}")
-        for x, y in self.coords:
-            if not (0 <= x < self.den and 0 <= y < self.den):
-                raise ValueError(f"point ({x}, {y}) / {self.den} outside [0, 1)^2")
+        codes = self.codes
+        if codes and not (0 <= codes[0] and codes[-1] < self.den ** 2):
+            raise ValueError(f"a code lies outside [0, {self.den}^2): not in [0, 1)^2")
+        if not all(map(lt, codes, codes[1:])):
+            raise ValueError("point codes must strictly increase")
+
+    @property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        """The numerator pairs (X, Y), in ascending order."""
+        return tuple(map(divmod, self.codes, repeat(self.den)))
 
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -88,21 +92,20 @@ class PointSet2D:
             raise ValueError("cannot union zero point sets")
         first = sets[0]
         den = lcm(*(ps.den for ps in sets))
-        coords: set[tuple[int, int]] = set()
+        codes: set[int] = set()
         levels: set[int] = set()
         for ps in sets:
             if ps.p != first.p:
                 raise ValueError("point sets disagree on the prime")
             scale = den // ps.den
-            coords.update((x * scale, y * scale) for x, y in ps.coords)
+            codes.update((x * den + y) * scale for x, y in ps.coords)
             levels.update(ps.levels)
         return PointSet2D(p=first.p, n=first.n, levels=tuple(sorted(levels)),
-                          den=den, coords=tuple(sorted(coords)))
+                          den=den, codes=tuple(sorted(codes)))
 
 
-def accumulate_image(
-    f: FunctionOracle, levels: Iterable[int], budget: int = DEFAULT_BUDGET
-) -> PointSet2D:
+def accumulate_image(f: FunctionOracle, levels: Iterable[int],
+                     budget: int = DEFAULT_BUDGET) -> PointSet2D:
     """Image of an oracle over the given levels.  Level k gives one point
     per residue x mod p^(n+k), pairing the input word of length n+k with
     the output word of length k, f(x) mod p^k; the tables of every level
@@ -116,13 +119,12 @@ def accumulate_image(
     p, n, top = f.p, f.delay, levels[-1]
     tables = f.levels([(n + k, k) for k in levels], budget,
                       f"oracle evaluations ({p}^{n + top}, level {top})")
-    mirrors = _mirrors(p, n + top)
-    coords: set[tuple[int, int]] = set()
+    den, mirrors = p ** (n + top), _mirrors(p, n + top)
+    codes: set[int] = set()
     for k, outs in zip(levels, tables):
-        coords.update(zip(mirrors[n + k], map(mirrors[k].__getitem__, outs)))
-    return PointSet2D(
-        p=p, n=n, levels=tuple(levels), den=p ** (n + top), coords=tuple(sorted(coords))
-    )
+        xs = [x * den for x in mirrors[n + k]]
+        codes.update(map(add, xs, map(mirrors[k].__getitem__, outs)))
+    return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=tuple(sorted(codes)))
 
 
 @dataclass(frozen=True)
@@ -143,25 +145,27 @@ class CoverReport:
 
 
 def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
-    """Grid the point set at resolution m (cells of side p^-m)."""
+    """Grid the point set at resolution m (cells of side p^-m).
+
+    (X, Y)/den lies in cell (X * grid // den, Y * grid // den), so each
+    occupied column is one run of the sorted codes: those below B * den,
+    B the first X of the next column.
+    """
     if m < 1:
         raise ValueError(f"resolution must be >= 1, got {m}")
-    grid, den = points.p ** m, points.den
-    cells = {(x * grid // den, y * grid // den) for x, y in points.coords}
-    return CoverReport(
-        p=points.p,
-        n=points.n,
-        levels=points.levels,
-        m=m,
-        occupied=len(cells),
-        fraction=Fraction(len(cells), grid * grid),
-        cells=tuple(sorted(cells)),
-    )
+    grid, den, codes = points.p ** m, points.den, points.codes
+    cells: list[tuple[int, int]] = []
+    lo = 0
+    while lo < len(codes):
+        col = codes[lo] // den * grid // den
+        hi = bisect_left(codes, -(-(col + 1) * den // grid) * den, lo)
+        cells += zip(repeat(col), sorted({c % den * grid // den for c in codes[lo:hi]}))
+        lo = hi
+    return CoverReport(p=points.p, n=points.n, levels=points.levels, m=m, occupied=len(cells),
+                       fraction=Fraction(len(cells), grid * grid), cells=tuple(cells))
 
 
-def family_points(
-    t: Transducer, depth: int, budget: int = DEFAULT_BUDGET
-) -> PointSet2D:
+def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> PointSet2D:
     """Image points of the whole state family of a synchronous machine.
 
     For every state s known at ``depth`` and every input word u of length
@@ -172,24 +176,22 @@ def family_points(
 
     Each state's words are one walk of
     :func:`~padic_automata.transducer.family_walks`, whose frontier j
-    lists the output of every u of length j in order, so level j pairs
-    the mirrored u with the mirrored output, both read off one table of
-    numerators over the set's denominator p^depth.  The budget bounds the
-    nodes walked, states times words; :class:`BudgetExceededError` is
-    raised before any walk when that exceeds ``budget``.
+    lists the output of every u of length j in order; both words are
+    mirrored over den = p^depth.  The budget, checked before any walk,
+    bounds the nodes walked: states times words.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    p = t.p
+    p, den = t.p, t.p ** depth
     _, walks = family_walks(t, depth, depth, budget, "family image nodes")
     mirrors = _mirrors(p, depth)[1:]
-    xs = [x for column in mirrors for x in column]  # every state's words, level by level
-    coords: set[tuple[int, int]] = set()
+    xs = [x * den for column in mirrors for x in column]  # every state's words, level by level
+    codes: set[int] = set()
     for frontiers in walks:
-        coords.update(zip(xs, [column[v] for column, frontier in zip(mirrors, frontiers)
-                               for _, v in frontier]))
-    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=p ** depth,
-                      coords=tuple(sorted(coords)))
+        codes.update(map(add, xs, [column[v] for column, frontier in zip(mirrors, frontiers)
+                                   for _, v in frontier]))
+    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=den,
+                      codes=tuple(sorted(codes)))
 
 
 def render_pgm(report: CoverReport, m: int, path: str | Path) -> bytes:
@@ -198,9 +200,7 @@ def render_pgm(report: CoverReport, m: int, path: str | Path) -> bytes:
     The report's resolution must match m.  Returns the bytes written.
     """
     if report.m != m:
-        raise ValueError(
-            f"cover report was gridded at m={report.m}, asked to render m={m}"
-        )
+        raise ValueError(f"cover report was gridded at m={report.m}, asked to render m={m}")
     grid = report.p ** m
     pixels = bytearray(b"\xff") * (grid * grid)
     for col, row in report.cells:

@@ -384,6 +384,19 @@ def test_transducer_file_subject_full_path(capsys, tmp_path):
     assert code == 0
 
 
+def test_document_machine_is_named_by_its_file(capsys, tmp_path, monkeypatch):
+    """A rejected document machine is reported under the path it was read
+    from; nothing reaches stdout."""
+    monkeypatch.chdir(tmp_path)
+    Path("double.transducer").write_text(
+        "schema padic-transducer-v1\np 2\nkind async\ninitial s\n"
+        "trans s 0 s : 0 0\ntrans s 1 s : 1 1\n"
+    )
+    code, out, err = run(capsys, "brute", "--subject", "double.transducer", "--mode", "mp")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: transducer 'double.transducer' writes (0, 0)")
+
+
 @pytest.mark.parametrize("p", [4, 1, 0, -2])
 @pytest.mark.parametrize("command", [
     ["brute", "--mode", "mp"],

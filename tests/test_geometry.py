@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_automata import geometry
 from padic_automata.errors import BudgetExceededError
@@ -82,7 +85,7 @@ def test_cover_identity_exactly_diagonal():
 
 
 def test_cover_single_point():
-    pts = PointSet2D(p=2, n=0, levels=(1,), den=21, coords=((7, 3),))
+    pts = PointSet2D(p=2, n=0, levels=(1,), den=21, codes=(7 * 21 + 3,))  # (7, 3) / 21
     for m in (1, 2, 3):
         assert cover_fraction(pts, m).fraction == F(1, 2 ** (2 * m))
 
@@ -171,7 +174,7 @@ def _pgm_parts(data: bytes):
 
 
 def test_render_pgm_empty_all_white(tmp_path):
-    pts = PointSet2D(p=2, n=0, levels=(), den=1, coords=())
+    pts = PointSet2D(p=2, n=0, levels=(), den=1, codes=())
     data = render_pgm(cover_fraction(pts, 2), 2, tmp_path / "empty.pgm")
     w, h, pixels = _pgm_parts(data)
     assert (w, h) == (4, 4)
@@ -226,9 +229,11 @@ def test_union_rejects_mixed_primes():
 
 
 def test_points_outside_unit_square_rejected():
-    for coords in (((0, 4),), ((-1, 0),), ((4, 4),)):
+    """Codes X * 4 + Y over den 4 lie in [0, 16) and strictly increase."""
+    PointSet2D(p=2, n=0, levels=(1,), den=4, codes=(0, 15))
+    for codes in ((-1,), (16,), (0, 16), (5, 3), (3, 3)):
         with pytest.raises(ValueError):
-            PointSet2D(p=2, n=0, levels=(1,), den=4, coords=coords)
+            PointSet2D(p=2, n=0, levels=(1,), den=4, codes=codes)
 
 
 def test_family_rejects_letters_outside_alphabet():
@@ -359,12 +364,48 @@ def test_family_and_graph_match_fraction_reference(t, tmp_path):
 
 
 def test_cover_square_edges_match_fraction_reference(tmp_path):
-    # points on the lower edges of [0, 1)^2 and just below the upper ones
-    coords = ((0, 0), (0, 26), (13, 1), (26, 0), (26, 26))
-    pts = PointSet2D(p=3, n=0, levels=(1,), den=27, coords=coords)
+    # points on the lower edges of [0, 1)^2 and just below the upper ones:
+    # (0, 0), (0, 26), (13, 1), (26, 0) and (26, 26) over 27
+    codes = (0, 26, 13 * 27 + 1, 26 * 27, 26 * 27 + 26)
+    pts = PointSet2D(p=3, n=0, levels=(1,), den=27, codes=codes)
     for m in (1, 2, 3):
-        ref = {(F(x, 27), F(y, 27)) for x, y in coords}
+        ref = {(F(c // 27, 27), F(c % 27, 27)) for c in codes}
         _assert_matches_reference(pts, ref, m, tmp_path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_codes_match_pair_reference(data, tmp_path_factory):
+    """Random point sets over denominators that need not be powers of p,
+    gridded where p^m need not divide den, against the pair references;
+    the union of two denominators against the union of their points."""
+    p = data.draw(st.sampled_from([2, 3]))
+    dens = st.sampled_from([1, 4, 9, 12, 21, 27])
+
+    def draw_set():
+        den = data.draw(dens)
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, den - 1), st.integers(0, den - 1)),
+                                  max_size=40))
+        codes = tuple(sorted(x * den + y for x, y in pairs))
+        ref = {(F(x, den), F(y, den)) for x, y in pairs}
+        return PointSet2D(p=p, n=0, levels=(1,), den=den, codes=codes), pairs, ref
+
+    a, pairs, ref = draw_set()
+    assert a.coords == tuple(sorted(pairs))
+    assert a.points == tuple(sorted(ref))
+    m = data.draw(st.integers(1, 3))
+    grid = p ** m
+    cells = _ref_cells(ref, grid)
+    report = cover_fraction(a, m)
+    assert report.cells == tuple(cells)
+    assert report.occupied == len(cells)
+    assert report.fraction == F(len(cells), grid * grid)
+    path = tmp_path_factory.mktemp("pgm") / "ref.pgm"
+    assert render_pgm(report, m, path) == _ref_pgm(cells, grid)
+    b, _, ref_b = draw_set()
+    union = PointSet2D.union([a, b])
+    assert union.den == lcm(a.den, b.den)
+    assert union.points == tuple(sorted(ref | ref_b))
 
 
 def test_accumulate_image_evaluates_one_table():
