@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import geometry, mahler, quotient
 from .errors import BudgetExceededError, FormatError, PrecisionError, check_budget
-from .formats import parse_series, parse_transducer, serialize_series
+from .formats import parse_series, parse_transducer, serialize_series, write_file
 from .mahler import MahlerSeries
 from .oracle import FunctionOracle
 from .padics import valuation
@@ -179,7 +179,7 @@ def cmd_coeffs(args) -> dict:
         ],
     }
     if args.out:
-        Path(args.out).write_text(serialize_series(series))
+        write_file(args.out, serialize_series(series).encode())
         payload["out"] = args.out
     return payload
 

@@ -33,6 +33,9 @@ formats are versioned by their schema tag.
 
 from __future__ import annotations
 
+import os
+import stat
+
 from .errors import FormatError
 from .mahler import MahlerSeries
 from .padics import is_prime
@@ -44,6 +47,7 @@ __all__ = [
     "parse_series",
     "parse_transducer",
     "serialize_series",
+    "write_file",
 ]
 
 SERIES_SCHEMA = "padic-mahler-series-v1"
@@ -109,6 +113,18 @@ def serialize_series(series: MahlerSeries) -> str:
     for i, a in enumerate(series.coeffs):
         lines.append(f"coeff {i} {a}")
     return "\n".join(lines) + "\n"
+
+
+def write_file(path: str | os.PathLike[str], data: bytes) -> None:
+    """Write ``data`` as the whole of ``path`` in place: open it once
+    without truncation (as ``'wb'`` would, minus ``O_TRUNC``), write, and
+    trim a regular file that was longer; a device or pipe is not trimmed."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
+              "wb") as out:
+        out.write(data)
+        info = os.fstat(out.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            out.truncate()
 
 
 def parse_transducer(text: str, name: str = "file") -> Transducer:

@@ -27,13 +27,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import add, lt
+from operator import add, lt, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET
+from .formats import write_file
 from .oracle import FunctionOracle
 from .transducer import Transducer, family_walks
 
@@ -41,14 +42,16 @@ __all__ = ["CoverReport", "PointSet2D", "accumulate_image", "cover_fraction", "f
            "render_pgm"]
 
 
-def _mirrors(p: int, top: int) -> list[list[int]]:
-    """mirrors[L][x], L <= top: numerator over p^top of x's mirrored
-    length-L word; letter L of x adds its digit times p^(top-1-L)."""
-    mirrors = [[0]]
-    for length in range(top):
-        step = p ** (top - 1 - length)
-        mirrors.append([r + d * step for d in range(p) for r in mirrors[-1]])
-    return mirrors
+def _mirror(p: int, top: int) -> list[int]:
+    """mirror[x], x < p^top: numerator over p^top of x's mirrored word, letter j
+    adding its digit times p^(top-1-j).  A word of L <= top letters mirrors as
+    its zero-extension, so the prefix x < p^L is the table of length L."""
+    mirror = [0]
+    for e in reversed(range(top)):
+        base = mirror[:]
+        for d in range(p ** e, p ** (e + 1), p ** e):
+            mirror += map(add, base, repeat(d))
+    return mirror
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     p, n, top = f.p, f.delay, levels[-1]
     tables = f.levels([(n + k, k) for k in levels], budget,
                       f"oracle evaluations ({p}^{n + top}, level {top})")
-    den, mirrors = p ** (n + top), _mirrors(p, n + top)
+    den, mirror = p ** (n + top), _mirror(p, n + top)
+    xs = list(map(mul, mirror, repeat(den)))  # map stops at level k's p^(n+k) outputs
     codes: set[int] = set()
-    for k, outs in zip(levels, tables):
-        xs = [x * den for x in mirrors[n + k]]
-        codes.update(map(add, xs, map(mirrors[k].__getitem__, outs)))
+    for outs in tables:
+        codes.update(map(add, xs, map(mirror.__getitem__, outs)))
     return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=tuple(sorted(codes)))
 
 
@@ -184,12 +187,12 @@ def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> Po
         raise ValueError(f"depth must be >= 1, got {depth}")
     p, den = t.p, t.p ** depth
     _, walks = family_walks(t, depth, depth, budget, "family image nodes")
-    mirrors = _mirrors(p, depth)[1:]
-    xs = [x * den for column in mirrors for x in column]  # every state's words, level by level
+    mirror = _mirror(p, depth)
+    scaled = list(map(mul, mirror, repeat(den)))
+    xs = list(chain.from_iterable(scaled[:p ** j] for j in range(1, depth + 1)))  # level by level
     codes: set[int] = set()
     for frontiers in walks:
-        codes.update(map(add, xs, [column[v] for column, frontier in zip(mirrors, frontiers)
-                                   for _, v in frontier]))
+        codes.update(map(add, xs, [mirror[v] for frontier in frontiers for _, v in frontier]))
     return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=den,
                       codes=tuple(sorted(codes)))
 
@@ -197,7 +200,8 @@ def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> Po
 def render_pgm(report: CoverReport, m: int, path: str | Path) -> bytes:
     """Write a binary PGM: occupied cells black, origin at the lower left.
 
-    The report's resolution must match m.  Returns the bytes written.
+    The report's resolution must match m.  Returns the bytes, which rewrite an
+    existing file in place, untruncated unless longer (``formats.write_file``).
     """
     if report.m != m:
         raise ValueError(f"cover report was gridded at m={report.m}, asked to render m={m}")
@@ -206,5 +210,5 @@ def render_pgm(report: CoverReport, m: int, path: str | Path) -> bytes:
     for col, row in report.cells:
         pixels[(grid - 1 - row) * grid + col] = 0  # top scanline first
     data = b"P5\n%d %d\n255\n" % (grid, grid) + bytes(pixels)
-    Path(path).write_bytes(data)
+    write_file(path, data)
     return data

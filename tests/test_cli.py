@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,21 @@ def test_out_into_missing_directory_is_an_input_error(capsys, tmp_path, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "missing-dir" in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--builtin", "shift", "--terms", "3", "--out"],
+        ["image", "--builtin", "shift", "--kmax", "3", "--resolution", "2", "--out"],
+    ],
+    ids=["coeffs", "image"],
+)
+def test_out_to_a_device_is_written_untruncated(capsys, tmp_path, argv):
+    target = str(tmp_path / "x.out")
+    code, out, err = run(capsys, *argv, target)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, os.devnull) == (0, out.replace(target, os.devnull), "")
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

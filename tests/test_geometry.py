@@ -206,6 +206,9 @@ def test_render_pgm_deterministic(tmp_path):
     b = render_pgm(report, 3, tmp_path / "b.pgm")
     assert a == b
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+    smaller = render_pgm(cover_fraction(pts, 2), 2, tmp_path / "a.pgm")  # rewritten in place
+    assert len(smaller) < len(a)
+    assert (tmp_path / "a.pgm").read_bytes() == smaller
 
 
 def test_render_pgm_resolution_mismatch(tmp_path):
