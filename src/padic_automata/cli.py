@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 from . import geometry, mahler, quotient
 from .errors import BudgetExceededError, FormatError, PrecisionError, check_budget
-from .formats import parse_series, parse_transducer, serialize_series, write_file
+from .formats import parse_document, serialize_series, write_file
 from .mahler import MahlerSeries
 from .oracle import FunctionOracle
 from .padics import valuation
@@ -130,11 +130,7 @@ def load_subject(args):
     path = Path(args.subject)
     if not path.is_file():
         raise FormatError(f"no such subject file: {path}")
-    text = path.read_text()
-    head = text.lstrip().split("\n", 1)[0]
-    if "mahler-series" in head:
-        return parse_series(text)
-    return parse_transducer(text, name=str(path))
+    return parse_document(path.read_text(), name=str(path))
 
 
 def to_oracle(subject) -> FunctionOracle:
@@ -351,10 +347,34 @@ _TEXT = {
 }
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+
+    Only report values are written: dicts with str keys, lists, str, int,
+    bool and None; anything else raises :class:`TypeError`.  Strings go
+    through the C escaper, and ints, the commonest entries, are inlined.
+    """
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    kind, inner = type(value), indent + "  "
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is list:
+        items = [repr(v) if type(v) is int else _json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if kind is dict:
+        items = [f"{_quoted(k)}: {repr(v) if type(v) is int else _json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
 def emit(args, payload: dict) -> int:
     """Print one command's payload in the asked format; return its exit code."""
     if args.report_format == "json":
-        print(json.dumps({"schema": REPORT_SCHEMA, **payload}, sort_keys=True, indent=2))
+        print(_json({"schema": REPORT_SCHEMA, **payload}))
     else:
         print("\n".join(_TEXT[payload["command"]](payload, subject_label(args))))
     return EXIT_CODE[payload.get("verdict", payload.get("passed"))]

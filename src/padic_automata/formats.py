@@ -44,6 +44,7 @@ from .transducer import Transducer
 __all__ = [
     "SERIES_SCHEMA",
     "TRANSDUCER_SCHEMA",
+    "parse_document",
     "parse_series",
     "parse_transducer",
     "serialize_series",
@@ -54,13 +55,21 @@ SERIES_SCHEMA = "padic-mahler-series-v1"
 TRANSDUCER_SCHEMA = "padic-transducer-v1"
 
 
+def _tokens(line: str) -> list[str]:  # empty for a blank or comment line
+    return line.split("#", 1)[0].split()
+
+
 def _lines(text: str) -> list[list[str]]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
+    return [tokens for tokens in map(_tokens, text.splitlines()) if tokens]
+
+
+def parse_document(text: str, name: str = "file") -> MahlerSeries | Transducer:
+    """A series or a transducer document, told apart by its first
+    meaningful line, so leading blank lines and comments are fine."""
+    head = next(filter(None, map(_tokens, text.splitlines())), [])
+    if any("mahler-series" in token for token in head):
+        return parse_series(text)
+    return parse_transducer(text, name=name)
 
 
 def _int_field(tokens: list[str], name: str) -> int:

@@ -121,11 +121,11 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     64-bit words per coefficient (Kronecker substitution), and multiplied
     once.  Each product coefficient is a sum of at most M terms below
     q^2, so it lies below M (q - 1)^2 < 2^(64 s) and no slot carries into
-    the next; the slots are read back unreduced, and
-    ``FunctionOracle.values`` reduces them.  The oracle keeps that table
-    and rebuilds it only when a longer one is asked for; every query at
-    m <= precision reads it.  The budget counts the build as N * M, the
-    oracle's ``entry_cost`` of ``support`` per entry.
+    the next; the slots are read back unreduced.  The oracle keeps that
+    table and rebuilds it only when a longer one is asked for; every
+    query at m <= precision reads it and reduces the prefix it returns
+    mod p^m, the route's one reduction pass.  The budget counts the
+    build as N * M, the oracle's ``entry_cost`` of ``support`` per entry.
     """
     coeffs, terms = series.coeffs, series.support
     q = series.p ** series.precision
@@ -151,7 +151,7 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
             for w in range(1, words):
                 shifted = map(operator.lshift, slots[w : words * count : words], repeat(64 * w))
                 table = list(map(operator.add, table, shifted))
-        return islice(table, count)
+        return map(operator.mod, islice(table, count), repeat(series.p ** m))
 
     return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
                           entry_cost=terms)

@@ -3,6 +3,8 @@
 An oracle answers "f(x) mod p^m given x mod p^(m+n)", where n is the
 declared delay (n = 0 for synchronous / 1-Lipschitz maps), as one table:
 f(x) mod p^m for the canonical residues x = 0, 1, ... of Z/p^(m+n).
+Every provider yields that table already reduced, the residues in
+[0, p^m), so reading it is one copy.
 ``value`` reads a single residue off that table after canonicalizing x
 modulo p^(m+n), so every answer is the one at the zero-extended canonical
 representative.  For a genuine n-unit delay map the answer is independent
@@ -27,9 +29,10 @@ class FunctionOracle:
     """Evaluator for f: Z_p -> Z_p with an n-unit output delay.
 
     ``source`` records provenance ("transducer", "mahler-series" or
-    "built-in").  ``_table(m, count)`` yields integers congruent to f(0),
-    ..., f(count-1) mod p^m, count <= p^(m+delay), as an iterable read
-    once, which :meth:`values` reduces; it is the oracle's one route.
+    "built-in").  ``_table(m, count)`` yields the residues f(0) mod p^m,
+    ..., f(count-1) mod p^m, each in [0, p^m), count <= p^(m+delay), as
+    an iterable read once, which :meth:`values` copies as it is; it is
+    the oracle's one route.
     ``entry_cost`` is the work of one table entry in budget units: 1, or
     the support of a series, whose table costs entries x terms, the work
     bound of the build.  Every level-by-level check reads its tables from
@@ -60,7 +63,7 @@ class FunctionOracle:
             raise ValueError(
                 f"count {count} exceeds the residue domain p^(m+delay)"
             )
-        return list(map(operator.mod, self._table(m, count), repeat(self.p ** m)))
+        return list(self._table(m, count))
 
     def levels(
         self, shapes: Sequence[tuple[int, int]], budget: int, what: str

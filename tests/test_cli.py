@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_automata.cli import build_parser, main
+from padic_automata.cli import _json, build_parser, main
 from padic_automata.formats import serialize_series
 from padic_automata.mahler import MahlerSeries
 
@@ -400,6 +400,23 @@ def test_transducer_file_subject_full_path(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("head,document,argv", [
+    pytest.param("# a comment", serialize_series(MahlerSeries.from_ints(2, 1, 8, [0, 0, 1])),
+                 ["check", "--which", "ergodic"], id="series"),
+    pytest.param("# copied from a mahler-series note", ECHO_DOC,
+                 ["brute", "--mode", "mp", "--kmax", "5"], id="transducer"),
+])
+def test_document_kind_is_read_past_leading_comments(capsys, tmp_path, head, document, argv):
+    """A leading comment neither hides nor fakes the schema line: the
+    document reports as it does without the comment."""
+    path = tmp_path / "subject.txt"
+    path.write_text(document)
+    bare = run(capsys, argv[0], "--subject", str(path), *argv[1:])
+    path.write_text(f"{head}\n\n{document}")
+    assert run(capsys, argv[0], "--subject", str(path), *argv[1:]) == bare
+    assert bare[0] == 0
+
+
 def test_document_machine_is_named_by_its_file(capsys, tmp_path, monkeypatch):
     """A rejected document machine is reported under the path it was read
     from; nothing reaches stdout."""
@@ -449,6 +466,36 @@ def test_json_reports_are_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["schema"] == "padic-automata-report-v1"
     assert payload["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": {}}, [[]], [{}], {"b": {"c": {}}, "a": []},
+    None, True, False, [None, True, False], {"t": True, "f": False, "n": None},
+    0, -7, 2 ** 64 + 1, -(2 ** 70), {"n": [-1, 2 ** 65]},
+    'q"uote', "back\\slash", "\x00\x1f\n\t\x7f", "é ☃ 𝄞", {"é\"k": ["\\", "\x01"]},
+    {"b": 1, "a": [1, "2", [3, {"z": None}]]},
+])
+def test_report_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), [0.0], {"a": (1,)}])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+def test_json_report_needs_no_json_dumps(capsys, tmp_path, monkeypatch):
+    """A report with an odd --out path, written without ``json.dumps``,
+    is its own sorted, indented round trip."""
+    dumps = json.dumps
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(json, "dumps", None)
+    code, out, _ = run(capsys, "coeffs", "--builtin", "shift", "--terms", "3",
+                       "--out", 'we"ird,[x]é.series', "--report-format", "json")
+    assert code == 0
+    assert out == dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert json.loads(out)["out"] == 'we"ird,[x]é.series'
 
 
 def test_parser_is_built_once():

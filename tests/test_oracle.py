@@ -1,16 +1,26 @@
 """FunctionOracle: the built-in maps' tables, ``value`` as one table
-entry, and ``levels``: one gated table at the top shape, every lower
+entry, the provider contract (every ``_table`` yields residues in
+[0, p^m)), and ``levels``: one gated table at the top shape, every lower
 shape a reduced prefix of it."""
 
+import operator
 import random
+from itertools import repeat
 
 import pytest
 
 from padic_automata.errors import BudgetExceededError
+from padic_automata.formats import parse_transducer
 from padic_automata.mahler import series_oracle
 from padic_automata.oracle import FunctionOracle
-from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
-from padic_automata.transducer import function_of
+from padic_automata.subjects import (
+    BUILTIN_NAMES,
+    make_builtin,
+    polynomial_oracle,
+    shift_oracle,
+    zero_oracle,
+)
+from padic_automata.transducer import Transducer, function_of
 
 import series_factory as sf
 
@@ -128,3 +138,71 @@ def test_levels_gate_the_top_table_before_it_is_built(factory, values_calls):
     assert str(raised.value) == f"{message} exceed the budget {cost - 1}"
     assert len(list(f.levels(shapes, cost, "entries"))) == 3
     assert values_calls == [(3, entries)]
+
+
+def _builtin_oracles():
+    """Every built-in at p = 2 and 3 and delays 0-2, where it exists."""
+    params = []
+    for name in BUILTIN_NAMES:
+        for p in (2, 3):
+            for n in (0, 1, 2):
+                try:
+                    subject = make_builtin(name, p, n, [3, -1, 0, 2])
+                except ValueError:  # shift and delay-echo need n >= 1
+                    continue
+                params.append(pytest.param(subject, id=f"{name}-p{p}-n{n}"))
+    return params
+
+
+# A three-state machine over p = 3 with a one-letter delay.
+DOCUMENT = """
+schema padic-transducer-v1
+p 3
+kind async
+initial a
+trans a 0 b :
+trans a 1 c :
+trans a 2 b :
+trans b 0 c : 2
+trans b 1 b : 0
+trans b 2 c : 1
+trans c 0 b : 1
+trans c 1 c : 2
+trans c 2 b : 2
+"""
+
+
+def _assert_reduced(f, m):
+    """``_table`` yields residues in [0, p^m), and ``values`` is the
+    reference reduction of that table, at the full domain and below it."""
+    mod, domain = f.p ** m, f.p ** (m + f.delay)
+    for count in (domain, domain - 1, domain // f.p + 1):
+        table = list(f._table(m, count))
+        assert len(table) == count
+        assert all(0 <= v < mod for v in table), (m, count)
+        assert f.values(m, count) == list(map(operator.mod, table, repeat(mod)))
+
+
+@pytest.mark.parametrize("subject", _builtin_oracles())
+def test_builtin_tables_arrive_reduced(subject):
+    f = function_of(subject) if isinstance(subject, Transducer) else subject
+    for m in (1, 2, 3):
+        _assert_reduced(f, m)
+
+
+@pytest.mark.parametrize("p,n", sf.ACCEPTANCE_CONFIGS)
+def test_series_table_arrives_reduced_below_its_precision(p, n):
+    """The kept table holds unreduced slot sums; read at m < precision
+    after a longer build, it still yields residues mod p^m."""
+    series = sf.unconstrained(random.Random(74 + p + n), p, n, p ** (2 * n) + 4, precision=5)
+    f = series_oracle(series)
+    f.values(5, p ** (3 + n) + 7)
+    for m in (1, 2, 3):
+        _assert_reduced(f, m)
+
+
+def test_document_transducer_table_arrives_reduced():
+    f = function_of(parse_transducer(DOCUMENT))
+    assert (f.p, f.delay) == (3, 1)
+    for m in (1, 2, 3):
+        _assert_reduced(f, m)
