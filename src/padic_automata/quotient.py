@@ -100,15 +100,28 @@ def cycle_count(table: Sequence[int]) -> int:
     """Number of cycles of a self-map table (rho shapes allowed, not a
     permutation).
 
-    Each walk starts at an unvisited point and stamps the points it
-    passes with its own number until it meets a stamped one; it closed a
-    new cycle exactly when that point carries its own stamp, and it ran
-    into an earlier walk's tail or cycle otherwise.  Nothing is retraced.
+    Each walk starts at an unvisited point x with f(x) >= x and stamps
+    the points it passes with its own number until it meets a stamped
+    one; it closed a new cycle exactly when that point carries its own
+    stamp, and it ran into an earlier walk's tail or cycle otherwise.
+    Nothing is retraced, and the count stays exact:
+
+    - no cycle has f(x) < x at every point, or its values would fall all
+      the way round; so each cycle's least point m has f(m) >= m, and m
+      is a start;
+    - a walk stops only at a stamped point, and every stamped point's
+      forward orbit is stamped; so the first walk that touches a cycle
+      finds all of it unstamped and goes round to its own stamp, and
+      each cycle is counted once;
+    - a descent point (f(x) < x) that no walk reaches lies on no cycle.
+
+    On contracting maps such as x -> x // p or x -> 0 almost every point
+    is a descent point, and no walk starts there.
     """
     seen = [0] * len(table)  # 0 = unvisited, else 1 + the start of the walk that got there
     found = 0
     for start in range(len(table)):
-        if seen[start]:
+        if seen[start] or table[start] < start:
             continue
         stamp, x = start + 1, start
         while not seen[x]:

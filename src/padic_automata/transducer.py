@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .oracle import FunctionOracle
@@ -185,10 +187,10 @@ def function_of(t: Transducer) -> FunctionOracle:
     rows = ({}, {})  # shared by the probe and every walk of this oracle
     n, p = _delay(t, 8, DEFAULT_BUDGET, rows), t.p
 
-    def table(m: int, count: int) -> list[int]:
+    def table(m: int, count: int) -> Iterable[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
         *_, last = walk(t, t.initial, n, letters, rows)
-        return [v for _, v in last[:count]]
+        return map(itemgetter(1), islice(last, count))
 
     return FunctionOracle(p=p, delay=n, source="transducer", _table=table)
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,27 @@ def test_transducer_document_needs_a_prime_p(capsys, tmp_path, p, command):
     code, out, err = run(capsys, command[0], "--subject", str(path), *command[1:])
     assert (code, out) == (1, "")
     assert "prime" in err
+
+
+@pytest.mark.parametrize("mode", ["mp", "cycles"])
+def test_large_prime_p_reaches_the_budget_gate_at_once(capsys, mode):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "brute", "--builtin", "shift", "--p", "1000000000000000003",
+        "--kmax", "2", "--mode", mode,
+    )
+    assert (code, out) == (4, "")
+    assert "budget" in err
+    assert time.perf_counter() - start < 5  # trial division took over a minute
+
+
+def test_p_past_the_primality_bound_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.transducer"
+    path.write_text(f"schema padic-transducer-v1\np {10**25}\nkind sync\ninitial a\n")
+    for argv in (["--builtin", "shift", "--p", str(10**25)], ["--subject", str(path)]):
+        code, out, err = run(capsys, "brute", *argv, "--mode", "mp")
+        assert (code, out) == (1, "")
+        assert "cannot decide whether" in err
 
 
 def test_polynomial_builtin(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_automata.mahler import MahlerSeries
-from padic_automata.padics import floor_log, valuation
+from padic_automata.padics import floor_log, is_prime, valuation
 from padic_automata.subjects import identity_transducer
 from padic_automata.transducer import function_of
 
@@ -20,6 +20,30 @@ def test_make_reduces_modulo():
 def test_make_negative_wraps():
     assert MahlerSeries.from_ints(2, 0, 4, [-1]).coeffs == (15,)
     assert function_of(identity_transducer(2)).value(-1, 4) == 15
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10**4):
+        trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == trial, n
+
+
+@pytest.mark.parametrize("n,prime", [
+    (561, False),  # a Carmichael number
+    (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),  # strong pseudoprime to bases 2 .. 31
+    (318665857834031151167461, False),  # strong pseudoprime to bases 2 .. 37
+    (2**61 - 1, True),
+    (10**18 + 3, True),
+])
+def test_is_prime_large(n, prime):
+    assert is_prime(n) == prime
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert is_prime(3317044064679887385961813)  # the last prime below the bound
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(3317044064679887385961981)
 
 
 def test_valuation_examples():

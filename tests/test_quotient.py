@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -217,24 +218,56 @@ def test_reduction_consistency_tower():
                 assert fk[x] % p ** cod_prev == fk1[x % p ** dom_prev]
 
 
+def _orbit_cycles(table):
+    """Cycle count by orbits: the periodic points are the image of f^N
+    for any N >= size, since after size steps every walk is on its
+    cycle, and each cycle is one orbit among them."""
+    power = list(table)
+    for _ in range(len(table).bit_length()):  # f^(2^j) by squaring
+        power = [power[y] for y in power]
+    periodic, orbits = set(power), 0
+    while periodic:
+        orbits += 1
+        x = periodic.pop()
+        y = table[x]
+        while y != x:
+            periodic.remove(y)
+            y = table[y]
+    return orbits
+
+
 @settings(max_examples=80)
 @given(table=st.lists(st.integers(0, 19), min_size=1, max_size=20))
 def test_cycle_decomposition_soundness(table):
-    """The periodic points are {f^size(x)}: after size steps every walk
-    is on its cycle.  Each cycle is one orbit among them."""
-    size = len(table)
-    table = tuple(v % size for v in table)
-    periodic = set(range(size))
-    for _ in range(size):
-        periodic = {table[x] for x in periodic}
-    orbits = set()
-    for x in periodic:
-        orbit, y = {x}, table[x]
-        while y != x:
-            orbit.add(y)
-            y = table[y]
-        orbits.add(frozenset(orbit))
-    assert cycle_count(table) == len(orbits)
+    table = tuple(v % len(table) for v in table)
+    assert cycle_count(table) == _orbit_cycles(table)
+
+
+def test_cycle_count_every_small_self_map():
+    """All 50 069 self-maps of 1 to 6 points, descent points included."""
+    for size in range(1, 7):
+        for table in product(range(size), repeat=size):
+            assert cycle_count(table) == _orbit_cycles(table), table
+
+
+def _large_tables():
+    rng = random.Random(24)
+    size = 1 << 12
+    permutation = list(range(size))
+    rng.shuffle(permutation)
+    return [
+        pytest.param([x // 2 for x in range(size)], id="halve"),
+        pytest.param([x // 3 for x in range(size)], id="third"),
+        pytest.param([max(x - 1, 0) for x in range(size)], id="step-down"),
+        pytest.param([0] * size, id="zero"),
+        pytest.param(permutation, id="permutation"),
+        pytest.param([rng.randrange(size) for _ in range(size)], id="random"),
+    ]
+
+
+@pytest.mark.parametrize("table", _large_tables())
+def test_cycle_count_large_tables(table):
+    assert cycle_count(table) == _orbit_cycles(table)
 
 
 def _counting(oracle):
