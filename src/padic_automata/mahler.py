@@ -18,6 +18,7 @@ The remaining cases are reported as insufficient precision, never guessed.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import struct
 import sys
@@ -111,26 +112,35 @@ def coeffs_from_oracle(f: FunctionOracle, count: int, precision: int) -> MahlerS
 def series_oracle(series: MahlerSeries) -> FunctionOracle:
     """The series as a function oracle at its declared delay.
 
-    Its table of f(0), ..., f(N-1) is the first N coefficients of one
-    product.  Since sum_x C(x, j) X^x = X^j / (1 - X)^(j+1), the values of
+    Since sum_x C(x, j) X^x = X^j / (1 - X)^(j+1), the values of
     f = sum_j a_j C(x, j) are the coefficients of P(X) / (1 - X)^M with
-    P(X) = sum_j a_j X^j (1 - X)^(M-1-j), of degree < M, and so of
-    P(X) * sum_x C(x + M - 1, M - 1) X^x.  Those N coefficients need
-    nothing of P past X^N, so P is built mod X^N.  Both factors are
-    reduced mod q = p^precision and packed into integers, one slot of s
-    64-bit words per coefficient (Kronecker substitution), and multiplied
-    once.  Each product coefficient is a sum of at most M terms below
-    q^2, so it lies below M (q - 1)^2 < 2^(64 s) and no slot carries into
-    the next; the slots are read back unreduced.  The oracle keeps that
-    table and rebuilds it only when a longer one is asked for; every
-    query at m <= precision reads it and reduces the prefix it returns
-    mod p^m, the route's one reduction pass.  The budget counts the
-    build as N * M, the oracle's ``entry_cost`` of ``support`` per entry.
+    P(X) = sum_j a_j X^j (1 - X)^(M-1-j), of degree < M, that is of
+    P(X) * sum_x C(x + M - 1, M - 1) X^x.  The table f(0), ..., f(N-1) is
+    built in blocks of B entries that share one column C(x + M - 1, M - 1)
+    over x < B.  The first block is P mod X^B times the column.  Since
+    (1 - X)^M sum_x f(x) X^x = P has degree < M <= B, the block at s >= B
+    is the column times
+    P_s[i] = -sum_{l=i+1..M} (-1)^l C(M, l) f(s + i - l),
+    coefficients M .. 2M-1 of the M values before s times -(1 - X)^M.
+    B is the least power of p that is >= M and >= 8 sqrt(N), capped at N
+    (then there is one block and one product), so the column, a
+    Python-level rolling product, costs B steps instead of N; measured
+    optima were B = 512 to 1024 at N = 2^13 to 2^14 and 729 at N = 3^8.
+    Every factor is reduced mod q = p^precision and packed into an
+    integer, one slot of w 64-bit words per coefficient (Kronecker
+    substitution).  Every product coefficient is a sum of at most M
+    terms below q^2 (M values meet at most M of the M + 1 terms of
+    (1 - X)^M); w is sized with a margin, (M + 1)(q - 1)^2 < 2^(64 w), so
+    no slot carries into the next.
+    The oracle keeps the table as residues mod q and rebuilds it only
+    when a longer one is asked for; every query at m <= precision reduces
+    the prefix it returns mod p^m.  The budget counts the build as N * M,
+    the oracle's ``entry_cost`` of ``support`` per entry.
     """
-    coeffs, terms = series.coeffs, series.support
-    q = series.p ** series.precision
-    words = -(-(terms * (q - 1) ** 2).bit_length() // 64)
-    table: Sequence[int] = ()
+    p, coeffs, terms = series.p, series.coeffs, series.support
+    q = p ** series.precision
+    words = -(-((terms + 1) * (q - 1) ** 2).bit_length() // 64)
+    table: list[int] = []
 
     def build(m: int, count: int) -> Iterable[int]:
         nonlocal table
@@ -139,18 +149,28 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
                 f"series precision {series.precision} cannot answer mod p^{m}"
             )
         if count > len(table):
+            block = 1
+            while block < terms or block * block < 64 * count:
+                block *= p
+            block = min(block, count)
             poly = [coeffs[0]]
-            for a in coeffs[1:]:  # (1 - X) poly + a X^j, mod X^count
-                x_poly = [0] + poly[:count - 1]
+            for a in coeffs[1:]:  # (1 - X) poly + a X^j, mod X^block
+                x_poly = [0] + poly[:block - 1]
                 poly = list(map(operator.mod, map(operator.sub, poly + [a], x_poly), repeat(q)))
             c = 1
-            column = [1] + [(c := c * (x + terms - 1) // x) % q for x in range(1, count)]
-            product = _packed(poly, words) * _packed(column, words)
-            slots = _unpacked(product, words * (len(poly) + count - 1))
-            table = slots[: words * count : words]
-            for w in range(1, words):
-                shifted = map(operator.lshift, slots[w : words * count : words], repeat(64 * w))
-                table = list(map(operator.add, table, shifted))
+            column = _packed([1] + [(c := c * (x + terms - 1) // x) % q
+                                    for x in range(1, block)], words)
+            step = _packed([(-1) ** (l + 1) * math.comb(terms, l) % q  # -(1 - X)^M
+                            for l in range(terms + 1)], words) if block < count else 0
+            table = []
+            for s in range(0, count, block):
+                if s:  # P_s from the M values before s
+                    sums = _slot_sums(_packed(table[s - terms:s], words) * step, words,
+                                      terms, 2 * terms, 2 * terms)
+                    poly = list(map(operator.mod, sums, repeat(q)))
+                sums = _slot_sums(_packed(poly, words) * column, words,
+                                  0, min(block, count - s), len(poly) + block - 1)
+                table += map(operator.mod, sums, repeat(q))
         return map(operator.mod, islice(table, count), repeat(series.p ** m))
 
     return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
@@ -173,6 +193,17 @@ def _unpacked(number: int, count: int) -> Sequence[int]:
     """The 64-bit words of ``number`` below 2^(64 count), least significant first."""
     view = memoryview(number.to_bytes(8 * count, sys.byteorder)).cast("Q")
     return view[::-1] if sys.byteorder == "big" else view  # big-endian: top word first
+
+
+def _slot_sums(number: int, words: int, start: int, stop: int, slots: int) -> Sequence[int]:
+    """Slots start .. stop-1 of ``number``, packed in ``slots`` slots of ``words`` words."""
+    view = _unpacked(number, words * slots)
+    sums: Sequence[int] = view[words * start : words * stop : words]
+    for w in range(1, words):
+        shifted = map(operator.lshift, view[words * start + w : words * stop : words],
+                      repeat(64 * w))
+        sums = list(map(operator.add, sums, shifted))
+    return sums
 
 
 class CheckStatus(enum.Enum):

@@ -127,8 +127,9 @@ def test_series_oracle_bulk_matches_pointwise():
 
 
 def test_series_oracle_builds_p_only_below_the_table_length(monkeypatch):
-    """A support M longer than the table N: the P factor is kept mod X^N,
-    so it has at most N entries, and the table is still the Mahler sum."""
+    """A support M longer than the table N: the P factor is kept mod X^N
+    and no packed factor has more than N entries, yet the table is still
+    the Mahler sum."""
     packed = []
 
     def spy(values, words):
@@ -142,7 +143,7 @@ def test_series_oracle_builds_p_only_below_the_table_length(monkeypatch):
         series = MahlerSeries.from_ints(p, n, K, [rng.randrange(p ** K) for _ in range(M)])
         packed.clear()
         assert series_oracle(series).values(K, N) == [exact_value(series, x, K) for x in range(N)]
-        assert len(packed) == 2 and max(packed) <= N, (p, M, N, packed)
+        assert packed and max(packed) <= N, (p, M, N, packed)
 
 
 def _small_precision(p, n):
@@ -189,19 +190,33 @@ def test_kept_table_serves_smaller_and_larger_queries(p, n):
         assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
 
 
-@pytest.mark.parametrize("precision", [16, 40])
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_product_table_of_worst_case_coefficients(p, precision):
-    """Every coefficient p^K - 1.  The slots take one 64-bit word at p = 2
-    and 3 at K = 16 and two to four words otherwise; at p = 5 and 7 with
-    K = 40 each packed factor entry is itself two words.  Every table
-    entry is f(x) mod q, reduced on the way out of the kept slot sums."""
-    q, support, count = p ** precision, 12, 1000 + p
-    series = MahlerSeries(p=p, n=1, precision=precision, coeffs=(q - 1,) * support)
-    oracle = series_oracle(series)
-    exact = [exact_value(series, x, precision) for x in range(count)]
-    assert list(oracle._table(precision, count)) == exact
-    assert oracle.values(precision, count) == exact
+@pytest.mark.parametrize(
+    "p,precision,support,count",
+    [pytest.param(p, k, 12, 1000 + p, id=f"{p}-{k}") for p in (2, 3, 5, 7) for k in (16, 40)]
+    + [pytest.param(3, 16, 12, 2287, id="4-blocks-of-729"),
+       pytest.param(2, 16, 256, 600, id="support-is-block"),
+       pytest.param(2, 16, 257, 600, id="support-past-block"),
+       pytest.param(3, 16, 81, 100, id="support-is-block-p3"),
+       pytest.param(3, 16, 82, 700, id="support-past-block-p3"),
+       pytest.param(5, 40, 30, 2000, id="4-blocks-p5-K40"),
+       pytest.param(2, 31, 4, 1000, id="spill-width")],
+)
+def test_product_table_of_worst_case_coefficients(p, precision, support, count):
+    """Every coefficient p^K - 1, then random ones, against the Mahler sum.
+    The slots take one 64-bit word at p = 2 and 3 at K = 16 and two to
+    four words otherwise; at p = 5 and 7 with K = 40 each packed factor
+    entry is itself two words.  At q = 2^31, M = 4,
+    M (q - 1)^2 < 2^64 <= (M + 1)(q - 1)^2, so every slot takes two.
+    Every table spans several blocks of B entries, the least power of p
+    that is >= M and >= 8 sqrt(N): the counts are not multiples of B, and
+    the supports reach B and one past it, where M sets B."""
+    q, rng = p ** precision, random.Random(count + support)
+    for coeffs in ((q - 1,) * support, tuple(rng.randrange(q) for _ in range(support))):
+        series = MahlerSeries(p=p, n=1, precision=precision, coeffs=coeffs)
+        oracle = series_oracle(series)
+        exact = [exact_value(series, x, precision) for x in range(count)]
+        assert list(oracle._table(precision, count)) == exact
+        assert oracle.values(precision, count) == exact
 
 
 @pytest.mark.parametrize("terms,words", [(4, 1), (5, 2)])
