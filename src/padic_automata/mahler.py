@@ -21,7 +21,6 @@ import enum
 import math
 import operator
 import struct
-import sys
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Sequence
@@ -126,82 +125,99 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     (then there is one block and one product), so the column, a
     Python-level rolling product, costs B steps instead of N; measured
     optima were B = 512 to 1024 at N = 2^13 to 2^14 and 729 at N = 3^8.
-    Every factor is reduced mod q = p^precision and packed into an
-    integer, one slot of w 64-bit words per coefficient (Kronecker
-    substitution).  Every product coefficient is a sum of at most M
-    terms below q^2 (M values meet at most M of the M + 1 terms of
-    (1 - X)^M); w is sized with a margin, (M + 1)(q - 1)^2 < 2^(64 w), so
-    no slot carries into the next.
-    The oracle keeps the table as residues mod q and rebuilds it only
-    when a longer one is asked for; every query at m <= precision reduces
-    the prefix it returns mod p^m.  The budget counts the build as N * M,
-    the oracle's ``entry_cost`` of ``support`` per entry.
+    A query for N values mod p^m builds at q = p^e, e = min(precision,
+    max(m, d)) with p^d the least power of p that is >= N: a level table
+    needs no more digits than its domain has, so a fiber query
+    (p^(nk), n(k - 1)) builds at p^(nk) and the cycle query (p^(nk), nk)
+    that follows reads the same table.  Every factor is reduced mod q and
+    packed into an integer, one slot of w bytes per coefficient (Kronecker
+    substitution).  Every product coefficient is a sum of at most M terms
+    below q^2 (M values meet at most M of the M + 1 terms of (1 - X)^M);
+    w is sized with a margin, (M + 1)(q - 1)^2 < 2^(8 w), so no slot
+    carries into the next.
+    The oracle keeps the raw slot sums, each == f(x) (mod q); only the M
+    values before a block are reduced, to pack its P_s.  It rebuilds when
+    a longer table or a larger m is asked for, keeping the length and
+    never lowering e, and every query reduces the prefix it returns
+    mod p^m.  The budget counts the build as N * M, the oracle's
+    ``entry_cost`` of ``support`` per entry.
     """
     p, coeffs, terms = series.p, series.coeffs, series.support
-    q = p ** series.precision
-    words = -(-((terms + 1) * (q - 1) ** 2).bit_length() // 64)
     table: list[int] = []
+    kept = 0  # the exponent e of the kept table's modulus p^e
 
     def build(m: int, count: int) -> Iterable[int]:
-        nonlocal table
+        nonlocal table, kept
         if m > series.precision:
             raise PrecisionError(
                 f"series precision {series.precision} cannot answer mod p^{m}"
             )
-        if count > len(table):
+        if count and (count > len(table) or m > kept):
+            size, e = max(count, len(table)), max(m, kept)
+            while e < series.precision and p ** e < size:
+                e += 1
+            q, kept = p ** e, e
+            width = -(-((terms + 1) * (q - 1) ** 2).bit_length() // 8)
             block = 1
-            while block < terms or block * block < 64 * count:
+            while block < terms or block * block < 64 * size:
                 block *= p
-            block = min(block, count)
-            poly = [coeffs[0]]
+            block = min(block, size)
+            poly = [coeffs[0] % q]
             for a in coeffs[1:]:  # (1 - X) poly + a X^j, mod X^block
                 x_poly = [0] + poly[:block - 1]
                 poly = list(map(operator.mod, map(operator.sub, poly + [a], x_poly), repeat(q)))
             c = 1
             column = _packed([1] + [(c := c * (x + terms - 1) // x) % q
-                                    for x in range(1, block)], words)
+                                    for x in range(1, block)], width)
             step = _packed([(-1) ** (l + 1) * math.comb(terms, l) % q  # -(1 - X)^M
-                            for l in range(terms + 1)], words) if block < count else 0
+                            for l in range(terms + 1)], width) if block < size else 0
             table = []
-            for s in range(0, count, block):
+            for s in range(0, size, block):
                 if s:  # P_s from the M values before s
-                    sums = _slot_sums(_packed(table[s - terms:s], words) * step, words,
+                    window = list(map(operator.mod, table[s - terms:s], repeat(q)))
+                    sums = _slot_sums(_packed(window, width) * step, width,
                                       terms, 2 * terms, 2 * terms)
                     poly = list(map(operator.mod, sums, repeat(q)))
-                sums = _slot_sums(_packed(poly, words) * column, words,
-                                  0, min(block, count - s), len(poly) + block - 1)
-                table += map(operator.mod, sums, repeat(q))
-        return map(operator.mod, islice(table, count), repeat(series.p ** m))
+                table += _slot_sums(_packed(poly, width) * column, width,
+                                    0, min(block, size - s), len(poly) + block - 1)
+        return map(operator.mod, islice(table, count), repeat(p ** m))
 
     return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
                           entry_cost=terms)
 
 
-def _packed(values: list[int], words: int) -> int:
-    """sum_i values[i] 2^(64 words i), each value below 2^(64 words)."""
-    packed = memoryview(bytearray(8 * words * len(values))).cast("Q")
+def _packed(values: list[int], width: int) -> int:
+    """sum_i values[i] 2^(8 width i), each value below 2^(8 width)."""
+    words = -(-width // 8)
+    wide = bytearray(8 * words * len(values))
+    view = memoryview(wide).cast("Q")
     for w in range(words):
         digits = map(operator.rshift, values, repeat(64 * w)) if w else values
         if w < words - 1:
             digits = map(operator.and_, digits, repeat(_WORD))
         little = struct.pack(f"<{len(values)}Q", *digits)  # little-endian on any host
-        packed[w::words] = memoryview(little).cast("Q")
-    return int.from_bytes(packed, "little")
+        view[w::words] = memoryview(little).cast("Q")
+    if width % 8:  # narrow each slot to its width
+        narrow = bytearray(width * len(values))
+        for b in range(width):
+            narrow[b::width] = wide[b::8 * words]
+        wide = narrow
+    return int.from_bytes(wide, "little")
 
 
-def _unpacked(number: int, count: int) -> Sequence[int]:
-    """The 64-bit words of ``number`` below 2^(64 count), least significant first."""
-    view = memoryview(number.to_bytes(8 * count, sys.byteorder)).cast("Q")
-    return view[::-1] if sys.byteorder == "big" else view  # big-endian: top word first
-
-
-def _slot_sums(number: int, words: int, start: int, stop: int, slots: int) -> Sequence[int]:
-    """Slots start .. stop-1 of ``number``, packed in ``slots`` slots of ``words`` words."""
-    view = _unpacked(number, words * slots)
-    sums: Sequence[int] = view[words * start : words * stop : words]
+def _slot_sums(number: int, width: int, start: int, stop: int, slots: int) -> Sequence[int]:
+    """Slots start .. stop-1 of ``number``, packed in ``slots`` slots of ``width`` bytes."""
+    words, raw = -(-width // 8), number.to_bytes(width * slots, "little")
+    offset, size = width * start, 8 * words * (stop - start)
+    if width % 8:  # widen each slot to whole 64-bit words
+        wide = bytearray(size)
+        for b in range(width):
+            wide[b::8 * words] = raw[offset + b : width * stop : width]
+        raw, offset = wide, 0
+    view = struct.unpack_from(f"<{size // 8}Q", raw, offset)
+    sums: Sequence[int] = view[::words]
     for w in range(1, words):
-        shifted = map(operator.lshift, view[words * start + w : words * stop : words],
-                      repeat(64 * w))
+        shifted = map(operator.lshift, view[w::words], repeat(64 * w))
         sums = list(map(operator.add, sums, shifted))
     return sums
 

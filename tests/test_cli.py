@@ -1,15 +1,18 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
 
 import pytest
 
+from padic_automata import mahler
 from padic_automata.cli import _json, build_parser, main
 from padic_automata.formats import serialize_series
 from padic_automata.mahler import MahlerSeries
+from test_quotient import _orbit_cycles
 
 ODD_HEAD_SERIES = MahlerSeries.from_ints(2, 1, 8, [0, 1, 1])
 UNDECIDABLE_SERIES = MahlerSeries.from_ints(2, 1, 1, [0] * 9)
@@ -353,6 +356,31 @@ def test_budget_stops_a_wide_series_before_its_table(capsys, tmp_path, monkeypat
     )
     assert (code, out) == (4, "")
     assert "at 3000 terms each exceed the budget 300000" in err
+
+
+def test_deep_precision_builds_at_the_level_modulus(capsys, tmp_path, monkeypatch):
+    """A precision-4000 series checked through level 12 packs no slot wider
+    than the 2^12 modulus needs, and its cycle counts are those of the
+    Mahler sum."""
+    coeffs = [(2 ** 4000 - 1 - 7919 ** 3 * i) % 2 ** 4000 for i in range(20)]
+    path = tmp_path / "deep.series"
+    path.write_text(serialize_series(MahlerSeries(2, 1, 4000, tuple(coeffs))))
+    widths = []
+
+    def packed(values, width):
+        widths.append(width)
+        return real(values, width)
+
+    real = mahler._packed
+    monkeypatch.setattr(mahler, "_packed", packed)
+    code, out, _ = run(capsys, "brute", "--subject", str(path), "--mode", "cycles",
+                       "--kmax", "12", "--report-format", "json")
+    assert code == 3
+    assert widths and max(widths) <= -(-(21 * (2 ** 12 - 1) ** 2).bit_length() // 8)
+    f = [sum(a * math.comb(x, i) for i, a in enumerate(coeffs)) for x in range(2 ** 12)]
+    assert json.loads(out)["cycle_counts"] == [
+        [k, _orbit_cycles([v % 2 ** k for v in f[: 2 ** k]])] for k in range(1, 13)
+    ]
 
 
 def test_malformed_subject_file(capsys, tmp_path):

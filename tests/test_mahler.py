@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -14,6 +15,7 @@ from padic_automata.mahler import (
     coeffs_from_oracle,
     series_oracle,
 )
+from padic_automata.oracle import FunctionOracle
 from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
 
 import series_factory as sf
@@ -178,16 +180,79 @@ def test_prefix_sum_table_matches_exact_routes(p, n):
 
 
 @pytest.mark.parametrize("p,n", sf.ACCEPTANCE_CONFIGS)
-def test_kept_table_serves_smaller_and_larger_queries(p, n):
-    """One oracle asked smaller -> larger -> smaller, at different m."""
+def test_kept_table_serves_smaller_and_larger_queries(monkeypatch, p, n):
+    """One oracle asked smaller -> larger -> smaller, at different m.  The
+    kept modulus and length never shrink: m = K, then a longer count at
+    m = 1, then m = K again builds twice."""
     rng = random.Random(17 + 7 * p + n)
     K = _small_precision(p, n)
     series = sf.unconstrained(rng, p, n, p ** (2 * n) + 4, precision=K)
     exact = _exact_table(series, K, p ** (K + n))
     oracle = series_oracle(series)
-    for m in (1, K, 2, K - 1, 1, K):
-        count = p ** (m + n)
-        assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
+    with _spied_builds(monkeypatch) as builds:
+        for m in (1, K, 2, K - 1, 1, K):
+            count = p ** (m + n)
+            assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
+        # a longer count at m = 1 rebuilds at the kept modulus, so m = K reads it
+        oracle = series_oracle(series)
+        builds.clear()
+        for m, count in ((K, p ** n), (1, p ** (n + 1)), (K, p ** (n + 1))):
+            assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
+        assert builds == [max(builds)] * 2
+        # a larger m rebuilds at the kept length, so the longer count reads it
+        oracle = series_oracle(series)
+        builds.clear()
+        for m, count in ((1, p ** (n + 1)), (K, 1), (K, p ** (n + 1))):
+            assert oracle.values(m, count) == [v % p ** m for v in exact[:count]], m
+        assert len(builds) == 1 + (n + 1 < K), builds
+
+
+def _width(terms, q):
+    """The slot width in bytes of a build at modulus q."""
+    return -(-((terms + 1) * (q - 1) ** 2).bit_length() // 8)
+
+
+@contextlib.contextmanager
+def _spied_builds(monkeypatch):
+    """Yields the list of slot widths of the builds made meanwhile: one
+    entry per ``values`` call that packed anything, the widest it packed.
+    The width only grows with the modulus, so a list that never falls
+    means that the kept modulus never shrank."""
+    builds, packed = [], []
+    real_packed, real_values = mahler._packed, FunctionOracle.values
+
+    def spy_packed(values, width):
+        packed.append(width)
+        return real_packed(values, width)
+
+    def spy_values(self, m, count):
+        packed.clear()
+        table = real_values(self, m, count)
+        if packed:
+            builds.append(max(packed))
+        return table
+
+    monkeypatch.setattr(mahler, "_packed", spy_packed)
+    monkeypatch.setattr(FunctionOracle, "values", spy_values)
+    yield builds
+    assert builds == sorted(builds), builds
+
+
+@pytest.mark.parametrize("p,n", sf.ACCEPTANCE_CONFIGS)
+def test_fiber_and_cycle_queries_share_one_build(monkeypatch, p, n):
+    """The mp query (p^(nk), n(k - 1)) builds at p^(nk), the least modulus
+    with as many digits as the domain, and the cycles query (p^(nk), nk)
+    that follows reads the same table."""
+    rng = random.Random(23 + 7 * p + n)
+    series = sf.unconstrained(rng, p, n, sf.draw_support(rng, p, n))
+    for k in range(2, sf.DEFAULT_PRECISION // n + 1):
+        if p ** (n * k) > 3 ** 8:
+            break
+        oracle, count = series_oracle(series), p ** (n * k)
+        with _spied_builds(monkeypatch) as builds:
+            assert oracle.values(n * (k - 1), count) == _exact_table(series, n * (k - 1), count)
+            assert oracle.values(n * k, count) == _exact_table(series, n * k, count)
+        assert builds == [_width(series.support, p ** (n * k))], (k, builds)
 
 
 @pytest.mark.parametrize(
@@ -203,10 +268,11 @@ def test_kept_table_serves_smaller_and_larger_queries(p, n):
 )
 def test_product_table_of_worst_case_coefficients(p, precision, support, count):
     """Every coefficient p^K - 1, then random ones, against the Mahler sum.
-    The slots take one 64-bit word at p = 2 and 3 at K = 16 and two to
-    four words otherwise; at p = 5 and 7 with K = 40 each packed factor
-    entry is itself two words.  At q = 2^31, M = 4,
-    M (q - 1)^2 < 2^64 <= (M + 1)(q - 1)^2, so every slot takes two.
+    Each query asks for all K digits, so the table is built mod p^K.  The
+    slots take 5 to 12 bytes at K = 16 and 11 to 29 bytes at K = 40, where
+    each packed factor entry itself spans two words at p = 5 and 7.  At
+    q = 2^31, M = 4, M (q - 1)^2 < 2^64 <= (M + 1)(q - 1)^2, so every slot
+    takes 9 bytes and spans two words.
     Every table spans several blocks of B entries, the least power of p
     that is >= M and >= 8 sqrt(N): the counts are not multiples of B, and
     the supports reach B and one past it, where M sets B."""
@@ -219,17 +285,31 @@ def test_product_table_of_worst_case_coefficients(p, precision, support, count):
         assert oracle.values(precision, count) == exact
 
 
-@pytest.mark.parametrize("terms,words", [(4, 1), (5, 2)])
-def test_product_slots_hold_their_bound(terms, words):
-    """At q = 2^31, 4 (q - 1)^2 < 2^64 < 5 (q - 1)^2.  Packing M and N
-    entries of q - 1 makes every slot from M - 1 on exactly the bound
-    M (q - 1)^2, which is read back whole in one word and in two."""
-    q, count = 2 ** 31, 50
-    assert (terms * (q - 1) ** 2).bit_length() == 63 + words
-    product = mahler._packed([q - 1] * terms, words) * mahler._packed([q - 1] * count, words)
-    slots = mahler._unpacked(product, words * (count + terms - 1))
-    sums = [sum(slots[words * x + w] << 64 * w for w in range(words)) for x in range(count)]
-    assert sums == [min(x + 1, terms) * (q - 1) ** 2 for x in range(count)]
+@pytest.mark.parametrize("width", [4, 5, 8, 9])
+def test_product_slots_hold_their_bound(width):
+    """At q = 2^(4 width - 1) the bound 4 (q - 1)^2 fills exactly ``width``
+    bytes (at 9 bytes a slot spans two 64-bit words).  Packing 4 and 50
+    entries of q - 1 makes every slot from 3 to 49 exactly that bound, and
+    each one is read back whole."""
+    q, terms, count = 2 ** (4 * width - 1), 4, 50
+    assert (terms * (q - 1) ** 2).bit_length() == 8 * width
+    slots = count + terms - 1
+    product = mahler._packed([q - 1] * terms, width) * mahler._packed([q - 1] * count, width)
+    assert list(mahler._slot_sums(product, width, 0, slots, slots)) == [
+        min(x + 1, terms, slots - x) * (q - 1) ** 2 for x in range(slots)
+    ]
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_packing_round_trips_every_byte_width(width):
+    """Packing is sum_i v_i 2^(8 width i) whatever the host's byte order,
+    and any run of slots reads back as the values packed there."""
+    rng, top = random.Random(width), 2 ** (8 * width) - 1
+    values = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(60)]
+    number = mahler._packed(values, width)
+    assert number == sum(v << 8 * width * i for i, v in enumerate(values))
+    assert list(mahler._slot_sums(number, width, 0, len(values), len(values))) == values
+    assert list(mahler._slot_sums(number, width, 3, 41, len(values))) == values[3:41]
 
 
 def test_one_coefficient_series_and_count_one():
@@ -239,6 +319,8 @@ def test_one_coefficient_series_and_count_one():
     two = series_oracle(MahlerSeries.from_ints(2, 1, 4, [5, 7]))
     assert list(two._table(4, 1)) == [5]
     assert two.values(4, 3) == [5, 12, 3]
+    deep = series_oracle(MahlerSeries.from_ints(3, 1, 40, [-1]))  # built mod 3^3, not 3^40
+    assert deep.values(2, 3 ** 3) == [8] * 3 ** 3
 
 
 def test_series_oracle_precision_error_past_precision():
