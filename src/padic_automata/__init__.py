@@ -9,6 +9,7 @@ geometric image density by exact box counting.
 """
 
 from .errors import BudgetExceededError, FormatError, PrecisionError
+from .geometry import family_transitivity
 from .mahler import (
     CheckStatus,
     ConditionReport,
@@ -25,7 +26,6 @@ from .quotient import cycle_count, is_measure_preserving_upto, unique_cycle_upto
 from .transducer import (
     Transducer,
     delay_profile,
-    family_transitivity,
     function_of,
     reachable_states,
 )

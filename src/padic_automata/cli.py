@@ -40,7 +40,7 @@ from .mahler import MahlerSeries
 from .oracle import FunctionOracle
 from .padics import valuation
 from .subjects import BUILTIN_NAMES, make_builtin
-from .transducer import Transducer, family_transitivity, function_of
+from .transducer import Transducer, function_of
 
 # The exit code of every outcome, one row per code: a report's ``verdict``
 # (check) or ``passed`` flag (brute, transitivity; None for coeffs and
@@ -262,7 +262,7 @@ def cmd_transitivity(args) -> dict:
     subject = load_subject(args)
     if not isinstance(subject, Transducer) or to_oracle(subject).delay != 0:
         raise FormatError("transitivity needs a synchronous transducer subject")
-    report = family_transitivity(subject, args.resolution, args.depth, args.budget)
+    report = geometry.family_transitivity(subject, args.resolution, args.depth, args.budget)
     return {
         "command": "transitivity",
         "level": report.level,

@@ -1,4 +1,4 @@
-"""Geometric images of maps and machines, with exact box-counting.
+"""Geometric images of maps and machine families, exact box-counting and transitivity.
 
 An image pairs an input word with an output word.  Words embed into [0, 1)
 by the digit-mirror rule: the FIRST-consumed letter becomes the most
@@ -27,19 +27,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, lt, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .formats import write_file
 from .oracle import FunctionOracle
-from .transducer import Transducer, family_walks
+from .transducer import State, Transducer, reachable_states, walk
 
-__all__ = ["CoverReport", "PointSet2D", "accumulate_image", "cover_fraction", "family_points",
-           "render_pgm"]
+__all__ = ["CoverReport", "PointSet2D", "TransitivityReport", "accumulate_image", "cover_fraction",
+           "family_points", "family_transitivity", "render_pgm"]
 
 
 def _mirror(p: int, top: int) -> list[int]:
@@ -168,6 +168,31 @@ def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
                        fraction=Fraction(len(cells), grid * grid), cells=tuple(cells))
 
 
+def _family_codes(t: Transducer, depth: int, lengths: Sequence[int], budget: int,
+                  what: str) -> tuple[Sequence[State], set[int]]:
+    """The states known at ``depth``, and the codes over den = p^L, L =
+    ``lengths[-1]``, of every (u, output) pair they write for the words u
+    of each length in ``lengths`` (consecutive, ascending), both mirrored.
+
+    Each state's words are one synchronous :func:`~padic_automata.transducer.walk`,
+    the walks sharing their rows.  :class:`BudgetExceededError`, naming
+    ``what``, is raised before any state is listed when the nodes walked,
+    len(states) * (p + ... + p^L), exceed ``budget``.
+    """
+    p, top = t.p, lengths[-1]
+    states = reachable_states(t, depth)
+    check_budget(family_size(states) * sum(p ** j for j in range(1, top + 1)), budget, what)
+    den, mirror = p ** top, _mirror(p, top)
+    scaled = list(map(mul, mirror, repeat(den)))
+    xs = list(chain.from_iterable(scaled[:p ** j] for j in lengths))  # length by length
+    letters, rows = [range(p)] * top, ({}, {})
+    codes: set[int] = set()
+    for s in states:
+        frontiers = islice(walk(t, s, 0, letters, rows), lengths[0] - 1, None)
+        codes.update(map(add, xs, [mirror[v] for frontier in frontiers for _, v in frontier]))
+    return states, codes
+
+
 def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> PointSet2D:
     """Image points of the whole state family of a synchronous machine.
 
@@ -176,25 +201,54 @@ def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> Po
     (embed(u), embed(output)).  The union over states is what the closure
     of the initial state's image accumulates: reading a long word passes
     through s and then goes on like the machine started there.
-
-    Each state's words are one walk of
-    :func:`~padic_automata.transducer.family_walks`, whose frontier j
-    lists the output of every u of length j in order; both words are
-    mirrored over den = p^depth.  The budget, checked before any walk,
-    bounds the nodes walked: states times words.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    p, den = t.p, t.p ** depth
-    _, walks = family_walks(t, depth, depth, budget, "family image nodes")
-    mirror = _mirror(p, depth)
-    scaled = list(map(mul, mirror, repeat(den)))
-    xs = list(chain.from_iterable(scaled[:p ** j] for j in range(1, depth + 1)))  # level by level
-    codes: set[int] = set()
-    for frontiers in walks:
-        codes.update(map(add, xs, [mirror[v] for frontier in frontiers for _, v in frontier]))
-    return PointSet2D(p=p, n=0, levels=tuple(range(1, depth + 1)), den=den,
-                      codes=tuple(sorted(codes)))
+    levels = tuple(range(1, depth + 1))
+    _, codes = _family_codes(t, depth, levels, budget, "family image nodes")
+    return PointSet2D(p=t.p, n=0, levels=levels, den=t.p ** depth, codes=tuple(sorted(codes)))
+
+
+@dataclass(frozen=True)
+class TransitivityReport:
+    """Depth-qualified verdict: can the state family map any u to any v?
+
+    ``passed`` is relative to ``depth`` (more states may exist beyond it);
+    on failure ``counterexample`` holds the lexicographically first pair
+    of residues (u, v) no examined state connects.
+    """
+
+    passed: bool
+    level: int
+    depth: int
+    states_examined: int
+    counterexample: tuple[int, int] | None = None
+
+
+def family_transitivity(
+    t: Transducer, level: int, depth: int, budget: int = DEFAULT_BUDGET
+) -> TransitivityReport:
+    """Check that for all words u, v of length ``level`` (residues mod
+    p^level) some state of the synchronous family known at ``depth`` maps
+    u to v: over den = p^level each code of the family's words of that
+    length is its own cell, so all p^(2 level) codes must occur.
+    """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    states, codes = _family_codes(t, depth, [level], budget, "family transitivity nodes")
+    size = t.p ** level
+    missing = None
+    if len(codes) < size * size:
+        mirror = _mirror(t.p, level)
+        missing = next((u, v) for u in range(size) for v in range(size)
+                       if mirror[u] * size + mirror[v] not in codes)
+    return TransitivityReport(
+        passed=missing is None,
+        level=level,
+        depth=depth,
+        states_examined=len(states),
+        counterexample=missing,
+    )
 
 
 def render_pgm(report: CoverReport, m: int, path: str | Path) -> bytes:

@@ -8,16 +8,16 @@ exposed through :class:`~padic_automata.oracle.FunctionOracle`; a
 synchronous machine is the case n = 0, one letter per step.
 
 Every traversal of a machine is one :func:`walk` over all the words of
-a letter range at once; oracle tables, family images and family
-transitivity read its frontiers.  The delay n of an oracle comes from
-the delay probe on the walk's rows: it builds and checks each state's
-row with the walk's own rule, on the states that the words of each
-length reach.
+a letter range at once; oracle tables and the family images of
+:mod:`~padic_automata.geometry`, transitivity among them, read its
+frontiers.  The delay n of an oracle comes from the delay probe on the
+walk's rows: it builds and checks each state's row with the walk's own
+rule, on the states that the words of each length reach.
 
 State spaces may be infinite: a machine can carry a ``family`` callable
 that enumerates the states belonging to exploration depth D, and every
-whole-family query (reachability, transitivity, family images) is
-qualified by the D it was run at.
+whole-family query (reachability here, family images and transitivity
+in ``geometry``) is qualified by the D it was run at.
 """
 
 from __future__ import annotations
@@ -28,19 +28,10 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, check_budget, family_size
+from .errors import DEFAULT_BUDGET, check_budget
 from .oracle import FunctionOracle
 
-__all__ = [
-    "Transducer",
-    "TransitivityReport",
-    "delay_profile",
-    "family_transitivity",
-    "family_walks",
-    "function_of",
-    "reachable_states",
-    "walk",
-]
+__all__ = ["Transducer", "delay_profile", "function_of", "reachable_states", "walk"]
 
 State = Hashable
 
@@ -140,7 +131,9 @@ def walk(
         yield frontier
 
 
-def delay_profile(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> int:
+def delay_profile(
+    t: Transducer, depth: int, budget: int = DEFAULT_BUDGET, rows: tuple | None = None
+) -> int:
     """The constant delay n of ``t``, read on all words up to ``depth``.
 
     n is the first step at which some state reached by the words read so
@@ -149,13 +142,10 @@ def delay_profile(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> in
     demands.  :class:`ValueError` is raised on a row that breaks this or
     when nothing is written through ``depth``, and
     :class:`BudgetExceededError` before the states reached by the words
-    of one length would number more than ``budget``.
+    of one length would number more than ``budget``.  The probe builds
+    its rows into ``rows``, which it can share with walks of ``t``.
     """
-    return _delay(t, depth, budget, ({}, {}))
-
-
-def _delay(t: Transducer, depth: int, budget: int, rows: tuple) -> int:
-    """:func:`delay_profile`, building its rows into ``rows``."""
+    rows = rows or ({}, {})
     states, n = [t.initial], None
     for j in range(depth):
         first = states[0]  # an open step takes the phase of its first row
@@ -185,7 +175,7 @@ def function_of(t: Transducer) -> FunctionOracle:
     while p^j < count, else 0.
     """
     rows = ({}, {})  # shared by the probe and every walk of this oracle
-    n, p = _delay(t, 8, DEFAULT_BUDGET, rows), t.p
+    n, p = delay_profile(t, 8, DEFAULT_BUDGET, rows), t.p
 
     def table(m: int, count: int) -> Iterable[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
@@ -221,68 +211,3 @@ def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
                 seen[nxt] = None
                 queue.append((nxt, d + 1))
     return list(seen)
-
-
-def family_walks(
-    t: Transducer, depth: int, length: int, budget: int, what: str
-) -> tuple[Sequence[State], Iterator[Iterator[list[tuple[State, int]]]]]:
-    """The states known at ``depth``, and from each of them one
-    synchronous :func:`walk` over all words of ``length`` letters.
-
-    The walks share their rows.  The budget bounds the nodes walked,
-    len(states) * (p + ... + p^length); :class:`BudgetExceededError`,
-    naming ``what``, is raised before any state is enumerated when that
-    exceeds ``budget``.
-    """
-    p = t.p
-    states = reachable_states(t, depth)
-    check_budget(family_size(states) * sum(p ** j for j in range(1, length + 1)), budget, what)
-    letters, rows = [range(p)] * length, ({}, {})
-    return states, (walk(t, s, 0, letters, rows) for s in states)
-
-
-@dataclass(frozen=True)
-class TransitivityReport:
-    """Depth-qualified verdict: can the state family map any u to any v?
-
-    ``passed`` is relative to ``depth`` (more states may exist beyond it);
-    on failure ``counterexample`` holds the lexicographically first pair
-    of residues (u, v) no examined state connects.
-    """
-
-    passed: bool
-    level: int
-    depth: int
-    states_examined: int
-    counterexample: tuple[int, int] | None = None
-
-
-def family_transitivity(
-    t: Transducer, level: int, depth: int, budget: int = DEFAULT_BUDGET
-) -> TransitivityReport:
-    """Check that for all words u, v of length ``level`` some state s of
-    the synchronous family maps u to v.
-
-    Words are identified with residues mod p^level, first letter least
-    significant.  The search covers every state found within ``depth``;
-    each state's words are one walk of :func:`family_walks`, whose last
-    frontier lists the v of every u in order, under its budget gate.
-    """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    states, walks = family_walks(t, depth, level, budget, "family transitivity nodes")
-    size = t.p ** level
-    covered: set[tuple[int, int]] = set()
-    for frontiers in walks:
-        *_, last = frontiers
-        covered.update(enumerate(v for _, v in last))
-    missing = None
-    if len(covered) < size * size:
-        missing = next((u, v) for u in range(size) for v in range(size) if (u, v) not in covered)
-    return TransitivityReport(
-        passed=missing is None,
-        level=level,
-        depth=depth,
-        states_examined=len(states),
-        counterexample=missing,
-    )

@@ -39,6 +39,7 @@ from padic_automata.geometry import (
     accumulate_image,
     cover_fraction,
     family_points,
+    family_transitivity,
 )
 from padic_automata.mahler import (
     CheckStatus,
@@ -63,7 +64,7 @@ from padic_automata.subjects import (
     shift_oracle,
     zero_oracle,
 )
-from padic_automata.transducer import family_transitivity, function_of
+from padic_automata.transducer import function_of
 
 import series_factory as sf
 

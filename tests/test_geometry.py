@@ -13,6 +13,7 @@ from padic_automata.geometry import (
     accumulate_image,
     cover_fraction,
     family_points,
+    family_transitivity,
     render_pgm,
 )
 from padic_automata.mahler import series_oracle
@@ -28,7 +29,6 @@ from padic_automata.subjects import (
 )
 from padic_automata.transducer import (
     Transducer,
-    family_transitivity,
     function_of,
     reachable_states,
 )

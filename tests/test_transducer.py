@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_automata.errors import BudgetExceededError, check_budget, family_size
-from padic_automata.geometry import family_points
+from padic_automata.geometry import TransitivityReport, family_points, family_transitivity
 from padic_automata.subjects import (
     delay_echo_transducer,
     digitwise_add_family,
@@ -17,9 +17,7 @@ from padic_automata.subjects import (
 )
 from padic_automata.transducer import (
     Transducer,
-    TransitivityReport,
     delay_profile,
-    family_transitivity,
     function_of,
     reachable_states,
     walk,
@@ -242,6 +240,9 @@ def _reference_transitivity(t, level, depth):
         odometer_transducer(3),
         sf.table_machine(5, 2, 5),
         sf.table_machine(6, 3, 4),
+        pytest.param(sf.table_machine(8, 5, 6), id="table-p5-6states"),
+        # passes at level 1 from depth 2 on, and misses (0, 1) at depth 1
+        pytest.param(sf.table_machine(199, 5, 12), id="table-p5-12states"),
     ],
     ids=lambda t: f"{t.name}-p{t.p}",
 )
