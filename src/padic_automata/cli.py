@@ -153,12 +153,6 @@ def to_series(subject, args) -> MahlerSeries:
     return mahler.coeffs_from_oracle(to_oracle(subject), args.terms, args.precision)
 
 
-def subject_label(args) -> str:
-    if args.builtin:
-        return f"built-in {args.builtin} (p={args.p}, n={args.n})"
-    return f"file {args.subject}"
-
-
 # --- commands: each returns its report payload ---------------------------------
 
 
@@ -375,8 +369,10 @@ def emit(args, payload: dict) -> int:
     """Print one command's payload in the asked format; return its exit code."""
     if args.report_format == "json":
         print(_json({"schema": REPORT_SCHEMA, **payload}))
-    else:
-        print("\n".join(_TEXT[payload["command"]](payload, subject_label(args))))
+    else:  # a built-in is named with the report's n (0 if none), not with --n
+        subject = (f"built-in {args.builtin} (p={args.p}, n={payload.get('n', 0)})"
+                   if args.builtin else f"file {args.subject}")
+        print("\n".join(_TEXT[payload["command"]](payload, subject)))
     return EXIT_CODE[payload.get("verdict", payload.get("passed"))]
 
 

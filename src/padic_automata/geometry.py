@@ -174,22 +174,19 @@ def _family_codes(t: Transducer, depth: int, lengths: Sequence[int], budget: int
     ``lengths[-1]``, of every (u, output) pair they write for the words u
     of each length in ``lengths`` (consecutive, ascending), both mirrored.
 
-    Each state's words are one synchronous :func:`~padic_automata.transducer.walk`,
-    the walks sharing their rows.  :class:`BudgetExceededError`, naming
+    All states' words are one synchronous :func:`~padic_automata.transducer.walk`,
+    each word's x-code repeated once per state.  :class:`BudgetExceededError`, naming
     ``what``, is raised before any state is listed when the nodes walked,
-    len(states) * (p + ... + p^L), exceed ``budget``.
-    """
+    len(states) * (p + ... + p^L), exceed ``budget``."""
     p, top = t.p, lengths[-1]
     states = reachable_states(t, depth)
     check_budget(family_size(states) * sum(p ** j for j in range(1, top + 1)), budget, what)
     den, mirror = p ** top, _mirror(p, top)
     scaled = list(map(mul, mirror, repeat(den)))
-    xs = list(chain.from_iterable(scaled[:p ** j] for j in lengths))  # length by length
-    letters, rows = [range(p)] * top, ({}, {})
+    xs = list(chain.from_iterable(zip(*[scaled] * len(states))))  # once per state, word by word
     codes: set[int] = set()
-    for s in states:
-        frontiers = islice(walk(t, s, 0, letters, rows), lengths[0] - 1, None)
-        codes.update(map(add, xs, [mirror[v] for frontier in frontiers for _, v in frontier]))
+    for _, residues in islice(walk(t, states, 0, [range(p)] * top), lengths[0] - 1, None):
+        codes.update(map(add, xs, map(mirror.__getitem__, residues)))  # map stops at length j's
     return states, codes
 
 

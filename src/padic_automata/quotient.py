@@ -100,10 +100,10 @@ def cycle_count(table: Sequence[int]) -> int:
     """Number of cycles of a self-map table (rho shapes allowed, not a
     permutation).
 
-    Each walk starts at an unvisited point x with f(x) >= x and stamps
-    the points it passes with its own number until it meets a stamped
-    one; it closed a new cycle exactly when that point carries its own
-    stamp, and it ran into an earlier walk's tail or cycle otherwise.
+    Each walk starts at an unvisited x with f(x) >= x and stamps the points
+    it passes with ~x, negative, in a copy t of the table, until it meets a
+    stamped one: it closed a new cycle exactly when that one carries its own
+    stamp.  One read t[x] < x skips stamped and descent starts alike.
     Nothing is retraced, and the count stays exact:
 
     - no cycle has f(x) < x at every point, or its values would fall all
@@ -118,16 +118,16 @@ def cycle_count(table: Sequence[int]) -> int:
     On contracting maps such as x -> x // p or x -> 0 almost every point
     is a descent point, and no walk starts there.
     """
-    seen = [0] * len(table)  # 0 = unvisited, else 1 + the start of the walk that got there
+    t = list(table)
     found = 0
-    for start in range(len(table)):
-        if seen[start] or table[start] < start:
-            continue
-        stamp, x = start + 1, start
-        while not seen[x]:
-            seen[x] = stamp
-            x = table[x]
-        found += seen[x] == stamp
+    for start in range(len(t)):
+        x, y = start, t[start]
+        if y >= start:  # neither stamped (negative) nor a descent
+            stamp = ~start
+            while y >= 0:
+                t[x] = stamp
+                x, y = y, t[y]
+            found += y == stamp
     return found
 
 

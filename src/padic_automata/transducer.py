@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import chain
+from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget
@@ -81,13 +81,12 @@ def _row(t: Transducer, s: State, j: int, silent: bool | None, rows: tuple) -> b
     """Build and check state s's row for step j + 1 into ``rows``, and
     return whether the step is silent.
 
-    The row lists (letter written, next state) for each letter read.  A
-    silent step must write nothing and a writing step one letter of
-    0..p-1; a step whose phase is still open (``silent`` None) takes the
-    phase of the row's first output.  :class:`ValueError` is raised on a
-    row that breaks its step's phase.
-    """
-    p, row = t.p, []
+    ``rows[silent]`` holds two dicts of lists by state, next states and
+    letters written by letter read.  A silent step must write nothing and a
+    writing step one letter of 0..p-1; a step whose phase is still open
+    (``silent`` None) takes the phase of the row's first output, and
+    :class:`ValueError` is raised on a row that breaks its step's phase."""
+    p, nexts, outs = t.p, [], []
     for a in range(p):
         out = tuple(t.output(s, a))
         silent = not out if silent is None else silent
@@ -95,69 +94,77 @@ def _row(t: Transducer, s: State, j: int, silent: bool | None, rows: tuple) -> b
             need = "nothing" if silent else f"one letter of 0..{p - 1}"
             raise ValueError(f"transducer {t.name!r} writes {out} from state {s!r} "
                              f"on letter {a}; step {j + 1} must write {need}")
-        row.append((out[0] if out else 0, t.delta(s, a)))
-    rows[silent][s] = row
+        outs.append(out[0] if out else 0)
+        nexts.append(t.delta(s, a))
+    rows[silent][0][s], rows[silent][1][s] = nexts, outs
     return silent
 
 
 def walk(
-    t: Transducer, start: State, n: int, letters: Sequence[range], rows: tuple | None = None
-) -> Iterator[list[tuple[State, int]]]:
-    """Read every word whose letter j lies in ``letters[j]``, from ``start``.
+    t: Transducer, starts: Sequence[State], n: int, letters: Sequence[range], rows: tuple = ()
+) -> Iterator[tuple[list[State], list[int]]]:
+    """Read every word whose letter j lies in ``letters[j]``, from each of ``starts``.
 
-    After each position j this yields the frontier: one (state, written
-    residue) pair per word read so far, in ascending word value (the
-    letter just read is the most significant digit).  The first n steps
-    must write nothing and every later step exactly one letter of
-    0..p-1.  Each (state, phase) row of (letter written, next state) is
-    built and checked once; :class:`ValueError` is raised on a row that
-    breaks this, or on a letter outside the alphabet.  Walks of one
-    machine, and its delay probe, can share their ``rows``, a pair of
-    dicts.
-    """
-    p = t.p
-    rows = rows or ({}, {})  # by phase: writing, silent
-    frontier = [(start, 0)]
+    After each position j this yields the frontier, (states, residues
+    written): entry i is start i % len(starts) after the (i // len(starts))-th
+    word in ascending value (the letter just read is the most significant
+    digit).  The first n steps must write nothing and every later step one
+    letter of 0..p-1.  Each (state, phase) row is built and checked once, in
+    the order the states first appear in the frontier; :class:`ValueError`
+    is raised on a row that breaks this, or on a letter outside the alphabet.
+    Walks of one machine and its delay probe can share ``rows``."""
+    rows = rows or (({}, {}), ({}, {}))
+    states, residues = list(starts), [0] * len(starts)
+    distinct = dict.fromkeys(states)  # each state once, in order of first appearance
     for j, span in enumerate(letters):
-        if span and not 0 <= span[0] <= span[-1] < p:
-            raise ValueError(f"letters {span} outside the alphabet 0..{p - 1}")
+        if span and not 0 <= span[0] <= span[-1] < t.p:
+            raise ValueError(f"letters {span} outside the alphabet 0..{t.p - 1}")
         silent = j < n
-        known, scale = rows[silent], 0 if silent else p ** (j - n)
-        for s in dict(frontier):  # each state once, in order of first appearance
-            if s not in known:
+        (nexts, writes), scale = rows[silent], 0 if silent else t.p ** (j - n)
+        for s in distinct:
+            if s not in nexts:
                 _row(t, s, j, silent, rows)
-        frontier = [(nxt, v + b * scale)
-                    for a in span for s, v in frontier for b, nxt in [known[s][a]]]
-        yield frontier
+        after, wrote, reached = [], [], {}
+        for a in span:
+            step, shifted = {}, {}
+            for s in distinct:
+                step[s] = nxt = nexts[s][a]
+                reached[nxt] = None
+                shifted[s] = writes[s][a] * scale
+            after += map(step.__getitem__, states)
+            wrote += residues if silent else map(add, residues, map(shifted.__getitem__, states))
+        states, residues, distinct = after, wrote, reached
+        yield states, residues
 
 
 def delay_profile(
-    t: Transducer, depth: int, budget: int = DEFAULT_BUDGET, rows: tuple | None = None
+    t: Transducer, depth: int, budget: int = DEFAULT_BUDGET, rows: tuple = ()
 ) -> int:
     """The constant delay n of ``t``, read on all words up to ``depth``.
 
     n is the first step at which some state reached by the words read so
-    far writes anything: every row of the steps before must write
-    nothing and every row from there on one letter, as :func:`walk`
-    demands.  :class:`ValueError` is raised on a row that breaks this or
-    when nothing is written through ``depth``, and
-    :class:`BudgetExceededError` before the states reached by the words
-    of one length would number more than ``budget``.  The probe builds
-    its rows into ``rows``, which it can share with walks of ``t``.
-    """
-    rows = rows or ({}, {})
-    states, n = [t.initial], None
+    far writes anything: every row of the steps before must write nothing
+    and every row from there on one letter, as :func:`walk` demands.
+    :class:`ValueError` is raised on a row that breaks this or when nothing
+    is written through ``depth``, and :class:`BudgetExceededError` before
+    the states reached by the words of one length would number more than
+    ``budget``.  It stops once two lengths reach the same states, as all
+    longer ones would, and builds its rows into ``rows`` for walks to share."""
+    rows = rows or (({}, {}), ({}, {}))
+    states, n = {t.initial: None}, None
     for j in range(depth):
-        first = states[0]  # an open step takes the phase of its first row
-        if n is None and first not in rows[True] and not _row(t, first, j, None, rows):
+        first = next(iter(states))  # an open step takes the phase of its first row
+        if n is None and first not in rows[True][0] and not _row(t, first, j, None, rows):
             n = j
         silent = n is None or j < n
-        known = rows[silent]
+        nexts = rows[silent][0]
         for s in states:
-            if s not in known:
+            if s not in nexts:
                 _row(t, s, j, silent, rows)
-        states = list(dict.fromkeys(nxt for s in states for _, nxt in known[s]))
+        before, states = states, dict.fromkeys(chain.from_iterable(map(nexts.__getitem__, states)))
         check_budget(len(states), budget, f"delay probe states at length {j + 1}")
+        if states == before:
+            break
     if n is None:
         raise ValueError(f"transducer {t.name!r} writes nothing through depth {depth}; "
                          f"no delay is witnessed")
@@ -174,13 +181,13 @@ def function_of(t: Transducer) -> FunctionOracle:
     their rows.  A table of f(x), x < count, reads letter j from 0..p-1
     while p^j < count, else 0.
     """
-    rows = ({}, {})  # shared by the probe and every walk of this oracle
+    rows = ({}, {}), ({}, {})  # shared by the probe and every walk of this oracle
     n, p = delay_profile(t, 8, DEFAULT_BUDGET, rows), t.p
 
     def table(m: int, count: int) -> Iterable[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
-        *_, last = walk(t, t.initial, n, letters, rows)
-        return map(itemgetter(1), islice(last, count))
+        *_, (_, last) = walk(t, [t.initial], n, letters, rows)
+        return last[:count]
 
     return FunctionOracle(p=p, delay=n, source="transducer", _table=table)
 

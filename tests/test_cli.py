@@ -504,6 +504,29 @@ def test_polynomial_builtin(capsys):
     assert code == 0  # x + 1 is the classical single-cycle subject
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        ("brute --builtin polynomial --p 2 --coeffs 1,2 --mode cycles --kmax 3", 0),
+        ("coeffs --builtin odometer --p 3 --n 3 --terms 4 --precision 4", 0),
+        ("image --builtin identity --depth 2 --resolution 1", 0),
+        ("transitivity --builtin digitwise-add --n 2", 0),
+        ("brute --builtin delay-echo --p 3 --n 2 --mode mp --kmax 2", 2),
+        ("check --builtin shift --which delay", 1),
+    ],
+)
+def test_text_label_gives_the_subjects_delay(capsys, argv, n):
+    """A built-in's label reads n off the subject, not the --n flag that a
+    synchronous built-in ignores, and agrees with the n the report prints."""
+    _, out, _ = run(capsys, *argv.split())
+    words = argv.split()
+    p = words[words.index("--p") + 1] if "--p" in words else "2"
+    first, second = out.splitlines()[:2]
+    assert first.endswith(f" built-in {words[2]} (p={p}, n={n})")
+    if words[0] != "transitivity":  # the one text report without a p=/n= line
+        assert f"n={n}" in second.split()
+
+
 def test_json_reports_are_deterministic(capsys):
     argv = [
         "check", "--builtin", "shift", "--which", "ergodic",
@@ -695,11 +718,11 @@ GOLDEN = {
     "coeffs --builtin shift --p 3 --n 2 --terms 12 --precision 6 --report-format json":
         (0, "76ea49f9eed578edcb3e0a5f4878d967304be97bad5d917efb926961b0113c2d"),
     "coeffs --builtin odometer --p 3 --terms 6 --precision 5":
-        (0, "e5b921b053416f85e569522a1286eb44b1a3724e4d33a0028d88b16fd4f1a5df"),
+        (0, "f6a79331db111ccf502e55ae54902fe229bc781a0923e737ff8dc489b477cfed"),
     "coeffs --builtin odometer --p 3 --terms 6 --precision 5 --report-format json":
         (0, "5e51ab0a81bebb5ae3f2d89b94d4a10229f67ea5c546dafad8625de924ce6cff"),
     "coeffs --builtin identity --terms 5 --precision 4":
-        (0, "3412d40ca8c4433c41600bea5e31104ca1c95bb33b77aa6be6d0b6cec6b80580"),
+        (0, "7f2a94daa8bb363ee19b2fe4963c782494c74968abb25ef6e091d388ce43674a"),
     "coeffs --builtin identity --terms 5 --precision 4 --report-format json":
         (0, "fd0520476a4c6da198301bb5be90ceb209dda59bd07ac9b4601a6d37744d2c56"),
     "coeffs --builtin delay-echo --n 2 --terms 10 --precision 8":
@@ -707,7 +730,7 @@ GOLDEN = {
     "coeffs --builtin delay-echo --n 2 --terms 10 --precision 8 --report-format json":
         (0, "c3a4e2ff7a964eebf235b3d0ce7858c38f6233473a752d76beeeb075b9907584"),
     "coeffs --builtin digitwise-add --terms 6 --precision 6":
-        (0, "2b46fc83ab30f0dbbf17c597d38b945d9a2e0bfb555ce9effc736a3052689b7d"),
+        (0, "97edb28f29e3b1bf6e915805878953c8a207660a14374d5e8a123d373d8b69a7"),
     "coeffs --builtin digitwise-add --terms 6 --precision 6 --report-format json":
         (0, "da41dd5ffa2e119c013ec6f759bc6c59adf2c8ce5aafabd854517c99c8240006"),
     "coeffs --builtin zero --terms 4 --precision 4":
@@ -715,7 +738,7 @@ GOLDEN = {
     "coeffs --builtin zero --terms 4 --precision 4 --report-format json":
         (0, "a564e5565cd39f71fd74b3e7a6f381c8b446efa89bac59f050972469fd5dfbbf"),
     "coeffs --builtin polynomial --p 3 --coeffs 1,2,3 --terms 6 --precision 5":
-        (0, "f766c06c4564f8d854806dd0481724bbc98ec366752c12a92a3c52e0683cc727"),
+        (0, "859f9f5467f1644501d8aaa48fba698312ace619bdf865b7f67524cb6c753fda"),
     "coeffs --builtin polynomial --p 3 --coeffs 1,2,3 --terms 6 --precision 5 --report-format json":
         (0, "783ff0b5ceff6215dc70c19a5f711807ab116ca72509efe4d4ef96ea98106d6e"),
     "coeffs --subject sync.transducer --terms 8 --precision 8":
@@ -855,19 +878,19 @@ GOLDEN = {
     "brute --builtin shift --p 3 --n 2 --kmax 3 --mode cycles --report-format json":
         (0, "a590346d75853cbeb4454a55eb1772da1e79966d74d43c0e09f19d64729e5982"),
     "brute --builtin odometer --kmax 6 --mode mp":
-        (0, "6ffb1d4276840b0eec3c703be0ebe8a977504874923031eadd0c52996ca3585d"),
+        (0, "8c94cedd3fa0deb0e1df7504f20daeeb36564768e2a6ff87c69c4e38e59f10c4"),
     "brute --builtin odometer --kmax 6 --mode mp --report-format json":
         (0, "26d6f220066d64369405fe781d7adec01d15d8a265c52328ee7762ed4ab54337"),
     "brute --builtin odometer --kmax 6 --mode cycles":
-        (0, "bfce9038e84d72f9d8a7d558b2f2cc98e2426beab7ea4cce785261d7ad20aade"),
+        (0, "4d6e47aa071071f3eaa7b0a47b563635a8f2ed7297a9b4f991116bc826dc351b"),
     "brute --builtin odometer --kmax 6 --mode cycles --report-format json":
         (0, "eb2f0765e280b6d331fd4eff65a2e00e3d54f8a4f928f0ceb26c884d06bae6e1"),
     "brute --builtin identity --p 3 --kmax 4 --mode mp":
-        (0, "25f715fbe2880ca687b7cdd29b4f1a1cdba35a9e7019fc2ae1df6cae9692a1da"),
+        (0, "4a8dc974e26c1a3a0211e33d9883549096b00916c55c0682db026ea99ddf4c4e"),
     "brute --builtin identity --p 3 --kmax 4 --mode mp --report-format json":
         (0, "124254ed499ab229fef27124a35f285b37e0d80f118610441067ffa9988c841f"),
     "brute --builtin identity --p 3 --kmax 4 --mode cycles":
-        (3, "09ee67ca44214fcfe4730d1f6b4587fe41c381df4371a0fd0c60c4d768d1fbb8"),
+        (3, "017edb7f58f51767c151b4e0f6dc244d6f9abbea0159b2fb437c905b62a1d4c2"),
     "brute --builtin identity --p 3 --kmax 4 --mode cycles --report-format json":
         (3, "abed2891a7c65f1d82f34c92c56e59f678d1be2cfb5347fe39c20645798d42a0"),
     "brute --builtin zero --kmax 4 --mode mp":
@@ -887,19 +910,19 @@ GOLDEN = {
     "brute --builtin delay-echo --n 2 --kmax 4 --mode cycles --report-format json":
         (0, "65d4ef501f33a2931860cf2f7fbd41fa80045e8e533aa881e03d69390008f77b"),
     "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode mp":
-        (0, "4fab07e6b57c827c5c0a1af8a7bc669da19525ff37129e28747fe4bb41ac07e9"),
+        (0, "aaa0d452967eaadc9cccd08b4d00eb3a49865e982a6ce8d05cb677a9dc668077"),
     "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode mp --report-format json":
         (0, "124254ed499ab229fef27124a35f285b37e0d80f118610441067ffa9988c841f"),
     "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode cycles":
-        (0, "f5c5e8dd36eb9512e1abffb4996437352dece6f8fa338a93e85fb3f98a9da53b"),
+        (0, "87aebde1b78f79ebf59253d1b1901697a4e19e6b446b5d9fda43cc969e1d726a"),
     "brute --builtin polynomial --p 3 --coeffs 1,1 --kmax 4 --mode cycles --report-format json":
         (0, "67cf152e569ffcd239b48fbe0c23c47021eaa0f82144516a7494f5f3f82dce5e"),
     "brute --builtin digitwise-add --kmax 5 --mode mp":
-        (0, "5f98ec7c19121b2c0f9ccc64206915931019198d96bc1cdf60bae16d3e26460c"),
+        (0, "872873845161054d700b8515cd76631c03bb86078f73e20461ce1811228d54ab"),
     "brute --builtin digitwise-add --kmax 5 --mode mp --report-format json":
         (0, "70c6b3fc3c78977897a2134d1a574b61c72afca0ee3439e50874670b5a679251"),
     "brute --builtin digitwise-add --kmax 5 --mode cycles":
-        (3, "6d0bf8f172c451750afdd76f56fc8b01fd08dc9a2d17e56f9a7c6055b1187c1c"),
+        (3, "ca943b8d201a99abbd3592f7d1178f230d5feee641aad17d6c969c5059d7ab45"),
     "brute --builtin digitwise-add --kmax 5 --mode cycles --report-format json":
         (3, "b9b716fc7b24b965f1dfb55a1c16d863301e1bbfa40b8bb19cb63c1acbce03b0"),
     "brute --subject sync.transducer --kmax 6 --mode mp":
@@ -971,15 +994,15 @@ GOLDEN = {
     "image --builtin shift --p 3 --n 2 --kmax 4 --resolution 2 --out img.pgm --report-format json":
         (0, "e41ecd1045910aedc71e09ce806f8b5bee19e0fb302cad0846e818159eadb1cc"),
     "image --builtin identity --depth 5 --resolution 3 --out img.pgm":
-        (0, "12f001e9d89e217d324512a502f446c04f71f59ba62088b392d7535d034f0496"),
+        (0, "3edd73a48e390234d617e2d2868c7fc59a3dbad06d79049725a9dc80816d892d"),
     "image --builtin identity --depth 5 --resolution 3 --out img.pgm --report-format json":
         (0, "518617ad21f6e53be8dd1d059bdbaf1187dad4c35ddd6da542ccc9254c6d5a5f"),
     "image --builtin odometer --p 3 --depth 4 --resolution 2 --out img.pgm":
-        (0, "6ea39df8fe3444a6c85447182f1ea851740613dd4daa2a4d7ba8d60e4e5b29c0"),
+        (0, "eda3f343f82c5ede152098294af24088ac8f4c3552e62810ae5b8990e2f1b90f"),
     "image --builtin odometer --p 3 --depth 4 --resolution 2 --out img.pgm --report-format json":
         (0, "4934fc0224054bf799306839e21f0789ab256787086db184d655bb1a5a049e3c"),
     "image --builtin digitwise-add --depth 6 --resolution 3 --out img.pgm":
-        (0, "12b56a1697b41268c6334bac6872ab4954c9e67440dc97d893f3fa8c67229a36"),
+        (0, "06fdd6a3632f15d4f3efd7884129cf4c0dbfd888f15d530886a6b9b13b2ea5d2"),
     "image --builtin digitwise-add --depth 6 --resolution 3 --out img.pgm --report-format json":
         (0, "4b2673e456dc1e1b387922c5beeab827d386ca0ac5486e241940ea73efe46c68"),
     "image --builtin delay-echo --n 2 --kmax 5 --resolution 3 --out img.pgm":
@@ -987,7 +1010,7 @@ GOLDEN = {
     "image --builtin delay-echo --n 2 --kmax 5 --resolution 3 --out img.pgm --report-format json":
         (0, "762e0d41fd2a650323686ac1ec5e1bc31cdaa25fb33725bed5924d90aadfa74b"),
     "image --builtin polynomial --coeffs 0,0,1 --kmax 5 --resolution 3 --out img.pgm":
-        (0, "6c34de34055c283ee006e64ecc9b88d11c9e0eeacaac09344d501c4b1de2d717"),
+        (0, "96e73262a8c667cb697ed6cfdbed7c767d8cbf4fa85fa9ada5052faed7da66fc"),
     "image --builtin polynomial --coeffs 0,0,1 --kmax 5 --resolution 3 --out img.pgm --report-format json":
         (0, "88eb0e200231436d957ba5582beda39a62d9bca123bd539a4a5d42d9e5e8f7fc"),
     "image --builtin zero --kmax 5 --resolution 2 --out img.pgm":
@@ -1007,15 +1030,15 @@ GOLDEN = {
     "image --subject n1.series --kmax 5 --resolution 3 --out img.pgm --report-format json":
         (0, "f3d5117bf25de735092d25a1c235a48643a902acdec86612a780324982d96e92"),
     "transitivity --builtin identity --resolution 1":
-        (3, "d4001f419e8ccaaca94a82ad8a5776190a496e99dcb959e550fac277f9a37962"),
+        (3, "d5f03c97b21389e74bc28fc12f1ff056b06a37fc24e5da3973774e415efd0c0b"),
     "transitivity --builtin identity --resolution 1 --report-format json":
         (3, "15397418f0bd7fb27883f4817b5a35310408b4170e38f44409677d96fb170cbd"),
     "transitivity --builtin odometer --resolution 2 --depth 4":
-        (3, "e92cc567708e5a90f7b4664e89751c7cf35ee91e2fa5c3aabf2cff6bc7d1bb41"),
+        (3, "5e25a76271af8eafd2b03fb525de5ce92e50deb2812e9e58eedc95992bc66eeb"),
     "transitivity --builtin odometer --resolution 2 --depth 4 --report-format json":
         (3, "8b6504ad2647831c822c8a7ede3d7e4a3088ab2b7ba012088b290102a6280994"),
     "transitivity --builtin digitwise-add --p 3 --resolution 2 --depth 2":
-        (0, "7cab2b0266a0caa807a97130bcb42a63271ea591de9b215cb97d843122070bf5"),
+        (0, "0e86fc93b69d7de9d3e11b02e742881f189f9d23598ff860f408f6cf2889b971"),
     "transitivity --builtin digitwise-add --p 3 --resolution 2 --depth 2 --report-format json":
         (0, "1616fdd19914ebc2f522169f738f2070b258a63b1f9777f8205f5641c1306e8b"),
     "transitivity --subject sync.transducer --resolution 2 --depth 3":

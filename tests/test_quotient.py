@@ -239,8 +239,13 @@ def _orbit_cycles(table):
 @settings(max_examples=80)
 @given(table=st.lists(st.integers(0, 19), min_size=1, max_size=20))
 def test_cycle_decomposition_soundness(table):
+    """The count matches the orbit count and leaves its argument, a tuple
+    or a list, as it was."""
     table = tuple(v % len(table) for v in table)
+    as_list = list(table)
     assert cycle_count(table) == _orbit_cycles(table)
+    assert cycle_count(as_list) == _orbit_cycles(table)
+    assert as_list == list(table)
 
 
 def test_cycle_count_every_small_self_map():
@@ -267,7 +272,13 @@ def _large_tables():
 
 @pytest.mark.parametrize("table", _large_tables())
 def test_cycle_count_large_tables(table):
-    assert cycle_count(table) == _orbit_cycles(table)
+    """Large tables, as a list and as a tuple, each left as it was."""
+    kept = list(table)
+    frozen = tuple(table)
+    assert cycle_count(table) == _orbit_cycles(kept)
+    assert table == kept
+    assert cycle_count(frozen) == _orbit_cycles(kept)
+    assert frozen == tuple(kept)
 
 
 def _counting(oracle):

@@ -65,7 +65,7 @@ def test_run_sync_negation():
 def test_run_sync_rejects_bad_letter():
     t = identity_transducer(2)
     with pytest.raises(ValueError):
-        list(walk(t, t.initial, 0, [range(1), range(2, 3)]))
+        list(walk(t, [t.initial], 0, [range(1), range(2, 3)]))
 
 
 def test_run_async_echo_drops_first_letter():
@@ -77,8 +77,67 @@ def test_run_async_two_delay_short_word_is_empty():
     # no output letter is below the oracle's precision floor m >= 1, so read
     # the walk under it, which fails on a silent step that writes anything
     t = delay_echo_transducer(2, 2)
-    *_, last = walk(t, t.initial, 2, [range(1, 2)] * 2)
-    assert last == [(0, 0)]
+    *_, last = walk(t, [t.initial], 2, [range(1, 2)] * 2)
+    assert last == ([0], [0])
+
+
+def _interleaving_cases():
+    """(machine, starts, walk delay, letters) at p = 2, 3, 5 and n = 0, 1, 2.
+
+    A delay-n table machine's core is synchronous, so it is walked at
+    delay 0 from core states; at n >= 1 it is also walked at delay 1 from
+    the silent states that read letter n - 1, whose row is still silent.
+    Starts repeat, so one state stands for several entries."""
+    cases = []
+    for p in (2, 3, 5):
+        for n in (0, 1, 2):
+            t = sf.table_machine(40 + 3 * p + n, p, 5, n)
+            spans = [range(p), range(1, p), range(p), range(1), range(p - 1, p), range(p)]
+            cases.append(pytest.param(t, [3, 0, 3, 4, 1], 0, spans, id=f"p{p}-n{n}-core"))
+            if n:
+                lags = [("lag", n - 1, r) for r in range(p ** (n - 1))]
+                cases.append(pytest.param(t, [*lags, lags[0]], 1, spans, id=f"p{p}-n{n}-silent"))
+    return cases
+
+
+@pytest.mark.parametrize("t, starts, n, letters", _interleaving_cases())
+def test_walk_from_several_starts_interleaves_single_walks(t, starts, n, letters):
+    """Entry i of a walk from S starts is entry i // S of the walk from
+    start i % S, at every position, for states and residues alike."""
+    size = len(starts)
+    singles = [list(walk(t, [s], n, letters)) for s in starts]
+    for j, (states, residues) in enumerate(walk(t, starts, n, letters)):
+        assert len(states) == len(residues) == size * len(singles[0][j][0])
+        for i, (state, residue) in enumerate(zip(states, residues)):
+            single_states, single_residues = singles[i % size][j]
+            assert (state, residue) == (single_states[i // size], single_residues[i // size])
+
+
+def _two_bad_rows():
+    """States x and y write two letters per step, the others one; c reads
+    0 into y and 1 into x, d the other way round, a reads 0 into y and 1
+    into w, b reads 0 into z and 1 into x."""
+    nexts = {("c", 0): "y", ("c", 1): "x", ("d", 0): "x", ("d", 1): "y",
+             ("a", 0): "y", ("a", 1): "w", ("b", 0): "z", ("b", 1): "x"}
+    nexts.update({(s, a): s for s in "wxyz" for a in (0, 1)})
+    return Transducer(p=2, initial="c", delta=lambda s, a: nexts[s, a],
+                      output=lambda s, a: (a, a) if s in "xy" else (a,), name="two-bad")
+
+
+def test_walk_raises_the_error_of_the_first_bad_state_in_the_frontier():
+    """Rows are built in the order the states first appear in the
+    frontier, so of two bad rows at one step the first one's error is
+    raised: not the first in state order, nor in start-by-start order."""
+    t = _two_bad_rows()
+    # from c the frontier after one letter is y, x
+    with pytest.raises(ValueError, match="from state 'y' on letter 0; step 2"):
+        list(walk(t, ["c"], 0, [range(2)] * 2))
+    # from b, a it is z, y, x, w: letter 0's words first
+    with pytest.raises(ValueError, match="from state 'y' on letter 0; step 2"):
+        list(walk(t, ["b", "a"], 0, [range(2)] * 2))
+    # from c, d it is y, x, x, y: a state's first entry counts, not its last
+    with pytest.raises(ValueError, match="from state 'y' on letter 0; step 2"):
+        list(walk(t, ["c", "d"], 0, [range(2)] * 2))
 
 
 def test_delay_profile_echo():
@@ -103,6 +162,11 @@ def test_delay_profile_double_emitter_not_constant():
 def test_delay_profile_silent_machine_unwitnessed():
     with pytest.raises(ValueError, match="writes nothing through depth 4"):
         delay_profile(delay_echo_transducer(2, 5), 4)
+    # one state, silent on every letter: the probe stops at length 1
+    mute = Transducer(p=3, initial="s", delta=lambda s, a: "s", output=lambda s, a: (),
+                      name="mute")
+    with pytest.raises(ValueError, match="writes nothing through depth 8"):
+        delay_profile(mute, 8)
 
 
 def test_delay_profile_branch_dependent_not_constant():
@@ -331,7 +395,7 @@ def test_oracle_prefix_consistency(factory):
 ORACLE_MACHINES = {
     **{f"table-p{p}-n{n}-{seed}": sf.table_machine(seed, p, states, n)
        for seed, p, states, n in ((11, 2, 5, 0), (12, 3, 4, 0), (13, 2, 6, 1), (14, 3, 3, 1),
-                                  (15, 2, 4, 2), (16, 3, 3, 2))},
+                                  (15, 2, 4, 2), (16, 3, 3, 2), (17, 5, 8, 2))},
     "identity-p3": identity_transducer(3),
     "odometer-p2": odometer_transducer(2),
     "odometer-p3": odometer_transducer(3),
