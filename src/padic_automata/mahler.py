@@ -141,6 +141,10 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     never lowering e, and every query reduces the prefix it returns
     mod p^m.  The budget counts the build as N * M, the oracle's
     ``entry_cost`` of ``support`` per entry.
+    The oracle is ``lipschitz`` when every stored a_i, i >= 1, is a multiple
+    of p^(floor_log(p, i) - n), the floors of :func:`check_delay_conditions`,
+    since the table sums these integers times C(x, i).  It is tested only
+    when asked for, so an oracle that no fiber check reads never pays.
     """
     p, coeffs, terms = series.p, series.coeffs, series.support
     table: list[int] = []
@@ -182,8 +186,16 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
                                     0, min(block, size - s), len(poly) + block - 1)
         return map(operator.mod, islice(table, count), repeat(p ** m))
 
+    def lipschitz() -> bool:
+        low, e = 1, -series.n  # indices p^j .. p^(j+1) - 1 need p^(j - n)
+        while low < terms:
+            if e > 0 and any(map((p ** e).__rmod__, coeffs[low:low * p])):
+                return False
+            low, e = low * p, e + 1
+        return True
+
     return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
-                          entry_cost=terms)
+                          entry_cost=terms, _lipschitz=lipschitz)
 
 
 def _packed(values: list[int], width: int) -> int:

@@ -8,8 +8,8 @@ Every provider yields that table already reduced, the residues in
 ``value`` reads a single residue off that table after canonicalizing x
 modulo p^(m+n), so every answer is the one at the zero-extended canonical
 representative.  For a genuine n-unit delay map the answer is independent
-of that choice; the canonicalization makes the oracle total and
-deterministic even when fed a subject that only claims to be one.
+of that choice, and such an oracle says so (``lipschitz``); the level
+checks read any other oracle at that representative, level by level.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ class FunctionOracle:
     bound of the build.  Every level-by-level check reads its tables from
     :meth:`levels`, which gates and builds the top table and reads the
     lower ones off it.
+    ``lipschitz`` says whether the oracle is known to be a genuine delay-n
+    map: x == y (mod p^(m+n)) gives f(x) == f(y) (mod p^m) for every m, so
+    p^n f is 1-Lipschitz.  Providers derive it, nobody sets it: True for
+    machine oracles (whose walks check every step's phase), the shift,
+    zero and polynomial built-ins, and a series oracle whose stored
+    coefficients meet the delay floors; False for any other oracle.
     """
 
     p: int
@@ -45,10 +51,16 @@ class FunctionOracle:
     source: str
     _table: Callable[[int, int], Iterable[int]] = field(compare=False, repr=False)
     entry_cost: int = 1
+    _lipschitz: Callable[[], bool] = field(default=lambda: False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
+
+    @property
+    def lipschitz(self) -> bool:
+        """Whether the oracle is known to be a genuine delay-n map."""
+        return self._lipschitz()
 
     def value(self, x: int, m: int) -> int:
         """f(x) mod p^m, from x known modulo p^(m + delay): one table entry."""

@@ -14,14 +14,19 @@ The synchronous case n = 0 is supported with the classical reading
 f mod p^k), so anchors like x + 1 exercise the same code paths.
 
 Each ``_upto`` check names the (domain, codomain) exponents of its
-levels and reads their tables from :meth:`FunctionOracle.levels`: one
-gated table at level k_max, every lower level a prefix of it.
+levels and reads them from :meth:`FunctionOracle.levels`, which gates
+and evaluates one table at level k_max.  The fiber check of a genuine
+delay-n oracle counts that table's fibers once and folds every lower
+level out of the counts; any other oracle, and the cycle check, read
+each lower level as a reduced prefix of the top table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, floordiv
 from typing import Sequence
 
 from .errors import DEFAULT_BUDGET
@@ -42,6 +47,22 @@ def _fiber_sizes(residues: Sequence[int], size: int) -> list[int]:
     for y in residues:
         counts[y] += 1
     return counts
+
+
+def _folded(counts: list[int], lifts: int) -> list[int]:
+    """Fiber sizes one level down: the sizes at the ``lifts`` lifts of each
+    y, the contiguous slices of ``counts``, summed and divided by ``lifts``."""
+    step = len(counts) // lifts
+    sums = counts[:step]
+    for start in range(step, len(counts), step):
+        sums = list(map(add, sums, counts[start:start + step]))
+    return list(map(floordiv, sums, repeat(lifts)))
+
+
+def _histogram(counts: list[int], expected: int) -> tuple[tuple[int, int], ...]:
+    if counts.count(expected) == len(counts):  # balanced, at C speed
+        return ((expected, len(counts)),)
+    return tuple(sorted(Counter(counts).items()))
 
 
 @dataclass(frozen=True)
@@ -70,29 +91,56 @@ def is_measure_preserving_upto(
     This witnesses the criterion through k_max only; the full criterion
     quantifies over every level.  Level k reduces Z/p^(n k) to
     Z/p^(n(k-1)), or Z/p^k to itself at n = 0.
+
+    A genuine delay-n oracle (``f.lipschitz``) has its fibers counted once,
+    at level k_max, and each lower level folded out of the level above.
+    Let e = max(n, 1) and q = p^e: level k - 1 reduces Z/p^d to Z/p^c, and
+    level k reduces Z/p^(d+e) to Z/p^(c+e).  Count the x < p^(d+e) with
+    f(x) == y (mod p^c) in two ways.  They are the level-k fibers of the q
+    lifts y + j p^c, j < q, of y, a contiguous slice of the level-k counts
+    each.  And since f(x) mod p^c depends on x mod p^d only, they are the
+    q lifts of each point of y's level-(k-1) fiber.  So that fiber is the
+    sum over the slices divided by q.  Balance carries down: if every
+    level-k fiber is p^n, every level-(k-1) fiber is q p^n / q = p^n, so
+    no level below a balanced one is counted.  Any other oracle is counted
+    level by level on reduced prefixes of the top table, that is at the
+    canonical representatives, so a subject that only claims delay n is
+    read as it is.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    n = f.delay
+    n, p = f.delay, f.p
     shapes = [(n * k, n * (k - 1)) if n else (k, k) for k in range(2, k_max + 1)]
-    tables = f.levels(shapes, budget, f"level-table entries ({f.p}^{shapes[-1][0]})")
-    expected = f.p ** n
-    histograms = []
+    sizes = [p ** cod for _, cod in shapes]
+    what = f"level-table entries ({p}^{shapes[-1][0]})"
+    expected = p ** n
+    histograms = {}
+    if f.lipschitz:
+        counts = _fiber_sizes(next(f.levels(shapes[-1:], budget, what)), sizes[-1])
+        for k in range(k_max, 1, -1):
+            histograms[k] = _histogram(counts, expected)
+            if histograms[k] == ((expected, len(counts)),):
+                histograms.update((j, ((expected, sizes[j - 2]),)) for j in range(2, k))
+                break
+            if k > 2:
+                counts = _folded(counts, p ** max(n, 1))
+    else:
+        tables = f.levels(shapes, budget, what)
+        for k, size, table in zip(range(2, k_max + 1), sizes, tables):
+            histograms[k] = _histogram(_fiber_sizes(table, size), expected)
     first_fail = None
-    for k, (_, cod), table in zip(range(2, k_max + 1), shapes, tables):
-        size = f.p ** cod
-        collapsed = tuple(sorted(Counter(_fiber_sizes(table, size)).items()))
-        histograms.append((k, collapsed))
-        if first_fail is None and collapsed != ((expected, size),):
+    for k, size in zip(range(2, k_max + 1), sizes):
+        if histograms[k] != ((expected, size),):
             first_fail = k
+            break
     return MeasureVerdict(
         passed=first_fail is None,
-        p=f.p,
-        n=f.delay,
+        p=p,
+        n=n,
         k_max=k_max,
         expected_fiber=expected,
         first_failing_level=first_fail,
-        histograms=tuple(histograms),
+        histograms=tuple(sorted(histograms.items())),
     )
 
 

@@ -4,7 +4,8 @@ Everything here is constructed from first principles so that every
 acceptance check can run with zero authoring: the identity and odometer
 machines, the n-step delayed echo, the digitwise-add family (the bundled
 transitive family), plus directly-coded map oracles (shift, constant
-zero, integer polynomials), each of which yields its level table.
+zero, integer polynomials), each of which yields its level table and is
+a genuine delay-n map (``lipschitz``).
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
         delay=n,
         source="built-in",
         _table=lambda m, count: map(operator.floordiv, range(count), repeat(q)),
+        _lipschitz=lambda: True,
     )
 
 
@@ -116,7 +118,7 @@ def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
     if n < 0:
         raise ValueError(f"delay must be >= 0, got {n}")
     return FunctionOracle(p=p, delay=n, source="built-in",
-                          _table=lambda m, count: repeat(0, count))
+                          _table=lambda m, count: repeat(0, count), _lipschitz=lambda: True)
 
 
 def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
@@ -138,7 +140,8 @@ def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
                 acc = (acc * x + c) % mod
             yield acc
 
-    return FunctionOracle(p=p, delay=0, source="built-in", _table=horner)
+    return FunctionOracle(p=p, delay=0, source="built-in", _table=horner,
+                          _lipschitz=lambda: True)
 
 
 BUILTIN_NAMES = (

@@ -177,7 +177,8 @@ def function_of(t: Transducer) -> FunctionOracle:
     The constant delay n is established by :func:`delay_profile` through
     depth 8 first (a synchronous machine comes out at n = 0); each table
     is one :func:`walk`, which re-checks every step, so a delay violation
-    beyond the probed depth fails loudly.  The probe and the walks share
+    beyond the probed depth fails loudly: every table it answers is one of
+    a genuine delay-n map (``lipschitz``).  The probe and the walks share
     their rows.  A table of f(x), x < count, reads letter j from 0..p-1
     while p^j < count, else 0.
     """
@@ -189,7 +190,8 @@ def function_of(t: Transducer) -> FunctionOracle:
         *_, (_, last) = walk(t, [t.initial], n, letters, rows)
         return last[:count]
 
-    return FunctionOracle(p=p, delay=n, source="transducer", _table=table)
+    return FunctionOracle(p=p, delay=n, source="transducer", _table=table,
+                          _lipschitz=lambda: True)
 
 
 def reachable_states(t: Transducer, depth: int) -> Sequence[State]:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,37 @@ def test_brute_mp(capsys):
     )
     assert code == 3
     assert "fail at level 2" in out
+
+
+@pytest.mark.parametrize(
+    "coeffs, lower, first_fail",
+    [
+        # folding level 4's counts would read {2x2} and {2x4} at levels 2 and
+        # 3 for both series, and so fail at level 4 and never at 2 or 3
+        ([0, 0, 0, 0, 1], {2: [[0, 1], [4, 1]], 3: [[0, 1], [2, 2], [4, 1]]}, 2),
+        ([0, 1, 0, 0, 1], {2: [[2, 2]], 3: [[1, 2], [3, 2]]}, 3),
+    ],
+    ids=["binomial-4", "x-plus-binomial-4"],
+)
+def test_brute_mp_counts_a_delay_unsound_series_at_every_level(capsys, tmp_path, coeffs,
+                                                               lower, first_fail):
+    """C(x, 4) at p = 2, n = 1 breaks the delay floor at a_4, so a lower
+    level's fibers are not read off the level above: each level is
+    counted on its own prefix of the table."""
+    series = MahlerSeries.from_ints(2, 1, 12, coeffs)
+    assert mahler.check_delay_conditions(series).verdict is mahler.CheckStatus.FAIL
+    path = tmp_path / "c4.series"
+    path.write_text(serialize_series(series))
+    code, out, _ = run(capsys, "brute", "--subject", str(path), "--mode", "mp", "--kmax", "4",
+                       "--report-format", "json")
+    report = json.loads(out)
+    levels = {level["level"]: level["fibers"] for level in report["levels"]}
+    assert {k: levels[k] for k in lower} == lower
+    f = [sum(a * math.comb(x, i) for i, a in enumerate(coeffs)) for x in range(2 ** 4)]
+    for k in (2, 3, 4):  # x < 2^k -> f(x) mod 2^(k-1), point by point
+        fibers = Counter(v % 2 ** (k - 1) for v in f[:2 ** k])
+        assert levels[k] == sorted(map(list, Counter(fibers[y] for y in range(2 ** (k - 1))).items()))
+    assert (code, report["passed"], report["first_failing_level"]) == (3, False, first_fail)
 
 
 def test_brute_cycles(capsys):

@@ -1,18 +1,20 @@
 """FunctionOracle: the built-in maps' tables, ``value`` as one table
 entry, the provider contract (every ``_table`` yields residues in
-[0, p^m)), and ``levels``: one gated table at the top shape, every lower
-shape a reduced prefix of it."""
+[0, p^m)), ``levels``: one gated table at the top shape, every lower
+shape a reduced prefix of it, and ``lipschitz``: which oracles are known to
+be genuine delay-n maps."""
 
 import operator
 import random
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import pytest
 
 from padic_automata.errors import BudgetExceededError
 from padic_automata.formats import parse_transducer
-from padic_automata.mahler import series_oracle
+from padic_automata.mahler import CheckStatus, MahlerSeries, check_delay_conditions, series_oracle
 from padic_automata.oracle import FunctionOracle
+from padic_automata.padics import floor_log
 from padic_automata.subjects import (
     BUILTIN_NAMES,
     make_builtin,
@@ -206,3 +208,78 @@ def test_document_transducer_table_arrives_reduced():
     assert (f.p, f.delay) == (3, 1)
     for m in (1, 2, 3):
         _assert_reduced(f, m)
+
+
+def _floor_draws(rng, p, n):
+    """Seeded series about the delay floors v(a_i) >= floor_log(p, i) - n:
+    draws that meet every floor and draws with one coefficient of valuation
+    one below its floor, at precision 12 and at precision 1.  At precision
+    1 the floors past the precision can only be met by a zero residue, which
+    the delay check leaves undecided."""
+    draws = []
+    for precision, support in ((12, p ** (n + 2) + 2), (1, p ** (n + 2) + 1)):
+        mod = p ** precision
+        floors = [max(floor_log(p, i) - n, 0) for i in range(1, support)]
+        breakable = [i for i, f in enumerate(floors, 1) if 1 <= f <= precision]
+        for broken in [None] * 4 + rng.choices(breakable, k=4):
+            values = [rng.randrange(mod)]
+            for i, floor in enumerate(floors, 1):
+                if i == broken:  # valuation exactly floor - 1
+                    values.append(p ** (floor - 1) * (1 + p * rng.randrange(mod)))
+                else:  # zero when the floor is at or past the precision
+                    values.append(p ** floor * rng.randrange(mod))
+            draws.append(MahlerSeries.from_ints(p, n, precision, values))
+    return draws
+
+
+def _integer_values(coeffs, count):
+    """sum_i a_i C(x, i) over the integers for x < count, by prefix sums:
+    g_i(x) = a_i + sum_{t < x} g_{i+1}(t) is sum_j a_(i+j) C(x, j)."""
+    g = [coeffs[-1]] * count
+    for a in reversed(coeffs[:-1]):
+        g = list(accumulate(g[:count - 1], initial=a))
+    return g
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (3, 2)])
+def test_series_oracle_is_lipschitz_exactly_when_its_stored_coefficients_meet_the_delay_floors(p, n):
+    """At n >= 1 the property is the delay check's "not FAIL" (a zero residue
+    past the precision counts, as the oracle sums the stored integers).  When
+    it holds, f(x) == f(x mod p^(m+n)) (mod p^m) over x < p^(m+n+1), m <= 3."""
+    seen = set()
+    for series in _floor_draws(random.Random(75 + 10 * p + n), p, n):
+        genuine = series_oracle(series).lipschitz
+        seen.add(genuine)
+        if n:
+            verdict = check_delay_conditions(series).verdict
+            assert genuine == (verdict is not CheckStatus.FAIL), series
+            seen.add(verdict)
+        if genuine:
+            f = _integer_values(series.coeffs, p ** (n + 4))
+            for m in (1, 2, 3):
+                low, mod = p ** (m + n), p ** m
+                for x in range(p * low):
+                    assert (f[x] - f[x % low]) % mod == 0, (series, m, x)
+    assert {True, False} <= seen
+    if n:
+        assert {CheckStatus.PASS, CheckStatus.INSUFFICIENT, CheckStatus.FAIL} <= seen
+
+
+def _genuine_subjects():
+    """Every built-in, seeded table machines at delays 0-2, and DOCUMENT."""
+    params = _builtin_oracles()
+    for seed, (p, n) in enumerate(((2, 0), (3, 0), (2, 1), (3, 1), (2, 2))):
+        params.append(pytest.param(sf.table_machine(seed, p, 5, n), id=f"machine-{p}-n{n}"))
+    params.append(pytest.param(parse_transducer(DOCUMENT), id="document"))
+    return params
+
+
+@pytest.mark.parametrize("subject", _genuine_subjects())
+def test_builtin_and_machine_oracles_are_lipschitz(subject):
+    f = function_of(subject) if isinstance(subject, Transducer) else subject
+    assert f.lipschitz is True
+
+
+def test_an_oracle_built_by_hand_is_not_known_to_be_lipschitz():
+    f = FunctionOracle(p=2, delay=1, source="built-in", _table=lambda m, count: repeat(0, count))
+    assert f.lipschitz is False

@@ -1,13 +1,15 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_automata import quotient
 from padic_automata.errors import BudgetExceededError
-from padic_automata.mahler import MahlerSeries, series_oracle
+from padic_automata.mahler import CheckStatus, MahlerSeries, check_delay_conditions, series_oracle
 from padic_automata.oracle import FunctionOracle
 from padic_automata.quotient import (
     CycleVerdict,
@@ -282,16 +284,15 @@ def test_cycle_count_large_tables(table):
 
 
 def _counting(oracle):
-    """``oracle`` behind a wrapper that logs every table it is asked for."""
+    """``oracle`` behind a wrapper that logs every table it is asked for,
+    with every other field, ``lipschitz`` among them, kept."""
     calls = []
 
     def table(m, count):
         calls.append(("values", m, count))
         return oracle.values(m, count)
 
-    wrapped = FunctionOracle(p=oracle.p, delay=oracle.delay, source=oracle.source,
-                             _table=table)
-    return wrapped, calls
+    return replace(oracle, _table=table), calls
 
 
 def _reference_mp(f, k_max):
@@ -325,39 +326,59 @@ def _reference_cycles(f, k_max):
 
 
 def _one_table_subjects():
-    """(factory, k_max) over built-ins, seeded series and machines at
-    n = 0, 1 and 2, named by their ids; each factory builds a fresh oracle."""
+    """(factory, k_max, genuine) over built-ins, seeded series and machines
+    at n = 0, 1 and 2, named by their ids; each factory builds a fresh
+    oracle, and ``genuine`` says whether it is a genuine delay-n map."""
     rng = random.Random(23)
     subjects = [
-        ("shift-2-1", lambda: shift_oracle(2, 1), 8),
-        ("shift-3-1", lambda: shift_oracle(3, 1), 5),
-        ("shift-2-2", lambda: shift_oracle(2, 2), 4),
-        ("odometer-2", lambda: polynomial_oracle(2, (1, 1)), 8),
-        ("odometer-3", lambda: polynomial_oracle(3, (1, 1)), 5),
-        ("zero-2-1", lambda: zero_oracle(2, 1), 6),
-        ("zero-3-2", lambda: zero_oracle(3, 2), 3),
-        ("binomial-square", binomial_square, 7),
-        ("echo-2-1", lambda: function_of(delay_echo_transducer(2, 1)), 6),
-        ("echo-3-2", lambda: function_of(delay_echo_transducer(3, 2)), 3),
-        ("odometer-machine-2", lambda: function_of(odometer_transducer(2)), 7),
+        ("shift-2-1", lambda: shift_oracle(2, 1), 8, True),
+        ("shift-3-1", lambda: shift_oracle(3, 1), 5, True),
+        ("shift-2-2", lambda: shift_oracle(2, 2), 4, True),
+        ("odometer-2", lambda: polynomial_oracle(2, (1, 1)), 8, True),
+        ("odometer-3", lambda: polynomial_oracle(3, (1, 1)), 5, True),
+        ("zero-2-1", lambda: zero_oracle(2, 1), 6, True),
+        ("zero-3-2", lambda: zero_oracle(3, 2), 3, True),
+        ("binomial-square", binomial_square, 7, True),
+        ("echo-2-1", lambda: function_of(delay_echo_transducer(2, 1)), 6, True),
+        ("echo-3-2", lambda: function_of(delay_echo_transducer(3, 2)), 3, True),
+        ("odometer-machine-2", lambda: function_of(odometer_transducer(2)), 7, True),
     ]
     k_maxes = {(2, 1): 8, (3, 1): 5, (2, 2): 4, (3, 2): 3}
     for p, n in sf.ACCEPTANCE_CONFIGS:
         for family in (sf.unconstrained, sf.delay_sound, sf.mp_passing, sf.ergodic_passing):
             series = family(rng, p, n, sf.draw_support(rng, p, n))
+            genuine = check_delay_conditions(series).verdict is not CheckStatus.FAIL
             subjects.append((f"{family.__name__}-{p}-{n}",
-                             lambda s=series: series_oracle(s), k_maxes[p, n]))
-    return [pytest.param(factory, k_max, id=name) for name, factory, k_max in subjects]
+                             lambda s=series: series_oracle(s), k_maxes[p, n], genuine))
+    return [pytest.param(factory, k_max, genuine, id=name)
+            for name, factory, k_max, genuine in subjects]
 
 
-@pytest.mark.parametrize("factory,k_max", _one_table_subjects())
-def test_upto_checks_evaluate_one_table(factory, k_max):
+@pytest.mark.parametrize("factory,k_max,genuine", _one_table_subjects())
+def test_upto_checks_evaluate_one_table(monkeypatch, factory, k_max, genuine):
+    """Both checks make one ``values`` call.  The fiber check of a genuine
+    subject counts the fibers of that one table only, and folds the lower
+    levels out of its counts; any other subject's fibers are counted at
+    every level, on the prefixes."""
     f = factory()
     p, n = f.p, f.delay
     counted, calls = _counting(f)
+    assert counted.lipschitz is genuine
+    counted_tables = []
+    fiber_sizes = quotient._fiber_sizes
+
+    def spy(residues, size):
+        counted_tables.append(len(residues))
+        return fiber_sizes(residues, size)
+
+    monkeypatch.setattr(quotient, "_fiber_sizes", spy)
     assert is_measure_preserving_upto(counted, k_max) == _reference_mp(factory(), k_max)
     dom, cod = shape(n, k_max)
     assert calls == [("values", cod, p ** dom)]
+    if genuine:
+        assert counted_tables == [p ** dom]
+    else:
+        assert counted_tables == [p ** shape(n, k)[0] for k in range(2, k_max + 1)]
     calls.clear()
     assert unique_cycle_upto(counted, k_max) == _reference_cycles(factory(), k_max)
     e = max(n, 1) * k_max
