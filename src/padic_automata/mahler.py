@@ -23,11 +23,11 @@ import operator
 import struct
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PrecisionError
 from .oracle import FunctionOracle
-from .padics import floor_log, is_prime, valuation
+from .padics import is_prime, valuation
 
 __all__ = [
     "CoefficientCheck",
@@ -143,8 +143,9 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     ``entry_cost`` of ``support`` per entry.
     The oracle is ``lipschitz`` when every stored a_i, i >= 1, is a multiple
     of p^(floor_log(p, i) - n), the floors of :func:`check_delay_conditions`,
-    since the table sums these integers times C(x, i).  It is tested only
-    when asked for, so an oracle that no fiber check reads never pays.
+    since the table sums these integers times C(x, i); it reads them from
+    the same block generator as the three checks.  It is tested only when
+    asked for, so an oracle that no fiber check reads never pays.
     """
     p, coeffs, terms = series.p, series.coeffs, series.support
     table: list[int] = []
@@ -187,12 +188,8 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
         return map(operator.mod, islice(table, count), repeat(p ** m))
 
     def lipschitz() -> bool:
-        low, e = 1, -series.n  # indices p^j .. p^(j+1) - 1 need p^(j - n)
-        while low < terms:
-            if e > 0 and any(map((p ** e).__rmod__, coeffs[low:low * p])):
-                return False
-            low, e = low * p, e + 1
-        return True
+        return not any(e > 0 and any(map((p ** e).__rmod__, coeffs[low:high]))
+                       for low, high, e in _floor_blocks(p, series.n, 0, 1, terms))
 
     return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
                           entry_cost=terms, _lipschitz=lipschitz)
@@ -286,44 +283,59 @@ class ConditionReport:
         return self.verdict is CheckStatus.PASS
 
 
-def _min_valuation_check(
-    index: int, label: str, value: int, required: int, p: int, precision: int
+def _floor_blocks(
+    p: int, n: int, c: int, start: int, stop: int
+) -> Iterator[tuple[int, int, int]]:
+    """The floor v(a_i) >= floor_log(p, i) - n + c over start <= i < stop.
+
+    Yields (low, high, e) for each block [p^j, p^(j+1)) cut to [start,
+    stop): every index low <= i < high has floor_log(p, i) = j and the
+    floor e = j - n + c.  c = 0 gives the delay floors, c = 1 the tail of
+    the measure-preservation and ergodicity conditions.
+    """
+    low, e = 1, c - n
+    while low < stop:
+        high = low * p
+        if high > start:
+            yield max(low, start), min(high, stop), e
+        low, e = high, e + 1
+
+
+def _check(
+    index: int, label: str, value: int, floor: int | None, p: int, precision: int
 ) -> CoefficientCheck:
+    """One row: v(value) >= ``floor``, or, with no floor, value a unit."""
     observed = valuation(p, precision, value)
-    if required <= 0:
-        status = CheckStatus.PASS
-    elif observed is not None:
-        # a nonzero digit pins the true valuation exactly
-        status = CheckStatus.PASS if observed >= required else CheckStatus.FAIL
-    elif required <= precision:
-        status = CheckStatus.PASS  # zero residue certifies valuation >= precision
-    else:
+    if floor is None:
+        floor, status = 0, CheckStatus.PASS if observed == 0 else CheckStatus.FAIL
+    elif floor <= 0 or observed is None and floor <= precision:
+        status = CheckStatus.PASS  # a zero residue certifies valuation >= precision
+    elif observed is None:
         status = CheckStatus.INSUFFICIENT
-    return CoefficientCheck(index, label, required, observed, status)
+    else:  # a nonzero digit pins the true valuation exactly
+        status = CheckStatus.PASS if observed >= floor else CheckStatus.FAIL
+    return CoefficientCheck(index, label, floor, observed, status)
 
 
-def _unit_check(
-    index: int, label: str, value: int, p: int, precision: int
-) -> CoefficientCheck:
-    observed = valuation(p, precision, value)
-    ok = observed == 0
-    return CoefficientCheck(
-        index, label, 0, observed, CheckStatus.PASS if ok else CheckStatus.FAIL
-    )
-
-
-def _report(
-    which: str, series: MahlerSeries, checks: list[CoefficientCheck]
+def _conditions(
+    series: MahlerSeries, which: str, gate: str,
+    head: list[tuple[int, str, int, int | None]], start: int, c: int,
 ) -> ConditionReport:
-    return ConditionReport(which, series.p, series.n, series.precision, tuple(checks))
-
-
-def _require_delay(series: MahlerSeries, which: str) -> None:
-    if series.n < 1:
+    """The report ``which``: the ``head`` rows (index, label, value, floor,
+    no floor for a unit), then v(a_i) >= floor_log(p, i) - n + c for every
+    supported i >= ``start``.  The ``gate`` conditions all need n >= 1.
+    """
+    p, n, precision = series.p, series.n, series.precision
+    if n < 1:
         raise ValueError(
-            f"the {which} conditions are stated for delay n >= 1; "
-            f"this series declares n = {series.n}"
+            f"the {gate} conditions are stated for delay n >= 1; "
+            f"this series declares n = {n}"
         )
+    checks = [_check(*row, p, precision) for row in head]
+    for low, high, e in _floor_blocks(p, n, c, start, series.support):
+        checks += (_check(i, f"a_{i}", series.coeffs[i], e, p, precision)
+                   for i in range(low, high))
+    return ConditionReport(which, p, n, precision, tuple(checks))
 
 
 def check_delay_conditions(series: MahlerSeries) -> ConditionReport:
@@ -337,45 +349,7 @@ def check_delay_conditions(series: MahlerSeries) -> ConditionReport:
     inputs agreeing on m + n digits give outputs agreeing on m.  Indices
     below p^(n+1) demand nothing (the floor is <= 0 there).
     """
-    _require_delay(series, "delay")
-    checks = []
-    for i in range(1, series.support):
-        required = floor_log(series.p, i) - series.n
-        checks.append(
-            _min_valuation_check(
-                i, f"a_{i}", series.coeffs[i], required, series.p,
-                series.precision,
-            )
-        )
-    return _report("delay", series, checks)
-
-
-def _tail_checks(series: MahlerSeries) -> list[CoefficientCheck]:
-    """v(a_i) >= floor_log(p, i) - n + 1 for every supported i > p^n.
-
-    The floor counts the base-p digits of i.  Write x = r + t p^(m+n-1)
-    with 0 <= r < p^(m+n-1): under these floors every term but
-    a_{p^n} C(x, p^n) is, mod p^m, a function of r alone, while
-    C(x, p^n) == C(r, p^n) + t p^(m-1) (mod p^m).  So the p lifts of r land
-    on the p lifts of one residue mod p^(m-1), and the fibers of
-    Z/p^(m+n) -> Z/p^m are those of Z/p^(m+n-1) -> Z/p^(m-1): p^n at every
-    m.  At n = 1 the floor is floor_log(p, i); at n = 0 it would be
-    Anashin's floor_log(p, i) + 1 for 1-Lipschitz maps.
-    """
-    p, n = series.p, series.n
-    out = []
-    for i in range(p ** n + 1, series.support):
-        out.append(
-            _min_valuation_check(
-                i,
-                f"a_{i}",
-                series.coeffs[i],
-                floor_log(p, i) - n + 1,
-                p,
-                series.precision,
-            )
-        )
-    return out
+    return _conditions(series, "delay", "delay", [], 1, 0)
 
 
 def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport:
@@ -383,44 +357,37 @@ def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport
     a_{p^n} is a unit, and a_i ≡ 0 (mod p^(floor_log(p, i) - n + 1)) past
     p^n.
 
+    The tail floor counts the base-p digits of i.  Write x = r + t p^(m+n-1)
+    with 0 <= r < p^(m+n-1): under these floors every term but
+    a_{p^n} C(x, p^n) is, mod p^m, a function of r alone, while
+    C(x, p^n) == C(r, p^n) + t p^(m-1) (mod p^m).  So the p lifts of r land
+    on the p lifts of one residue mod p^(m-1), and the fibers of
+    Z/p^(m+n) -> Z/p^m are those of Z/p^(m+n-1) -> Z/p^(m-1): p^n at every
+    m.  At n = 1 the floor is floor_log(p, i); at n = 0 it would be
+    Anashin's floor_log(p, i) + 1 for 1-Lipschitz maps.
+
     A support that ends at or before index p^n fails the unit condition
     outright (that coefficient is exactly zero).
     """
-    _require_delay(series, "measure-preservation")
     q = series.p ** series.n
-    unit_value = series.coeffs[q] if q < series.support else 0
-    checks = [_unit_check(q, f"a_{q}", unit_value, series.p, series.precision)]
-    checks.extend(_tail_checks(series))
-    return _report("measure-preserving", series, checks)
+    unit = series.coeffs[q] if q < series.support else 0
+    return _conditions(series, "measure-preserving", "measure-preservation",
+                       [(q, f"a_{q}", unit, None)], q + 1, 1)
 
 
 def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
     """Coefficient conditions for ergodicity of a delay-n map:
     a_1 + ... + a_{p^n - 1} ≡ 0 (mod p), a_{p^n} ≡ 1 (mod p), and the
-    same tail divisibilities as the measure-preservation check,
+    same tail floors as :func:`check_measure_preserving_conditions`,
     a_i ≡ 0 (mod p^(floor_log(p, i) - n + 1)) past p^n.
 
     This decides "the conditions hold", not "the map is ergodic"; the
     finite-quotient cycle oracle is the independent witness.
     """
-    _require_delay(series, "ergodicity")
     q = series.p ** series.n
-    head = sum(series.coeffs[1 : min(q, series.support)])
-    checks = [
-        _min_valuation_check(
-            0,
-            f"a_1 + ... + a_{q - 1}" if q > 2 else ("a_1" if q == 2 else "0"),
-            head,
-            1,
-            series.p,
-            series.precision,
-        )
-    ]
-    unit_minus_one = (series.coeffs[q] - 1) if q < series.support else -1
-    checks.append(
-        _min_valuation_check(
-            q, f"a_{q} - 1", unit_minus_one, 1, series.p, series.precision
-        )
-    )
-    checks.extend(_tail_checks(series))
-    return _report("ergodic", series, checks)
+    head = sum(series.coeffs[1:q])
+    unit_minus_one = series.coeffs[q] - 1 if q < series.support else -1
+    return _conditions(series, "ergodic", "ergodicity", [
+        (0, f"a_1 + ... + a_{q - 1}" if q > 2 else "a_1", head, 1),
+        (q, f"a_{q} - 1", unit_minus_one, 1),
+    ], q + 1, 1)

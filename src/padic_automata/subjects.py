@@ -144,35 +144,29 @@ def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
                           _lipschitz=lambda: True)
 
 
-BUILTIN_NAMES = (
-    "identity",
-    "odometer",
-    "digitwise-add",
-    "delay-echo",
-    "shift",
-    "zero",
-    "polynomial",
-)
+def _polynomial_builtin(p: int, n: int, coefficients: Sequence[int] | None) -> FunctionOracle:
+    if coefficients is None:
+        raise ValueError("polynomial built-in needs coefficients")
+    return polynomial_oracle(p, coefficients)
+
+
+# name -> factory(p, n, coefficients); the CLI offers the names in this order
+_BUILTINS = {
+    "identity": lambda p, n, coefficients: identity_transducer(p),
+    "odometer": lambda p, n, coefficients: odometer_transducer(p),
+    "digitwise-add": lambda p, n, coefficients: digitwise_add_family(p),
+    "delay-echo": lambda p, n, coefficients: delay_echo_transducer(p, n),
+    "shift": lambda p, n, coefficients: shift_oracle(p, n),
+    "zero": lambda p, n, coefficients: zero_oracle(p, n),
+    "polynomial": _polynomial_builtin,
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def make_builtin(
     name: str, p: int, n: int = 1, coefficients: Sequence[int] | None = None
 ):
     """CLI-facing factory: returns a transducer or an oracle by name."""
-    if name == "identity":
-        return identity_transducer(p)
-    if name == "odometer":
-        return odometer_transducer(p)
-    if name == "digitwise-add":
-        return digitwise_add_family(p)
-    if name == "delay-echo":
-        return delay_echo_transducer(p, n)
-    if name == "shift":
-        return shift_oracle(p, n)
-    if name == "zero":
-        return zero_oracle(p, n)
-    if name == "polynomial":
-        if coefficients is None:
-            raise ValueError("polynomial built-in needs coefficients")
-        return polynomial_oracle(p, coefficients)
-    raise ValueError(f"unknown built-in {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown built-in {name!r}; choose from {BUILTIN_NAMES}")
+    return _BUILTINS[name](p, n, coefficients)

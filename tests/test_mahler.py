@@ -16,6 +16,7 @@ from padic_automata.mahler import (
     series_oracle,
 )
 from padic_automata.oracle import FunctionOracle
+from padic_automata.padics import floor_log, valuation
 from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
 
 import series_factory as sf
@@ -371,10 +372,19 @@ def test_delay_conditions_all_zero_passes():
     assert check_delay_conditions(series).passed
 
 
-def test_delay_conditions_reject_synchronous():
+@pytest.mark.parametrize("check, which", [
+    (check_delay_conditions, "delay"),
+    (check_measure_preserving_conditions, "measure-preservation"),
+    (check_ergodicity_conditions, "ergodicity"),
+])
+def test_delay_conditions_reject_synchronous(check, which):
+    """One gate for the three checks, each named in its own message."""
     series = MahlerSeries.from_ints(2, 0, 8, [0, 1])
-    with pytest.raises(ValueError):
-        check_delay_conditions(series)
+    message = (f"the {which} conditions are stated for delay n >= 1; "
+               "this series declares n = 0")
+    with pytest.raises(ValueError) as excinfo:
+        check(series)
+    assert str(excinfo.value) == message
 
 
 def test_insufficient_precision_reported():
@@ -414,22 +424,56 @@ def test_mp_conditions_short_support_fails_unit():
     assert report.verdict is CheckStatus.FAIL
 
 
-def test_mp_tail_counts_base_p_digits():
-    """Past p^n the tail demands v(a_i) >= floor_log(p, i) - n + 1; at
-    p = 2, n = 2 that is 1 on 5..7, 2 on 8..15 and 3 on 16..19 (the
-    base-4 count would demand 1 on 5..15 and 2 on 16..19)."""
-    series = MahlerSeries.from_ints(2, 2, 8, [0] * 4 + [1] + [0] * 15)
-    for report in (
-        check_measure_preserving_conditions(series),
-        check_ergodicity_conditions(series),
-    ):
-        tail = {c.index: c.required for c in report.checks if c.index > 4}
-        assert tail == {i: 1 if i < 8 else 2 if i < 16 else 3 for i in range(5, 20)}
-    # at n = 1 the floor is floor_log(p, i), unchanged
-    series = MahlerSeries.from_ints(3, 1, 8, [0] * 3 + [1] + [0] * 26)
-    report = check_measure_preserving_conditions(series)
-    tail = {c.index: c.required for c in report.checks if c.index > 3}
-    assert tail == {i: 1 if i < 9 else 2 if i < 27 else 3 for i in range(4, 30)}
+@pytest.mark.parametrize("precision", [16, 1])
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_mp_tail_counts_base_p_digits(p, n, precision):
+    """Every row of the three reports against a per-index reference from
+    floor_log and valuation.  The delay floor is floor_log(p, i) - n on
+    1 <= i < M; past p^n the tail demands floor_log(p, i) - n + 1, a count
+    of base-p digits: at p = 2, n = 2 that is 1 on 5..7, 2 on 8..15 and 3 on
+    16..19 (the base-4 count would demand 1 on 5..15 and 2 on 16..19).
+    Supports end at p^j - 1, p^j and p^j + 1 and at p^n and p^n + 1, and
+    precision 1 leaves the zero residues under floors >= 2 undecided."""
+    q, mod = p ** n, p ** precision
+    rng = random.Random(100 * p + 10 * n + precision)
+    supports = {q, q + 1} | {p ** j + d for j in range(1, 8) if p ** j < 130 for d in (-1, 0, 1)}
+
+    def row(value, floor):  # floor None: a unit check
+        observed = valuation(p, precision, value)
+        if floor is None:
+            return 0, CheckStatus.PASS if observed == 0 else CheckStatus.FAIL
+        if observed is None and floor > precision:
+            return floor, CheckStatus.INSUFFICIENT
+        ok = floor <= 0 or observed is None or observed >= floor
+        return floor, CheckStatus.PASS if ok else CheckStatus.FAIL
+
+    def rows(report):
+        return [(c.index, c.label, c.required, c.status) for c in report.checks]
+
+    for support in sorted(supports):
+        floors = [floor_log(p, i) - n for i in range(1, support)]
+        a = [rng.randrange(mod)] + [
+            0 if rng.random() < 0.2 else
+            p ** max(e + rng.choice((-1, 0, 1, 2)), 0) * rng.choice((1, p - 1, p + 1)) % mod
+            for e in floors
+        ]
+        series = MahlerSeries.from_ints(p, n, precision, a)
+        coeff = (a + [0] * q)[q]
+        tail = [(i, f"a_{i}", *row(a[i], floor_log(p, i) - n + 1))
+                for i in range(q + 1, support)]
+        assert rows(check_delay_conditions(series)) == [
+            (i, f"a_{i}", *row(a[i], floor_log(p, i) - n)) for i in range(1, support)]
+        assert rows(check_measure_preserving_conditions(series)) == [
+            (q, f"a_{q}", *row(coeff, None))] + tail
+        head = f"a_1 + ... + a_{q - 1}" if q > 2 else "a_1"
+        assert rows(check_ergodicity_conditions(series)) == [
+            (0, head, *row(sum(a[1:q]), 1)),
+            (q, f"a_{q} - 1", *row(coeff - 1, 1)),
+        ] + tail
+    if (p, n, precision) == (2, 2, 16):
+        report = check_measure_preserving_conditions(MahlerSeries.from_ints(2, 2, 8, [0] * 20))
+        assert {c.index: c.required for c in report.checks if c.index > 4} == {
+            i: 1 if i < 8 else 2 if i < 16 else 3 for i in range(5, 20)}
 
 
 # --- ergodicity conditions ---------------------------------------------------
