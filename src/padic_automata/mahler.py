@@ -302,13 +302,11 @@ def _floor_blocks(
 
 
 def _check(
-    index: int, label: str, value: int, floor: int | None, p: int, precision: int
+    index: int, label: str, value: int, floor: int, p: int, precision: int
 ) -> CoefficientCheck:
-    """One row: v(value) >= ``floor``, or, with no floor, value a unit."""
+    """One row: v(value) >= ``floor``."""
     observed = valuation(p, precision, value)
-    if floor is None:
-        floor, status = 0, CheckStatus.PASS if observed == 0 else CheckStatus.FAIL
-    elif floor <= 0 or observed is None and floor <= precision:
+    if floor <= 0 or observed is None and floor <= precision:
         status = CheckStatus.PASS  # a zero residue certifies valuation >= precision
     elif observed is None:
         status = CheckStatus.INSUFFICIENT
@@ -319,11 +317,11 @@ def _check(
 
 def _conditions(
     series: MahlerSeries, which: str, gate: str,
-    head: list[tuple[int, str, int, int | None]], start: int, c: int,
+    head: list[CoefficientCheck], start: int, c: int,
 ) -> ConditionReport:
-    """The report ``which``: the ``head`` rows (index, label, value, floor,
-    no floor for a unit), then v(a_i) >= floor_log(p, i) - n + c for every
-    supported i >= ``start``.  The ``gate`` conditions all need n >= 1.
+    """The report ``which``: the ``head`` rows, then v(a_i) >= floor_log(p, i)
+    - n + c for every supported i >= ``start``.  The ``gate`` conditions all
+    need n >= 1.
     """
     p, n, precision = series.p, series.n, series.precision
     if n < 1:
@@ -331,7 +329,7 @@ def _conditions(
             f"the {gate} conditions are stated for delay n >= 1; "
             f"this series declares n = {n}"
         )
-    checks = [_check(*row, p, precision) for row in head]
+    checks = list(head)
     for low, high, e in _floor_blocks(p, n, c, start, series.support):
         checks += (_check(i, f"a_{i}", series.coeffs[i], e, p, precision)
                    for i in range(low, high))
@@ -370,9 +368,12 @@ def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport
     outright (that coefficient is exactly zero).
     """
     q = series.p ** series.n
-    unit = series.coeffs[q] if q < series.support else 0
+    observed = valuation(series.p, series.precision,
+                         series.coeffs[q] if q < series.support else 0)
+    unit = CoefficientCheck(q, f"a_{q}", 0, observed,
+                            CheckStatus.PASS if observed == 0 else CheckStatus.FAIL)
     return _conditions(series, "measure-preserving", "measure-preservation",
-                       [(q, f"a_{q}", unit, None)], q + 1, 1)
+                       [unit], q + 1, 1)
 
 
 def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
@@ -384,10 +385,10 @@ def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
     This decides "the conditions hold", not "the map is ergodic"; the
     finite-quotient cycle oracle is the independent witness.
     """
-    q = series.p ** series.n
+    p, q, precision = series.p, series.p ** series.n, series.precision
     head = sum(series.coeffs[1:q])
     unit_minus_one = series.coeffs[q] - 1 if q < series.support else -1
     return _conditions(series, "ergodic", "ergodicity", [
-        (0, f"a_1 + ... + a_{q - 1}" if q > 2 else "a_1", head, 1),
-        (q, f"a_{q} - 1", unit_minus_one, 1),
+        _check(0, f"a_1 + ... + a_{q - 1}" if q > 2 else "a_1", head, 1, p, precision),
+        _check(q, f"a_{q} - 1", unit_minus_one, 1, p, precision),
     ], q + 1, 1)
