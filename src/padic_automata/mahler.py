@@ -41,8 +41,6 @@ __all__ = [
     "series_oracle",
 ]
 
-_WORD = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class MahlerSeries:
@@ -197,38 +195,30 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
 
 def _packed(values: list[int], width: int) -> int:
     """sum_i values[i] 2^(8 width i), each value below 2^(8 width)."""
-    words = -(-width // 8)
-    wide = bytearray(8 * words * len(values))
-    view = memoryview(wide).cast("Q")
-    for w in range(words):
-        digits = map(operator.rshift, values, repeat(64 * w)) if w else values
-        if w < words - 1:
-            digits = map(operator.and_, digits, repeat(_WORD))
-        little = struct.pack(f"<{len(values)}Q", *digits)  # little-endian on any host
-        view[w::words] = memoryview(little).cast("Q")
-    if width % 8:  # narrow each slot to its width
+    if width > 8:
+        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width),
+                                           repeat("little"))), "little")
+    wide = struct.pack(f"<{len(values)}Q", *values)  # little-endian on any host
+    if width < 8:  # narrow each slot to its width
         narrow = bytearray(width * len(values))
         for b in range(width):
-            narrow[b::width] = wide[b::8 * words]
+            narrow[b::width] = wide[b::8]
         wide = narrow
     return int.from_bytes(wide, "little")
 
 
 def _slot_sums(number: int, width: int, start: int, stop: int, slots: int) -> Sequence[int]:
     """Slots start .. stop-1 of ``number``, packed in ``slots`` slots of ``width`` bytes."""
-    words, raw = -(-width // 8), number.to_bytes(width * slots, "little")
-    offset, size = width * start, 8 * words * (stop - start)
-    if width % 8:  # widen each slot to whole 64-bit words
-        wide = bytearray(size)
+    raw, offset = number.to_bytes(width * slots, "little"), width * start
+    if width > 8:
+        return list(map(int.from_bytes, struct.unpack_from(f"{width}s" * (stop - start),
+                                                           raw, offset), repeat("little")))
+    if width < 8:  # widen each slot to a 64-bit word
+        wide = bytearray(8 * (stop - start))
         for b in range(width):
-            wide[b::8 * words] = raw[offset + b : width * stop : width]
+            wide[b::8] = raw[offset + b : width * stop : width]
         raw, offset = wide, 0
-    view = struct.unpack_from(f"<{size // 8}Q", raw, offset)
-    sums: Sequence[int] = view[::words]
-    for w in range(1, words):
-        shifted = map(operator.lshift, view[w::words], repeat(64 * w))
-        sums = list(map(operator.add, sums, shifted))
-    return sums
+    return struct.unpack_from(f"<{stop - start}Q", raw, offset)
 
 
 class CheckStatus(enum.Enum):

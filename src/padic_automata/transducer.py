@@ -12,19 +12,21 @@ a letter range at once; oracle tables and the family images of
 :mod:`~padic_automata.geometry`, transitivity among them, read its
 frontiers.  The delay n of an oracle comes from the delay probe on the
 walk's rows: it builds and checks each state's row with the walk's own
-rule, on the states that the words of each length reach.
+rule, on the states that the words of each length reach, until a length
+reaches no state without a row, which decides n on all words.
 
 State spaces may be infinite: a machine can carry a ``family`` callable
 that enumerates the states belonging to exploration depth D, and every
 whole-family query (reachability here, family images and transitivity
-in ``geometry``) is qualified by the D it was run at.
+in ``geometry``) is qualified by the D it was run at.  A delay probe that
+reaches infinitely many states ends at its budget.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -77,19 +79,16 @@ class Transducer:
                    output=_lookup(outputs, "output"), name=name)
 
 
-def _row(t: Transducer, s: State, j: int, silent: bool | None, rows: tuple) -> bool:
-    """Build and check state s's row for step j + 1 into ``rows``, and
-    return whether the step is silent.
+def _row(t: Transducer, s: State, j: int, silent: bool, rows: tuple) -> None:
+    """Build and check state s's row for step j + 1 into ``rows[silent]``.
 
     ``rows[silent]`` holds two dicts of lists by state, next states and
     letters written by letter read.  A silent step must write nothing and a
-    writing step one letter of 0..p-1; a step whose phase is still open
-    (``silent`` None) takes the phase of the row's first output, and
-    :class:`ValueError` is raised on a row that breaks its step's phase."""
+    writing step one letter of 0..p-1; :class:`ValueError` is raised on a
+    row that breaks its step's phase."""
     p, nexts, outs = t.p, [], []
     for a in range(p):
         out = tuple(t.output(s, a))
-        silent = not out if silent is None else silent
         if out != () if silent else len(out) != 1 or not 0 <= out[0] < p:
             need = "nothing" if silent else f"one letter of 0..{p - 1}"
             raise ValueError(f"transducer {t.name!r} writes {out} from state {s!r} "
@@ -97,7 +96,6 @@ def _row(t: Transducer, s: State, j: int, silent: bool | None, rows: tuple) -> b
         outs.append(out[0] if out else 0)
         nexts.append(t.delta(s, a))
     rows[silent][0][s], rows[silent][1][s] = nexts, outs
-    return silent
 
 
 def walk(
@@ -137,36 +135,39 @@ def walk(
         yield states, residues
 
 
-def delay_profile(
-    t: Transducer, depth: int, budget: int = DEFAULT_BUDGET, rows: tuple = ()
-) -> int:
-    """The constant delay n of ``t``, read on all words up to ``depth``.
+def delay_profile(t: Transducer, *, budget: int = DEFAULT_BUDGET, rows: tuple = ()) -> int:
+    """The constant delay n of ``t``, decided on all words.
 
     n is the first step at which some state reached by the words read so
     far writes anything: every row of the steps before must write nothing
-    and every row from there on one letter, as :func:`walk` demands.
-    :class:`ValueError` is raised on a row that breaks this or when nothing
-    is written through ``depth``, and :class:`BudgetExceededError` before
-    the states reached by the words of one length would number more than
-    ``budget``.  It stops once two lengths reach the same states, as all
-    longer ones would, and builds its rows into ``rows`` for walks to share."""
+    and every row from there on one letter, as :func:`walk` demands.  While
+    n is open, a length's phase is that of its first state's output on
+    letter 0.  The probe stops at the first length whose states all have a
+    row in its phase: each was built at an earlier length, whose next states
+    were read then, so no longer word meets an unchecked row, and a machine
+    with |S| states is decided within 2|S| + 1 lengths.  :class:`ValueError`
+    is raised on a row that breaks its phase or when no word writes anything,
+    and :class:`BudgetExceededError` before the states read, summed over the
+    lengths, would number more than ``budget``, so a machine with infinitely
+    many reachable states fails there.  It builds its rows into ``rows``,
+    given empty, for walks to share."""
     rows = rows or (({}, {}), ({}, {}))
-    states, n = {t.initial: None}, None
-    for j in range(depth):
-        first = next(iter(states))  # an open step takes the phase of its first row
-        if n is None and first not in rows[True][0] and not _row(t, first, j, None, rows):
+    states, n, read = {t.initial: None}, None, 0
+    for j in count():
+        read += len(states)
+        check_budget(read, budget, "delay probe states")
+        if n is None and t.output(next(iter(states)), 0):
             n = j
-        silent = n is None or j < n
+        silent = n is None
         nexts = rows[silent][0]
-        for s in states:
-            if s not in nexts:
-                _row(t, s, j, silent, rows)
-        before, states = states, dict.fromkeys(chain.from_iterable(map(nexts.__getitem__, states)))
-        check_budget(len(states), budget, f"delay probe states at length {j + 1}")
-        if states == before:
+        fresh = [s for s in states if s not in nexts]
+        if not fresh:
             break
+        for s in fresh:
+            _row(t, s, j, silent, rows)
+        states = dict.fromkeys(chain.from_iterable(map(nexts.__getitem__, states)))
     if n is None:
-        raise ValueError(f"transducer {t.name!r} writes nothing through depth {depth}; "
+        raise ValueError(f"transducer {t.name!r} writes nothing on any word; "
                          f"no delay is witnessed")
     return n
 
@@ -174,16 +175,13 @@ def delay_profile(
 def function_of(t: Transducer) -> FunctionOracle:
     """The map realized by ``t`` from its initial state, as an oracle.
 
-    The constant delay n is established by :func:`delay_profile` through
-    depth 8 first (a synchronous machine comes out at n = 0); each table
-    is one :func:`walk`, which re-checks every step, so a delay violation
-    beyond the probed depth fails loudly: every table it answers is one of
-    a genuine delay-n map (``lipschitz``).  The probe and the walks share
-    their rows.  A table of f(x), x < count, reads letter j from 0..p-1
-    while p^j < count, else 0.
-    """
+    The constant delay n is decided by :func:`delay_profile` first (a
+    synchronous machine comes out at n = 0), so every table it answers is
+    one of a genuine delay-n map (``lipschitz``); each table is one
+    :func:`walk` over the probe's rows.  A table of f(x), x < count, reads
+    letter j from 0..p-1 while p^j < count, else 0."""
     rows = ({}, {}), ({}, {})  # shared by the probe and every walk of this oracle
-    n, p = delay_profile(t, 8, DEFAULT_BUDGET, rows), t.p
+    n, p = delay_profile(t, rows=rows), t.p
 
     def table(m: int, count: int) -> Iterable[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]

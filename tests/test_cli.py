@@ -491,6 +491,26 @@ def test_document_machine_is_named_by_its_file(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: transducer 'double.transducer' writes (0, 0)")
 
 
+def test_brute_decides_delays_past_8(capsys):
+    code, out, _ = run(capsys, "brute", "--builtin", "delay-echo", "--n", "8",
+                       "--mode", "mp", "--kmax", "2")
+    assert code == 0
+    assert "level 2: fibers {256x256}" in out
+
+
+def test_document_phase_break_at_step_10_is_refused(capsys, tmp_path):
+    """Nine one-letter steps, then a state that writes two letters: the
+    delay probe reads on until the break, wherever it lies."""
+    lines = ["schema padic-transducer-v1", "p 2", "kind async", "initial c0"]
+    lines += [f"trans c{i} {a} c{min(i + 1, 9)} : " + " ".join([str(a)] * (1 + (i == 9)))
+              for i in range(10) for a in range(2)]
+    path = tmp_path / "late.transducer"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "brute", "--subject", str(path), "--mode", "mp", "--kmax", "2")
+    assert (code, out) == (1, "")
+    assert "step 10 must write one letter" in err
+
+
 @pytest.mark.parametrize("p", [4, 1, 0, -2])
 @pytest.mark.parametrize("command", [
     ["brute", "--mode", "mp"],

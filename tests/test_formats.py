@@ -80,7 +80,7 @@ def test_async_transducer_parses_and_runs():
     t = parse_transducer(ASYNC_DOC)
     assert isinstance(t, Transducer)
     assert sf.simulate(t, (1, 0, 1)) == (0, 1)
-    assert delay_profile(t, 6) == 1
+    assert delay_profile(t) == 1
 
 
 def test_sync_transducer_parses_and_runs():
@@ -88,7 +88,7 @@ def test_sync_transducer_parses_and_runs():
     assert isinstance(t, Transducer)
     assert t.output("carry", 0) == (1,)
     assert sf.simulate(t, (1, 1, 0)) == (0, 0, 1)  # odometer on 3
-    assert delay_profile(t, 6) == 0
+    assert delay_profile(t) == 0
 
 
 @pytest.mark.parametrize(

@@ -141,12 +141,12 @@ def test_walk_raises_the_error_of_the_first_bad_state_in_the_frontier():
 
 
 def test_delay_profile_echo():
-    assert delay_profile(delay_echo_transducer(2, 1), 8) == 1
-    assert delay_profile(delay_echo_transducer(3, 2), 8) == 2
+    assert delay_profile(delay_echo_transducer(2, 1)) == 1
+    assert delay_profile(delay_echo_transducer(3, 2)) == 2
 
 
 def test_delay_profile_synchronous_is_zero():
-    assert delay_profile(identity_transducer(2), 8) == 0
+    assert delay_profile(identity_transducer(2)) == 0
     assert function_of(odometer_transducer(3)).delay == 0
 
 
@@ -156,17 +156,17 @@ def test_delay_profile_double_emitter_not_constant():
         name="double",
     )
     with pytest.raises(ValueError, match=r"writes \(0, 0\) .* step 1 must write one letter"):
-        delay_profile(t, 8)
+        delay_profile(t)
 
 
 def test_delay_profile_silent_machine_unwitnessed():
-    with pytest.raises(ValueError, match="writes nothing through depth 4"):
-        delay_profile(delay_echo_transducer(2, 5), 4)
-    # one state, silent on every letter: the probe stops at length 1
+    # no depth cap: a machine that is silent for 5 letters has delay 5
+    assert delay_profile(delay_echo_transducer(2, 5)) == 5
+    # one state, silent on every letter: the probe closes at length 1
     mute = Transducer(p=3, initial="s", delta=lambda s, a: "s", output=lambda s, a: (),
                       name="mute")
-    with pytest.raises(ValueError, match="writes nothing through depth 8"):
-        delay_profile(mute, 8)
+    with pytest.raises(ValueError, match="writes nothing on any word"):
+        delay_profile(mute)
 
 
 def test_delay_profile_branch_dependent_not_constant():
@@ -177,7 +177,97 @@ def test_delay_profile_branch_dependent_not_constant():
         name="ones-only",
     )
     with pytest.raises(ValueError, match=r"\(1,\) .* on letter 1; step 1 must write nothing"):
-        delay_profile(t, 6)
+        delay_profile(t)
+
+
+def late_break_machine():
+    """A chain c0 .. c9 of one-letter steps; c9 loops to itself writing two
+    letters, so step 10 breaks the synchronous phase of the nine before."""
+    chain = [f"c{i}" for i in range(10)]
+    transitions = {(s, a): chain[min(i + 1, 9)] for i, s in enumerate(chain) for a in range(2)}
+    outputs = {(s, a): (a,) * (1 + (i == 9)) for i, s in enumerate(chain) for a in range(2)}
+    return Transducer.from_tables(2, "c0", transitions, outputs, name="late-break")
+
+
+def test_function_of_refuses_a_phase_break_past_depth_8():
+    with pytest.raises(ValueError, match="from state 'c9' on letter 0; step 10 must write one letter"):
+        function_of(late_break_machine())
+
+
+def test_delay_profile_closes_on_alternating_state_sets():
+    """Lengths 1, 2, 3 ... reach {1, 3}, {2, 0}, {3, 1} ...: no two lengths
+    in a row reach the same states, yet at length 3 every state has its row,
+    so the probe stops after reading 1 + 2 + 2 + 2 states."""
+    t = Transducer(p=2, initial=0, delta=lambda s, a: (s + 1 + 2 * a) % 4,
+                   output=lambda s, a: (a,), name="alternating")
+    assert delay_profile(t, budget=7) == 0
+    with pytest.raises(BudgetExceededError):
+        delay_profile(t, budget=6)
+
+
+def _reference_delay(t, letters):
+    """The delay n that every word of ``letters`` letters shows when run
+    letter by letter (steps before n write nothing, the others one letter),
+    or None when some step breaks it or no step writes."""
+    widths = [set() for _ in range(letters)]  # output lengths seen at each step
+
+    def run(s, j):
+        if j < letters:
+            for a in range(t.p):
+                widths[j].add(len(t.output(s, a)))
+                run(t.delta(s, a), j + 1)
+
+    run(t.initial, 0)
+    n = next((j for j, seen in enumerate(widths) if seen != {0}), None)
+    return n if n is not None and all(seen == {1} for seen in widths[n:]) else None
+
+
+def _small_machine(rng, p, size):
+    """A table machine on states 0..size-1 whose first d states are silent
+    and the rest write one letter.  Half of them are silent chains into the
+    writing states (delay d), the others have random transitions; half carry
+    a planted phase break, one output of a state reached at a random depth
+    given the wrong length."""
+    d = rng.randrange(size)
+    chained = rng.random() < 0.5
+    transitions, outputs = {}, {}
+    for s in range(size):
+        for a in range(p):
+            if chained:
+                transitions[s, a] = s + 1 if s + 1 < d else rng.randrange(d, size)
+            else:
+                transitions[s, a] = rng.randrange(size)
+            outputs[s, a] = () if s < d else (rng.randrange(p),)
+    if rng.random() < 0.5:
+        reached = {0}
+        for _ in range(rng.randrange(2 * size + 1)):
+            reached = {transitions[s, a] for s in reached for a in range(p)}
+        s, a = rng.choice(sorted(reached)), rng.randrange(p)
+        outputs[s, a] = (a,) if s < d else rng.choice([(), (a, a)])
+    return Transducer.from_tables(p, 0, transitions, outputs, name="small")
+
+
+@pytest.mark.parametrize("p, most", [(2, 4), (3, 3)])
+def test_function_of_agrees_with_word_by_word_runs(p, most):
+    """function_of succeeds exactly when every word of up to 2|S| + 1
+    letters, run letter by letter, shows one constant delay, and returns
+    that delay; its tables are the words' outputs."""
+    rng, outcomes = random.Random(p), Counter()
+    for _ in range(200):
+        size = rng.randrange(1, most + 1)
+        t = _small_machine(rng, p, size)
+        want = _reference_delay(t, 2 * size + 1)
+        outcomes[want] += 1
+        try:
+            f = function_of(t)
+        except ValueError:
+            assert want is None, (p, size)
+            continue
+        assert f.delay == want, (p, size)
+        assert f.values(2, p ** (2 + want)) == [
+            sf.simulate_value(t, x, 2, want) for x in range(p ** (2 + want))
+        ]
+    assert all(outcomes[n] for n in (None, 0, 1, 2)), outcomes
 
 
 def burst_transducer():
@@ -319,14 +409,17 @@ def test_family_transitivity_trie_walk_matches_word_runs(t):
 
 
 def test_delay_profile_budget_bounds_the_frontier():
-    # the state counts the 1s read, so length-k words reach k + 1 states
+    # the state counts the 1s read, so length-k words reach k + 1 new states
+    # and the probe never closes: the states it reads, 1 + 2 + 3 + ..., pass
+    # the budget at length 3
     counter = Transducer(
         p=2, initial=0, delta=lambda s, a: s + a, output=lambda s, a: (a,),
         name="counter",
     )
-    assert delay_profile(counter, 8, budget=9) == 0
-    with pytest.raises(BudgetExceededError):
-        delay_profile(counter, 8, budget=8)
+    with pytest.raises(BudgetExceededError, match="10 delay probe states exceed the budget 9"):
+        delay_profile(counter, budget=9)
+    # a finite machine closes under the same budget
+    assert delay_profile(delay_echo_transducer(2, 2), budget=9) == 2
 
 
 
