@@ -21,7 +21,7 @@ from .mahler import (
     series_oracle,
 )
 from .oracle import FunctionOracle
-from .padics import floor_log, valuation
+from .padics import valuation
 from .quotient import cycle_count, is_measure_preserving_upto, unique_cycle_upto
 from .transducer import (
     Transducer,

@@ -25,13 +25,12 @@ Cover fractions are exact; the PGM rasterizer is byte-deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, lt, mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget, family_size
 from .formats import write_file
@@ -54,8 +53,15 @@ def _mirror(p: int, top: int) -> list[int]:
     return mirror
 
 
-@dataclass(frozen=True)
-class PointSet2D:
+class _PointFields(NamedTuple):
+    p: int
+    n: int
+    levels: tuple[int, ...]
+    den: int
+    codes: tuple[int, ...]
+
+
+class PointSet2D(_PointFields):
     """Deduplicated exact points in [0, 1)^2, one integer code each.
 
     Point i is (X/den, Y/den) for ``codes[i] = X * den + Y``, 0 <= X, Y <
@@ -63,13 +69,10 @@ class PointSet2D:
     (X, Y) order.  ``levels`` records which word lengths contributed.
     """
 
-    p: int
-    n: int
-    levels: tuple[int, ...]
-    den: int
-    codes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "PointSet2D":
+        self = super().__new__(cls, *args, **kwargs)
         if self.den < 1:
             raise ValueError(f"denominator must be >= 1, got {self.den}")
         codes = self.codes
@@ -77,6 +80,7 @@ class PointSet2D:
             raise ValueError(f"a code lies outside [0, {self.den}^2): not in [0, 1)^2")
         if not all(map(lt, codes, codes[1:])):
             raise ValueError("point codes must strictly increase")
+        return self
 
     @property
     def coords(self) -> tuple[tuple[int, int], ...]:
@@ -130,8 +134,7 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=tuple(sorted(codes)))
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     """Occupied cells of the p^m-by-p^m grid over [0, 1)^2.
 
     ``fraction`` is exact: occupied / p^(2m).  The cell list is kept so
@@ -206,8 +209,7 @@ def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> Po
     return PointSet2D(p=t.p, n=0, levels=levels, den=t.p ** depth, codes=tuple(sorted(codes)))
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """Depth-qualified verdict: can the state family map any u to any v?
 
     ``passed`` is relative to ``depth`` (more states may exist beyond it);

@@ -21,9 +21,8 @@ import enum
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PrecisionError
 from .oracle import FunctionOracle
@@ -42,8 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MahlerSeries:
+class _SeriesFields(NamedTuple):
+    p: int
+    n: int
+    precision: int
+    coeffs: tuple[int, ...]
+
+
+class MahlerSeries(_SeriesFields):
     """Coefficients a_0 .. a_{M-1} at a common precision, zero beyond.
 
     ``n`` is the declared output delay of the map the series represents
@@ -51,12 +56,10 @@ class MahlerSeries:
     indices at or past the support are exactly zero, not truncations.
     """
 
-    p: int
-    n: int
-    precision: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "MahlerSeries":
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 0:
@@ -69,6 +72,7 @@ class MahlerSeries:
         for a in self.coeffs:
             if not 0 <= a < mod:
                 raise ValueError(f"coefficient {a} outside [0, {self.p}^{self.precision})")
+        return self
 
     @classmethod
     def from_ints(
@@ -83,6 +87,7 @@ class MahlerSeries:
         return len(self.coeffs)
 
     def coefficient_values(self) -> tuple[int, ...]:
+        """``coeffs``, as the benchmark's planted-coefficient test reads them."""
         return self.coeffs
 
 
@@ -189,8 +194,8 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
         return not any(e > 0 and any(map((p ** e).__rmod__, coeffs[low:high]))
                        for low, high, e in _floor_blocks(p, series.n, 0, 1, terms))
 
-    return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", _table=build,
-                          entry_cost=terms, _lipschitz=lipschitz)
+    return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", table=build,
+                          entry_cost=terms, lipschitz_test=lipschitz)
 
 
 def _packed(values: list[int], width: int) -> int:
@@ -227,8 +232,7 @@ class CheckStatus(enum.Enum):
     INSUFFICIENT = "insufficient-precision"
 
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(NamedTuple):
     """One decided congruence: the quantity at ``index`` needs valuation
     >= ``required`` ("unit" checks instead need valuation exactly 0).
 
@@ -243,8 +247,7 @@ class CoefficientCheck:
     status: CheckStatus
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Per-index diagnostics plus the combined verdict.
 
     The verdict is FAIL if any single check certainly fails (a conjunction

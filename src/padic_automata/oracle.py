@@ -3,33 +3,41 @@
 An oracle answers "f(x) mod p^m given x mod p^(m+n)", where n is the
 declared delay (n = 0 for synchronous / 1-Lipschitz maps), as one table:
 f(x) mod p^m for the canonical residues x = 0, 1, ... of Z/p^(m+n).
-Every provider yields that table already reduced, the residues in
+Every provider's ``table`` yields it already reduced, the residues in
 [0, p^m), so reading it is one copy.
 ``value`` reads a single residue off that table after canonicalizing x
 modulo p^(m+n), so every answer is the one at the zero-extended canonical
 representative.  For a genuine n-unit delay map the answer is independent
-of that choice, and such an oracle says so (``lipschitz``); the level
-checks read any other oracle at that representative, level by level.
+of that choice, and such an oracle says so (``lipschitz``, which asks the
+provider's ``lipschitz_test``); the level checks read any other oracle at
+that representative, level by level.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import check_budget
 
 __all__ = ["FunctionOracle"]
 
 
-@dataclass(frozen=True)
-class FunctionOracle:
+class _OracleFields(NamedTuple):
+    p: int
+    delay: int
+    source: str
+    table: Callable[[int, int], Iterable[int]]
+    entry_cost: int = 1
+    lipschitz_test: Callable[[], bool] = lambda: False
+
+
+class FunctionOracle(_OracleFields):
     """Evaluator for f: Z_p -> Z_p with an n-unit output delay.
 
     ``source`` records provenance ("transducer", "mahler-series" or
-    "built-in").  ``_table(m, count)`` yields the residues f(0) mod p^m,
+    "built-in").  ``table(m, count)`` yields the residues f(0) mod p^m,
     ..., f(count-1) mod p^m, each in [0, p^m), count <= p^(m+delay), as
     an iterable read once, which :meth:`values` copies as it is; it is
     the oracle's one route.
@@ -40,27 +48,25 @@ class FunctionOracle:
     lower ones off it.
     ``lipschitz`` says whether the oracle is known to be a genuine delay-n
     map: x == y (mod p^(m+n)) gives f(x) == f(y) (mod p^m) for every m, so
-    p^n f is 1-Lipschitz.  Providers derive it, nobody sets it: True for
-    machine oracles (whose walks check every step's phase), the shift,
-    zero and polynomial built-ins, and a series oracle whose stored
-    coefficients meet the delay floors; False for any other oracle.
+    p^n f is 1-Lipschitz.  Providers derive it in ``lipschitz_test()``,
+    nobody sets it: True for machine oracles (whose walks check every
+    step's phase), the shift, zero and polynomial built-ins, and a series
+    oracle whose stored coefficients meet the delay floors; False for any
+    other oracle.
     """
 
-    p: int
-    delay: int
-    source: str
-    _table: Callable[[int, int], Iterable[int]] = field(compare=False, repr=False)
-    entry_cost: int = 1
-    _lipschitz: Callable[[], bool] = field(default=lambda: False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "FunctionOracle":
+        self = super().__new__(cls, *args, **kwargs)
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
+        return self
 
     @property
     def lipschitz(self) -> bool:
         """Whether the oracle is known to be a genuine delay-n map."""
-        return self._lipschitz()
+        return self.lipschitz_test()
 
     def value(self, x: int, m: int) -> int:
         """f(x) mod p^m, from x known modulo p^(m + delay): one table entry."""
@@ -75,7 +81,7 @@ class FunctionOracle:
             raise ValueError(
                 f"count {count} exceeds the residue domain p^(m+delay)"
             )
-        return list(self._table(m, count))
+        return list(self.table(m, count))
 
     def levels(
         self, shapes: Sequence[tuple[int, int]], budget: int, what: str

@@ -1,4 +1,4 @@
-"""Primes, exact integer logarithms and valuations of residues.
+"""Primes and valuations of residues.
 
 A residue in Z/p^K is a plain integer in [0, p^K); its K base-p digits
 are read least significant first.  Everything here is exact integer
@@ -7,7 +7,7 @@ arithmetic, no floats anywhere.
 
 from __future__ import annotations
 
-__all__ = ["floor_log", "is_prime", "valuation"]
+__all__ = ["is_prime", "valuation"]
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality
@@ -43,24 +43,6 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-def floor_log(base: int, i: int) -> int:
-    """Largest e >= 0 with base**e <= i, by exact integer arithmetic.
-
-    Requires base >= 2 and i >= 1.  Never touches floating point: the
-    off-by-one hazards of float log are exactly what this avoids.
-    """
-    if base < 2:
-        raise ValueError(f"floor_log base must be >= 2, got {base}")
-    if i < 1:
-        raise ValueError(f"floor_log argument must be >= 1, got {i}")
-    e = 0
-    power = base
-    while power <= i:
-        e += 1
-        power *= base
-    return e
 
 
 def valuation(p: int, precision: int, v: int) -> int | None:

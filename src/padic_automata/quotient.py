@@ -24,10 +24,9 @@ each lower level as a reduced prefix of the top table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET
 from .oracle import FunctionOracle
@@ -65,8 +64,7 @@ def _histogram(counts: list[int], expected: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(counts).items()))
 
 
-@dataclass(frozen=True)
-class MeasureVerdict:
+class MeasureVerdict(NamedTuple):
     """Outcome of the fiber-size criterion through ``k_max``.
 
     ``histograms`` collapses each level's fiber sizes to sorted
@@ -179,8 +177,7 @@ def cycle_count(table: Sequence[int]) -> int:
     return found
 
 
-@dataclass(frozen=True)
-class CycleVerdict:
+class CycleVerdict(NamedTuple):
     """Unique-cycle witness through ``k_max`` under the zero-extension lift."""
 
     passed: bool

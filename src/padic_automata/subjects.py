@@ -107,8 +107,8 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
         p=p,
         delay=n,
         source="built-in",
-        _table=lambda m, count: map(operator.floordiv, range(count), repeat(q)),
-        _lipschitz=lambda: True,
+        table=lambda m, count: map(operator.floordiv, range(count), repeat(q)),
+        lipschitz_test=lambda: True,
     )
 
 
@@ -118,7 +118,7 @@ def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
     if n < 0:
         raise ValueError(f"delay must be >= 0, got {n}")
     return FunctionOracle(p=p, delay=n, source="built-in",
-                          _table=lambda m, count: repeat(0, count), _lipschitz=lambda: True)
+                          table=lambda m, count: repeat(0, count), lipschitz_test=lambda: True)
 
 
 def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
@@ -140,8 +140,8 @@ def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
                 acc = (acc * x + c) % mod
             yield acc
 
-    return FunctionOracle(p=p, delay=0, source="built-in", _table=horner,
-                          _lipschitz=lambda: True)
+    return FunctionOracle(p=p, delay=0, source="built-in", table=horner,
+                          lipschitz_test=lambda: True)
 
 
 def _polynomial_builtin(p: int, n: int, coefficients: Sequence[int] | None) -> FunctionOracle:

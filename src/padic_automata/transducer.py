@@ -25,10 +25,9 @@ reaches infinitely many states ends at its budget.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, count
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget
 from .oracle import FunctionOracle
@@ -50,8 +49,7 @@ def _lookup(table: dict, what: str) -> Callable[[State, int], object]:
     return fn
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(NamedTuple):
     """Letter-to-word machine: delta(s, a) -> state, output(s, a) -> word.
 
     ``family``, if given, enumerates the states of exploration depth D.
@@ -59,11 +57,9 @@ class Transducer:
 
     p: int
     initial: State
-    delta: Callable[[State, int], State] = field(compare=False)
-    output: Callable[[State, int], tuple[int, ...]] = field(compare=False)
-    family: Callable[[int], Sequence[State]] | None = field(
-        default=None, compare=False
-    )
+    delta: Callable[[State, int], State]
+    output: Callable[[State, int], tuple[int, ...]]
+    family: Callable[[int], Sequence[State]] | None = None
     name: str = "transducer"
 
     @classmethod
@@ -188,8 +184,8 @@ def function_of(t: Transducer) -> FunctionOracle:
         *_, (_, last) = walk(t, [t.initial], n, letters, rows)
         return last[:count]
 
-    return FunctionOracle(p=p, delay=n, source="transducer", _table=table,
-                          _lipschitz=lambda: True)
+    return FunctionOracle(p=p, delay=n, source="transducer", table=table,
+                          lipschitz_test=lambda: True)
 
 
 def reachable_states(t: Transducer, depth: int) -> Sequence[State]:

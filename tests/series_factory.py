@@ -15,7 +15,8 @@ valuation floors, so each sample provably belongs to its population:
   ``mp_passing`` constraints).
 * ``unconstrained``: anything at all.
 
-``table_machine`` draws a seeded table machine at a given delay, and
+``floor_log`` is the exact integer logarithm those floors are written
+in.  ``table_machine`` draws a seeded table machine at a given delay, and
 ``simulate`` is the reference for every machine traversal: it reads one
 word letter by letter and uses nothing of the package but the machine's
 own ``output`` and ``delta``.
@@ -26,10 +27,27 @@ from __future__ import annotations
 import random
 
 from padic_automata.mahler import MahlerSeries
-from padic_automata.padics import floor_log
 from padic_automata.transducer import Transducer
 
 DEFAULT_PRECISION = 12
+
+
+def floor_log(base: int, i: int) -> int:
+    """Largest e >= 0 with base**e <= i, by exact integer arithmetic.
+
+    Requires base >= 2 and i >= 1.  Never touches floating point: the
+    off-by-one hazards of float log are exactly what this avoids.
+    """
+    if base < 2:
+        raise ValueError(f"floor_log base must be >= 2, got {base}")
+    if i < 1:
+        raise ValueError(f"floor_log argument must be >= 1, got {i}")
+    e = 0
+    power = base
+    while power <= i:
+        e += 1
+        power *= base
+    return e
 
 
 def printed_delay_floor(p: int, n: int, i: int) -> int:
@@ -91,7 +109,7 @@ def mp_failing(
 ) -> MahlerSeries:
     """An ``mp_passing`` draw with exactly one congruence broken."""
     base = mp_passing(rng, p, n, support, precision)
-    values = list(base.coefficient_values())
+    values = list(base.coeffs)
     q = p ** n
     tail = list(range(q + 1, support))
     if tail and rng.random() < 0.5:
@@ -109,7 +127,7 @@ def ergodic_passing(
 ) -> MahlerSeries:
     q = p ** n
     base = mp_passing(rng, p, n, support, precision)
-    values = list(base.coefficient_values())
+    values = list(base.coeffs)
     values[q] = 1 + p * rng.randrange(p ** (precision - 1))
     head = sum(values[1:q]) % p
     if head:

@@ -95,7 +95,7 @@ def independent_reduction_fibers(series: MahlerSeries, k: int):
     """
     p, n = series.p, series.n
     cod = p ** (n * (k - 1))
-    values = series.coefficient_values()
+    values = series.coeffs
     table = [
         sum(a * math.comb(x, i) for i, a in enumerate(values)) % cod
         for x in range(p ** (n * k))
@@ -113,7 +113,7 @@ def test_criterion_1_shift_anchor():
     oracle = shift_oracle(2, 1)
     series = coeffs_from_oracle(oracle, 16, 16)
 
-    values = series.coefficient_values()
+    values = series.coeffs
     assert values[0] == 0 and values[1] == 0
     for i in range(2, 16):
         assert values[i] == (-2) ** (i - 2) % 2 ** 16, f"a_{i}"
@@ -167,7 +167,7 @@ def test_criterion_2_mp_conditions_match_oracle_n1(p):
             assert oracle_table == table, "evaluation routes disagree"
             pytest.fail(
                 f"disagreement at p={p}, n=1: coefficients "
-                f"{series.coefficient_values()} pass the conditions but have "
+                f"{series.coeffs} pass the conditions but have "
                 f"fibers {dict(sorted(fibers.items()))} at level {k} (confirmed exactly)"
             )
     for series in failing:
@@ -233,11 +233,11 @@ def test_criterion_2_mp_conditions_match_oracle_n2(p):
         series, k, fibers = disagreements[0]
         print(
             f"ACCEPTANCE 2 mp-conditions-vs-oracle (p={p}, n=2): FAIL "
-            f"(witness {series.coefficient_values()})"
+            f"(witness {series.coeffs})"
         )
         pytest.fail(
             f"the measure-preservation coefficient conditions are not "
-            f"sufficient at p={p}, n=2: series {series.coefficient_values()} "
+            f"sufficient at p={p}, n=2: series {series.coeffs} "
             f"passes them but its level-{k} fibers are {fibers} instead of "
             f"all {p ** 2}; confirmed by independent exact evaluation."
         )
@@ -298,7 +298,7 @@ def test_criterion_4_ergodic_vs_cycle_oracle():
             if unique_cycle_upto(series_oracle(s), 4).passed:
                 agreements += 1
             else:
-                counterexamples.append((p, n, s.coefficient_values()))
+                counterexamples.append((p, n, s.coeffs))
 
     # the finding must be recorded, not silently ignored
     readme = (REPO_ROOT / "README.md").read_text()

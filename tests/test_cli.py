@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -1171,3 +1173,15 @@ def test_single_letter_async_document_is_synchronous(capsys, tmp_path):
     _, (code, out, _) = _twin_reports(capsys, tmp_path, "transitivity --resolution 2 --depth 3")
     assert code == 3
     assert out.startswith("family transitivity for file m.transducer\n")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The console script pays for every module the package imports; the
+    records are named tuples, so neither module is among them.  Modules a
+    site hook loaded before the import do not count."""
+    src = str(Path(mahler.__file__).resolve().parents[1])
+    script = ("import sys; before = set(sys.modules); import padic_automata.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

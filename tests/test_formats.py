@@ -49,7 +49,7 @@ trans settled 1 settled : 1
 def test_series_round_trip():
     series = parse_series(SERIES_DOC)
     assert series.p == 2 and series.n == 1 and series.precision == 8
-    assert series.coefficient_values() == (0, 0, 1, 254)
+    assert series.coeffs == (0, 0, 1, 254)
     assert parse_series(serialize_series(series)) == series
 
 

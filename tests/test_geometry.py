@@ -418,7 +418,7 @@ def test_accumulate_image_evaluates_one_table():
         calls.append((m, count))
         return [x // 2 for x in range(count)]
 
-    oracle = FunctionOracle(p=2, delay=1, source="built-in", _table=bulk)
+    oracle = FunctionOracle(p=2, delay=1, source="built-in", table=bulk)
     levels = range(2, 6)
     pts = accumulate_image(oracle, levels)
     assert calls == [(5, 2 ** 6)]

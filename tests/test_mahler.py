@@ -16,10 +16,11 @@ from padic_automata.mahler import (
     series_oracle,
 )
 from padic_automata.oracle import FunctionOracle
-from padic_automata.padics import floor_log, valuation
+from padic_automata.padics import valuation
 from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
 
 import series_factory as sf
+from series_factory import floor_log
 
 
 def exact_value(series, x, m):
@@ -45,12 +46,12 @@ def solve_coefficients(values, p, precision):
 
 def test_identity_coefficients():
     series = coeffs_from_oracle(polynomial_oracle(2, [0, 1]), 4, 8)
-    assert series.coefficient_values() == (0, 1, 0, 0)
+    assert series.coeffs == (0, 1, 0, 0)
 
 
 def test_square_coefficients():
     series = coeffs_from_oracle(polynomial_oracle(2, [0, 0, 1]), 4, 8)
-    assert series.coefficient_values() == (0, 1, 2, 0)
+    assert series.coeffs == (0, 1, 2, 0)
 
 
 def test_shift_coefficients_match_triangular_solve():
@@ -59,7 +60,7 @@ def test_shift_coefficients_match_triangular_solve():
     expected = solve_coefficients(shift_values, 2, K)
     assert expected == [0, 0, 1, (-2) % 256, 4, (-8) % 256]
     series = coeffs_from_oracle(shift_oracle(2, 1), 6, K)
-    assert list(series.coefficient_values()) == expected
+    assert list(series.coeffs) == expected
 
 
 def test_series_holds_canonical_residues():
@@ -282,7 +283,7 @@ def test_product_table_of_worst_case_coefficients(p, precision, support, count):
         series = MahlerSeries(p=p, n=1, precision=precision, coeffs=coeffs)
         oracle = series_oracle(series)
         exact = [exact_value(series, x, precision) for x in range(count)]
-        assert list(oracle._table(precision, count)) == exact
+        assert list(oracle.table(precision, count)) == exact
         assert oracle.values(precision, count) == exact
 
 
@@ -315,10 +316,10 @@ def test_packing_round_trips_every_byte_width(width):
 
 def test_one_coefficient_series_and_count_one():
     constant = series_oracle(MahlerSeries.from_ints(3, 1, 4, [-1]))
-    assert list(constant._table(4, 1)) == [80]
+    assert list(constant.table(4, 1)) == [80]
     assert constant.values(2, 3 ** 3) == [8] * 3 ** 3
     two = series_oracle(MahlerSeries.from_ints(2, 1, 4, [5, 7]))
-    assert list(two._table(4, 1)) == [5]
+    assert list(two.table(4, 1)) == [5]
     assert two.values(4, 3) == [5, 12, 3]
     deep = series_oracle(MahlerSeries.from_ints(3, 1, 40, [-1]))  # built mod 3^3, not 3^40
     assert deep.values(2, 3 ** 3) == [8] * 3 ** 3

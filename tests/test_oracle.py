@@ -1,8 +1,9 @@
 """FunctionOracle: the built-in maps' tables, ``value`` as one table
-entry, the provider contract (every ``_table`` yields residues in
+entry, the provider contract (every ``table`` yields residues in
 [0, p^m)), ``levels``: one gated table at the top shape, every lower
-shape a reduced prefix of it, and ``lipschitz``: which oracles are known to
-be genuine delay-n maps."""
+shape a reduced prefix of it, ``lipschitz``: which oracles are known to
+be genuine delay-n maps, and that every record of the package is
+immutable."""
 
 import operator
 import random
@@ -12,11 +13,33 @@ import pytest
 
 from padic_automata.errors import BudgetExceededError
 from padic_automata.formats import parse_transducer
-from padic_automata.mahler import CheckStatus, MahlerSeries, check_delay_conditions, series_oracle
+from padic_automata.geometry import (
+    CoverReport,
+    PointSet2D,
+    TransitivityReport,
+    accumulate_image,
+    cover_fraction,
+    family_transitivity,
+)
+from padic_automata.mahler import (
+    CheckStatus,
+    CoefficientCheck,
+    ConditionReport,
+    MahlerSeries,
+    check_delay_conditions,
+    series_oracle,
+)
 from padic_automata.oracle import FunctionOracle
-from padic_automata.padics import floor_log
+from padic_automata.quotient import (
+    CycleVerdict,
+    MeasureVerdict,
+    is_measure_preserving_upto,
+    unique_cycle_upto,
+)
 from padic_automata.subjects import (
     BUILTIN_NAMES,
+    digitwise_add_family,
+    identity_transducer,
     make_builtin,
     polynomial_oracle,
     shift_oracle,
@@ -25,6 +48,7 @@ from padic_automata.subjects import (
 from padic_automata.transducer import Transducer, function_of
 
 import series_factory as sf
+from series_factory import floor_log
 
 
 def _subjects():
@@ -175,11 +199,11 @@ trans c 2 b : 2
 
 
 def _assert_reduced(f, m):
-    """``_table`` yields residues in [0, p^m), and ``values`` is the
+    """``table`` yields residues in [0, p^m), and ``values`` is the
     reference reduction of that table, at the full domain and below it."""
     mod, domain = f.p ** m, f.p ** (m + f.delay)
     for count in (domain, domain - 1, domain // f.p + 1):
-        table = list(f._table(m, count))
+        table = list(f.table(m, count))
         assert len(table) == count
         assert all(0 <= v < mod for v in table), (m, count)
         assert f.values(m, count) == list(map(operator.mod, table, repeat(mod)))
@@ -281,5 +305,37 @@ def test_builtin_and_machine_oracles_are_lipschitz(subject):
 
 
 def test_an_oracle_built_by_hand_is_not_known_to_be_lipschitz():
-    f = FunctionOracle(p=2, delay=1, source="built-in", _table=lambda m, count: repeat(0, count))
+    f = FunctionOracle(p=2, delay=1, source="built-in", table=lambda m, count: repeat(0, count))
     assert f.lipschitz is False
+
+
+def _records():
+    """One instance of each of the package's ten record classes, built the
+    way callers get them."""
+    series = MahlerSeries.from_ints(2, 1, 8, [0, 1, 2, 4])
+    points = accumulate_image(shift_oracle(2), [1, 2])
+    builds = (
+        (MeasureVerdict, lambda: is_measure_preserving_upto(shift_oracle(2), 3)),
+        (CycleVerdict, lambda: unique_cycle_upto(shift_oracle(2), 2)),
+        (CoefficientCheck, lambda: check_delay_conditions(series).checks[0]),
+        (ConditionReport, lambda: check_delay_conditions(series)),
+        (MahlerSeries, lambda: series),
+        (FunctionOracle, lambda: shift_oracle(2)),
+        (Transducer, lambda: identity_transducer(2)),
+        (PointSet2D, lambda: points),
+        (CoverReport, lambda: cover_fraction(points, 1)),
+        (TransitivityReport, lambda: family_transitivity(digitwise_add_family(2), 1, 1)),
+    )
+    return [pytest.param(cls, build, id=cls.__name__) for cls, build in builds]
+
+
+@pytest.mark.parametrize("cls,build", _records())
+def test_records_reject_attribute_assignment(cls, build):
+    record = build()
+    assert type(record) is cls
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    with pytest.raises(ValueError, match="delay must be >= 0"):
+        FunctionOracle(p=2, delay=-1, source="built-in", table=lambda m, count: repeat(0, count))

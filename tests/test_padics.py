@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_automata.mahler import MahlerSeries
-from padic_automata.padics import floor_log, is_prime, valuation
+from padic_automata.padics import is_prime, valuation
 from padic_automata.subjects import identity_transducer
 from padic_automata.transducer import function_of
+
+from series_factory import floor_log
 
 
 def test_make_reduces_modulo():

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -183,7 +182,7 @@ def test_upto_checks_budget_before_any_level(n):
         calls.append(count)
         return (x % 2 ** m for x in range(count))
 
-    oracle = FunctionOracle(p=2, delay=n, source="built-in", _table=counted)
+    oracle = FunctionOracle(p=2, delay=n, source="built-in", table=counted)
     # level 2 fits in 2^8 entries, level 30 does not
     with pytest.raises(BudgetExceededError):
         is_measure_preserving_upto(oracle, 30, budget=1 << 8)
@@ -292,7 +291,7 @@ def _counting(oracle):
         calls.append(("values", m, count))
         return oracle.values(m, count)
 
-    return replace(oracle, _table=table), calls
+    return oracle._replace(table=table), calls
 
 
 def _reference_mp(f, k_max):
