@@ -133,14 +133,12 @@ def load_subject(args):
     return parse_document(path.read_text(), name=str(path))
 
 
-def to_oracle(subject) -> FunctionOracle:
+def to_oracle(subject, budget: int) -> FunctionOracle:
     if isinstance(subject, FunctionOracle):
         return subject
     if isinstance(subject, MahlerSeries):
         return mahler.series_oracle(subject)
-    if isinstance(subject, Transducer):
-        return function_of(subject)
-    raise FormatError(f"cannot use {type(subject).__name__} as a function oracle")
+    return function_of(subject, budget)
 
 
 def to_series(subject, args) -> MahlerSeries:
@@ -150,7 +148,7 @@ def to_series(subject, args) -> MahlerSeries:
     check_budget(
         args.terms * (args.terms + 1) // 2, args.budget, f"differences for {args.terms} terms"
     )
-    return mahler.coeffs_from_oracle(to_oracle(subject), args.terms, args.precision)
+    return mahler.coeffs_from_oracle(to_oracle(subject, args.budget), args.terms, args.precision)
 
 
 # --- commands: each returns its report payload ---------------------------------
@@ -182,13 +180,14 @@ _WHICH = {
 
 
 def cmd_check(args) -> dict:
-    report = _WHICH[args.which](to_series(load_subject(args), args))
+    series = to_series(load_subject(args), args)
+    report = _WHICH[args.which](series)
     return {
         "command": "check",
         "which": report.which,
-        "p": report.p,
-        "n": report.n,
-        "precision": report.precision,
+        "p": series.p,
+        "n": series.n,
+        "precision": series.precision,
         "checks": [
             {"index": c.index, "label": c.label, "required": c.required,
              "observed": c.observed, "status": c.status.value}
@@ -199,11 +198,11 @@ def cmd_check(args) -> dict:
 
 
 def cmd_brute(args) -> dict:
-    oracle = to_oracle(load_subject(args))
+    oracle = to_oracle(load_subject(args), args.budget)
     if args.mode == "mp":
         verdict = quotient.is_measure_preserving_upto(oracle, args.kmax, args.budget)
         detail = {
-            "expected_fiber": verdict.expected_fiber,
+            "expected_fiber": oracle.p ** oracle.delay,
             "levels": [{"level": k, "fibers": [list(pair) for pair in hist]}
                        for k, hist in verdict.histograms],
         }
@@ -213,9 +212,9 @@ def cmd_brute(args) -> dict:
     return {
         "command": "brute",
         "mode": args.mode,
-        "p": verdict.p,
-        "n": verdict.n,
-        "k_max": verdict.k_max,
+        "p": oracle.p,
+        "n": oracle.delay,
+        "k_max": args.kmax,
         **detail,
         "passed": verdict.passed,
         "first_failing_level": verdict.first_failing_level,
@@ -225,7 +224,7 @@ def cmd_brute(args) -> dict:
 def cmd_image(args) -> dict:
     subject = load_subject(args)
     m = args.resolution
-    oracle = to_oracle(subject)
+    oracle = to_oracle(subject, args.budget)
     if args.out:
         check_budget(oracle.p ** (2 * m), args.budget, f"raster pixels ({oracle.p}^{2 * m})")
     family = isinstance(subject, Transducer) and oracle.delay == 0
@@ -237,8 +236,8 @@ def cmd_image(args) -> dict:
     payload = {
         "command": "image",
         "p": report.p,
-        "n": report.n,
-        "levels": list(report.levels),
+        "n": points.n,
+        "levels": list(points.levels),
         "m": report.m,
         "occupied": report.occupied,
         "fraction": [report.fraction.numerator, report.fraction.denominator],
@@ -254,13 +253,13 @@ def cmd_image(args) -> dict:
 
 def cmd_transitivity(args) -> dict:
     subject = load_subject(args)
-    if not isinstance(subject, Transducer) or to_oracle(subject).delay != 0:
+    if not isinstance(subject, Transducer) or to_oracle(subject, args.budget).delay != 0:
         raise FormatError("transitivity needs a synchronous transducer subject")
     report = geometry.family_transitivity(subject, args.resolution, args.depth, args.budget)
     return {
         "command": "transitivity",
-        "level": report.level,
-        "depth": report.depth,
+        "level": args.resolution,
+        "depth": args.depth,
         "states": report.states_examined,
         "passed": report.passed,
         "counterexample": list(report.counterexample) if report.counterexample else None,

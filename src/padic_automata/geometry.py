@@ -70,6 +70,7 @@ class PointSet2D(_PointFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace too runs __new__
 
     def __new__(cls, *args, **kwargs) -> "PointSet2D":
         self = super().__new__(cls, *args, **kwargs)
@@ -142,8 +143,6 @@ class CoverReport(NamedTuple):
     """
 
     p: int
-    n: int
-    levels: tuple[int, ...]
     m: int
     occupied: int
     fraction: Fraction
@@ -167,7 +166,7 @@ def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
         hi = bisect_left(codes, -(-(col + 1) * den // grid) * den, lo)
         cells += zip(repeat(col), sorted({c % den * grid // den for c in codes[lo:hi]}))
         lo = hi
-    return CoverReport(p=points.p, n=points.n, levels=points.levels, m=m, occupied=len(cells),
+    return CoverReport(p=points.p, m=m, occupied=len(cells),
                        fraction=Fraction(len(cells), grid * grid), cells=tuple(cells))
 
 
@@ -212,14 +211,12 @@ def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> Po
 class TransitivityReport(NamedTuple):
     """Depth-qualified verdict: can the state family map any u to any v?
 
-    ``passed`` is relative to ``depth`` (more states may exist beyond it);
-    on failure ``counterexample`` holds the lexicographically first pair
-    of residues (u, v) no examined state connects.
+    ``passed`` holds at the depth it was run at (more states may exist
+    beyond it); on failure ``counterexample`` holds the lexicographically
+    first pair of residues (u, v) no examined state connects.
     """
 
     passed: bool
-    level: int
-    depth: int
     states_examined: int
     counterexample: tuple[int, int] | None = None
 
@@ -243,8 +240,6 @@ def family_transitivity(
                        if mirror[u] * size + mirror[v] not in codes)
     return TransitivityReport(
         passed=missing is None,
-        level=level,
-        depth=depth,
         states_examined=len(states),
         counterexample=missing,
     )

@@ -57,6 +57,7 @@ class MahlerSeries(_SeriesFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace too runs __new__
 
     def __new__(cls, *args, **kwargs) -> "MahlerSeries":
         self = super().__new__(cls, *args, **kwargs)
@@ -147,8 +148,8 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     The oracle is ``lipschitz`` when every stored a_i, i >= 1, is a multiple
     of p^(floor_log(p, i) - n), the floors of :func:`check_delay_conditions`,
     since the table sums these integers times C(x, i); it reads them from
-    the same block generator as the three checks.  It is tested only when
-    asked for, so an oracle that no fiber check reads never pays.
+    the same block generator as the three checks.  It is decided once, when
+    the oracle is built.
     """
     p, coeffs, terms = series.p, series.coeffs, series.support
     table: list[int] = []
@@ -190,12 +191,10 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
                                     0, min(block, size - s), len(poly) + block - 1)
         return map(operator.mod, islice(table, count), repeat(p ** m))
 
-    def lipschitz() -> bool:
-        return not any(e > 0 and any(map((p ** e).__rmod__, coeffs[low:high]))
-                       for low, high, e in _floor_blocks(p, series.n, 0, 1, terms))
-
+    lipschitz = not any(e > 0 and any(map((p ** e).__rmod__, coeffs[low:high]))
+                        for low, high, e in _floor_blocks(p, series.n, 0, 1, terms))
     return FunctionOracle(p=series.p, delay=series.n, source="mahler-series", table=build,
-                          entry_cost=terms, lipschitz_test=lipschitz)
+                          entry_cost=terms, lipschitz=lipschitz)
 
 
 def _packed(values: list[int], width: int) -> int:
@@ -257,9 +256,6 @@ class ConditionReport(NamedTuple):
     """
 
     which: str
-    p: int
-    n: int
-    precision: int
     checks: tuple[CoefficientCheck, ...]
 
     @property
@@ -326,7 +322,7 @@ def _conditions(
     for low, high, e in _floor_blocks(p, n, c, start, series.support):
         checks += (_check(i, f"a_{i}", series.coeffs[i], e, p, precision)
                    for i in range(low, high))
-    return ConditionReport(which, p, n, precision, tuple(checks))
+    return ConditionReport(which, tuple(checks))
 
 
 def check_delay_conditions(series: MahlerSeries) -> ConditionReport:

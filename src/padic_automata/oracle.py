@@ -8,9 +8,9 @@ Every provider's ``table`` yields it already reduced, the residues in
 ``value`` reads a single residue off that table after canonicalizing x
 modulo p^(m+n), so every answer is the one at the zero-extended canonical
 representative.  For a genuine n-unit delay map the answer is independent
-of that choice, and such an oracle says so (``lipschitz``, which asks the
-provider's ``lipschitz_test``); the level checks read any other oracle at
-that representative, level by level.
+of that choice, and such an oracle says so (``lipschitz``, a field its
+provider sets); the level checks read any other oracle at that
+representative, level by level.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class _OracleFields(NamedTuple):
     source: str
     table: Callable[[int, int], Iterable[int]]
     entry_cost: int = 1
-    lipschitz_test: Callable[[], bool] = lambda: False
+    lipschitz: bool = False
 
 
 class FunctionOracle(_OracleFields):
@@ -48,25 +48,21 @@ class FunctionOracle(_OracleFields):
     lower ones off it.
     ``lipschitz`` says whether the oracle is known to be a genuine delay-n
     map: x == y (mod p^(m+n)) gives f(x) == f(y) (mod p^m) for every m, so
-    p^n f is 1-Lipschitz.  Providers derive it in ``lipschitz_test()``,
-    nobody sets it: True for machine oracles (whose walks check every
-    step's phase), the shift, zero and polynomial built-ins, and a series
-    oracle whose stored coefficients meet the delay floors; False for any
-    other oracle.
+    p^n f is 1-Lipschitz.  It is a field the provider sets: True for
+    machine oracles (whose walks check every step's phase), the shift,
+    zero and polynomial built-ins, and a series oracle whose stored
+    coefficients meet the delay floors; False, the default, for any other
+    oracle.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace too runs __new__
 
     def __new__(cls, *args, **kwargs) -> "FunctionOracle":
         self = super().__new__(cls, *args, **kwargs)
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
         return self
-
-    @property
-    def lipschitz(self) -> bool:
-        """Whether the oracle is known to be a genuine delay-n map."""
-        return self.lipschitz_test()
 
     def value(self, x: int, m: int) -> int:
         """f(x) mod p^m, from x known modulo p^(m + delay): one table entry."""

@@ -73,10 +73,6 @@ class MeasureVerdict(NamedTuple):
     """
 
     passed: bool
-    p: int
-    n: int
-    k_max: int
-    expected_fiber: int
     first_failing_level: int | None
     histograms: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
@@ -133,10 +129,6 @@ def is_measure_preserving_upto(
             break
     return MeasureVerdict(
         passed=first_fail is None,
-        p=p,
-        n=n,
-        k_max=k_max,
-        expected_fiber=expected,
         first_failing_level=first_fail,
         histograms=tuple(sorted(histograms.items())),
     )
@@ -181,9 +173,6 @@ class CycleVerdict(NamedTuple):
     """Unique-cycle witness through ``k_max`` under the zero-extension lift."""
 
     passed: bool
-    p: int
-    n: int
-    k_max: int
     first_failing_level: int | None
     cycle_counts: tuple[tuple[int, int], ...]  # (level, number of cycles)
 
@@ -209,9 +198,6 @@ def unique_cycle_upto(
             first_fail = k
     return CycleVerdict(
         passed=first_fail is None,
-        p=f.p,
-        n=f.delay,
-        k_max=k_max,
         first_failing_level=first_fail,
         cycle_counts=tuple(counts),
     )

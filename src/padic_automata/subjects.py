@@ -108,7 +108,7 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
         delay=n,
         source="built-in",
         table=lambda m, count: map(operator.floordiv, range(count), repeat(q)),
-        lipschitz_test=lambda: True,
+        lipschitz=True,
     )
 
 
@@ -118,7 +118,7 @@ def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
     if n < 0:
         raise ValueError(f"delay must be >= 0, got {n}")
     return FunctionOracle(p=p, delay=n, source="built-in",
-                          table=lambda m, count: repeat(0, count), lipschitz_test=lambda: True)
+                          table=lambda m, count: repeat(0, count), lipschitz=True)
 
 
 def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
@@ -141,7 +141,7 @@ def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
             yield acc
 
     return FunctionOracle(p=p, delay=0, source="built-in", table=horner,
-                          lipschitz_test=lambda: True)
+                          lipschitz=True)
 
 
 def _polynomial_builtin(p: int, n: int, coefficients: Sequence[int] | None) -> FunctionOracle:

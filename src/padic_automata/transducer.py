@@ -168,16 +168,16 @@ def delay_profile(t: Transducer, *, budget: int = DEFAULT_BUDGET, rows: tuple = 
     return n
 
 
-def function_of(t: Transducer) -> FunctionOracle:
+def function_of(t: Transducer, budget: int = DEFAULT_BUDGET) -> FunctionOracle:
     """The map realized by ``t`` from its initial state, as an oracle.
 
-    The constant delay n is decided by :func:`delay_profile` first (a
-    synchronous machine comes out at n = 0), so every table it answers is
-    one of a genuine delay-n map (``lipschitz``); each table is one
-    :func:`walk` over the probe's rows.  A table of f(x), x < count, reads
-    letter j from 0..p-1 while p^j < count, else 0."""
+    The constant delay n is decided by :func:`delay_profile` first, within
+    ``budget`` (a synchronous machine comes out at n = 0), so every table it
+    answers is one of a genuine delay-n map (``lipschitz``); each table is
+    one :func:`walk` over the probe's rows.  A table of f(x), x < count,
+    reads letter j from 0..p-1 while p^j < count, else 0."""
     rows = ({}, {}), ({}, {})  # shared by the probe and every walk of this oracle
-    n, p = delay_profile(t, rows=rows), t.p
+    n, p = delay_profile(t, budget=budget, rows=rows), t.p
 
     def table(m: int, count: int) -> Iterable[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
@@ -185,7 +185,7 @@ def function_of(t: Transducer) -> FunctionOracle:
         return last[:count]
 
     return FunctionOracle(p=p, delay=n, source="transducer", table=table,
-                          lipschitz_test=lambda: True)
+                          lipschitz=True)
 
 
 def reachable_states(t: Transducer, depth: int) -> Sequence[State]:

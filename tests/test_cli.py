@@ -513,6 +513,20 @@ def test_document_phase_break_at_step_10_is_refused(capsys, tmp_path):
     assert "step 10 must write one letter" in err
 
 
+def test_delay_probe_honours_the_budget(capsys, tmp_path):
+    """A chain of 3000 states that echoes each letter, the last one looping
+    to itself: the probe reads one state per length, 3001 in all."""
+    lines = ["schema padic-transducer-v1", "p 2", "kind sync", "initial c0"]
+    lines += [f"trans c{i} {a} c{min(i + 1, 2999)} : {a}" for i in range(3000) for a in range(2)]
+    path = tmp_path / "chain.transducer"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["brute", "--subject", str(path), "--mode", "mp", "--kmax", "2"]
+    code, out, err = run(capsys, *argv, "--budget", "4")
+    assert (code, out) == (4, "")
+    assert err == "budget exceeded: 5 delay probe states exceed the budget 4\n"
+    assert run(capsys, *argv)[0] == 0
+
+
 @pytest.mark.parametrize("p", [4, 1, 0, -2])
 @pytest.mark.parametrize("command", [
     ["brute", "--mode", "mp"],
@@ -548,6 +562,47 @@ def test_p_past_the_primality_bound_is_an_input_error(capsys, tmp_path):
         code, out, err = run(capsys, "brute", *argv, "--mode", "mp")
         assert (code, out) == (1, "")
         assert "cannot decide whether" in err
+
+
+SERIES_3_2 = MahlerSeries.from_ints(3, 2, 8, [7919 ** 3 * i for i in range(12)])
+
+
+@pytest.mark.parametrize("argv,fields", [
+    ("brute --subject SERIES --mode mp --kmax 2",
+     {"p": 3, "n": 2, "k_max": 2, "expected_fiber": 9}),
+    ("brute --subject SERIES --mode cycles --kmax 3", {"p": 3, "n": 2, "k_max": 3}),
+    ("check --subject SERIES --which mp", {"p": 3, "n": 2, "precision": 8}),
+    ("image --subject SERIES --kmax 2 --resolution 2",
+     {"p": 3, "n": 2, "levels": [1, 2], "m": 2}),
+    ("brute --builtin polynomial --p 5 --coeffs 1,2 --mode mp --kmax 3",
+     {"p": 5, "n": 0, "k_max": 3, "expected_fiber": 1}),
+    ("brute --builtin polynomial --p 5 --coeffs 1,2 --mode cycles --kmax 2",
+     {"p": 5, "n": 0, "k_max": 2}),
+    ("image --builtin polynomial --p 5 --coeffs 1,2 --kmax 3 --resolution 1",
+     {"p": 5, "n": 0, "levels": [1, 2, 3], "m": 1}),
+    ("brute --builtin delay-echo --p 3 --n 2 --mode mp --kmax 2",
+     {"p": 3, "n": 2, "k_max": 2, "expected_fiber": 9}),
+    ("brute --builtin delay-echo --p 3 --n 2 --mode cycles --kmax 2",
+     {"p": 3, "n": 2, "k_max": 2}),
+    ("check --builtin delay-echo --p 3 --n 2 --which delay --terms 10 --precision 3",
+     {"p": 3, "n": 2, "precision": 3}),
+    ("image --builtin delay-echo --p 3 --n 2 --kmax 2 --resolution 1",
+     {"p": 3, "n": 2, "levels": [1, 2], "m": 1}),
+    ("image --builtin digitwise-add --p 5 --depth 2 --resolution 1",
+     {"p": 5, "n": 0, "levels": [1, 2], "m": 1}),
+    ("transitivity --builtin digitwise-add --p 5 --resolution 1 --depth 2",
+     {"level": 1, "depth": 2}),
+])
+def test_payload_fields_repeat_the_subject_and_the_flags(capsys, tmp_path, argv, fields):
+    """The p, n, precision, level and depth fields of a report come from the
+    subject and the flags, not from the result records."""
+    path = tmp_path / "wide.series"
+    path.write_text(serialize_series(SERIES_3_2))
+    argv = [str(path) if token == "SERIES" else token for token in argv.split()]
+    code, out, err = run(capsys, *argv, "--report-format", "json")
+    assert code in (0, 3) and err == ""
+    report = json.loads(out)
+    assert {key: report[key] for key in fields} == fields
 
 
 def test_polynomial_builtin(capsys):

@@ -3,7 +3,8 @@ entry, the provider contract (every ``table`` yields residues in
 [0, p^m)), ``levels``: one gated table at the top shape, every lower
 shape a reduced prefix of it, ``lipschitz``: which oracles are known to
 be genuine delay-n maps, and that every record of the package is
-immutable."""
+immutable, holds only what its check decided, and runs its constructor's
+checks when built by ``_replace`` or ``_make``."""
 
 import operator
 import random
@@ -339,3 +340,44 @@ def test_records_reject_attribute_assignment(cls, build):
         record.extra = None
     with pytest.raises(ValueError, match="delay must be >= 0"):
         FunctionOracle(p=2, delay=-1, source="built-in", table=lambda m, count: repeat(0, count))
+
+
+def test_result_records_hold_only_what_their_check_decided():
+    """The inputs of a check (p, n, k_max, precision, levels, depth) stay
+    with its caller; an oracle's genuineness is a field its provider sets."""
+    assert MeasureVerdict._fields == ("passed", "first_failing_level", "histograms")
+    assert CycleVerdict._fields == ("passed", "first_failing_level", "cycle_counts")
+    assert ConditionReport._fields == ("which", "checks")
+    assert TransitivityReport._fields == ("passed", "states_examined", "counterexample")
+    assert CoverReport._fields == ("p", "m", "occupied", "fraction", "cells")
+    assert "lipschitz" in FunctionOracle._fields
+    assert FunctionOracle._field_defaults["lipschitz"] is False
+
+
+def _replacements():
+    """(record, a change that breaks its class's check, a valid change) for
+    each record whose constructor checks its fields."""
+    points = accumulate_image(shift_oracle(2), [1, 2])
+    return [
+        pytest.param(MahlerSeries.from_ints(2, 1, 4, [0, 1]), {"p": 4, "coeffs": (99,)},
+                     {"coeffs": (1, 3)}, id="MahlerSeries"),
+        pytest.param(points, {"codes": points.codes[::-1]}, {"levels": (2,)}, id="PointSet2D"),
+        pytest.param(shift_oracle(2), {"delay": -1},
+                     {"table": lambda m, count: repeat(0, count)}, id="FunctionOracle"),
+    ]
+
+
+@pytest.mark.parametrize("record,broken,valid", _replacements())
+def test_replace_and_make_run_the_constructor_checks(record, broken, valid):
+    cls, fields = type(record), record._asdict()
+    with pytest.raises(ValueError) as built:
+        cls(**{**fields, **broken})
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**broken)
+    assert str(replaced.value) == str(built.value)
+    with pytest.raises(ValueError) as made:
+        cls._make({**fields, **broken}.values())
+    assert str(made.value) == str(built.value)
+    changed = record._replace(**valid)
+    assert type(changed) is cls
+    assert changed == cls(**{**fields, **valid})

@@ -304,8 +304,7 @@ def _reference_mp(f, k_max):
         if first_fail is None and any(c != expected for c in counts):
             first_fail = k
     return MeasureVerdict(
-        passed=first_fail is None, p=f.p, n=f.delay, k_max=k_max,
-        expected_fiber=expected, first_failing_level=first_fail,
+        passed=first_fail is None, first_failing_level=first_fail,
         histograms=tuple(histograms),
     )
 
@@ -319,8 +318,8 @@ def _reference_cycles(f, k_max):
         if first_fail is None and found != 1:
             first_fail = k
     return CycleVerdict(
-        passed=first_fail is None, p=f.p, n=f.delay, k_max=k_max,
-        first_failing_level=first_fail, cycle_counts=tuple(counts),
+        passed=first_fail is None, first_failing_level=first_fail,
+        cycle_counts=tuple(counts),
     )
 
 

@@ -379,8 +379,8 @@ def _reference_transitivity(t, level, depth):
     for u in range(size):
         for v in range(size):
             if (u, v) not in covered:
-                return TransitivityReport(False, level, depth, len(states), (u, v))
-    return TransitivityReport(True, level, depth, len(states))
+                return TransitivityReport(False, len(states), (u, v))
+    return TransitivityReport(True, len(states))
 
 
 @pytest.mark.parametrize(
