@@ -21,8 +21,8 @@ import enum
 import math
 import operator
 import struct
-from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PrecisionError
 from .oracle import FunctionOracle
@@ -139,11 +139,15 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     below q^2 (M values meet at most M of the M + 1 terms of (1 - X)^M);
     w is sized with a margin, (M + 1)(q - 1)^2 < 2^(8 w), so no slot
     carries into the next.
-    The oracle keeps the raw slot sums, each == f(x) (mod q); only the M
-    values before a block are reduced, to pack its P_s.  It rebuilds when
-    a longer table or a larger m is asked for, keeping the length and
-    never lowering e, and every query reduces the prefix it returns
-    mod p^m.  The budget counts the build as N * M, the oracle's
+    The oracle keeps the products' slot bytes, w little-endian bytes per
+    entry whose sum is == f(x) (mod q), not an int per entry.  One
+    reader turns a run of slots into residues mod p^m: at p = 2 and
+    m <= 64 it takes the low m bits of each slot, and otherwise it reads
+    each slot whole and reduces it.  Every query reads its prefix mod p^m
+    through it, and each block reads the M values before it and its P_s
+    slots mod q.  The oracle rebuilds when a longer table or a larger m is
+    asked for, keeping the length and never lowering e.  The budget counts
+    the build as N * M, the oracle's
     ``entry_cost`` of ``support`` per entry.
     The oracle is ``lipschitz`` when every stored a_i, i >= 1, is a multiple
     of p^(floor_log(p, i) - n), the floors of :func:`check_delay_conditions`,
@@ -152,17 +156,16 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     the oracle is built.
     """
     p, coeffs, terms = series.p, series.coeffs, series.support
-    table: list[int] = []
-    kept = 0  # the exponent e of the kept table's modulus p^e
+    table, width, kept = bytearray(), 1, 0  # slots of width bytes, each == f(x) (mod p^kept)
 
     def build(m: int, count: int) -> Iterable[int]:
-        nonlocal table, kept
+        nonlocal table, width, kept
         if m > series.precision:
             raise PrecisionError(
                 f"series precision {series.precision} cannot answer mod p^{m}"
             )
-        if count and (count > len(table) or m > kept):
-            size, e = max(count, len(table)), max(m, kept)
+        if count and (count > len(table) // width or m > kept):
+            size, e = max(count, len(table) // width), max(m, kept)
             while e < series.precision and p ** e < size:
                 e += 1
             q, kept = p ** e, e
@@ -180,16 +183,16 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
                                     for x in range(1, block)], width)
             step = _packed([(-1) ** (l + 1) * math.comb(terms, l) % q  # -(1 - X)^M
                             for l in range(terms + 1)], width) if block < size else 0
-            table = []
+            table = bytearray()
             for s in range(0, size, block):
                 if s:  # P_s from the M values before s
-                    window = list(map(operator.mod, table[s - terms:s], repeat(q)))
-                    sums = _slot_sums(_packed(window, width) * step, width,
-                                      terms, 2 * terms, 2 * terms)
-                    poly = list(map(operator.mod, sums, repeat(q)))
-                table += _slot_sums(_packed(poly, width) * column, width,
-                                    0, min(block, size - s), len(poly) + block - 1)
-        return map(operator.mod, islice(table, count), repeat(p ** m))
+                    window = list(_residues(table, width, s - terms, s, p, e))
+                    product = (_packed(window, width) * step).to_bytes(2 * terms * width, "little")
+                    poly = list(_residues(product, width, terms, 2 * terms, p, e))
+                product = (_packed(poly, width) * column).to_bytes(
+                    (len(poly) + block - 1) * width, "little")
+                table += memoryview(product)[:min(block, size - s) * width]
+        return _residues(table, width, 0, count, p, m)
 
     lipschitz = not any(e > 0 and any(map((p ** e).__rmod__, coeffs[low:high]))
                         for low, high, e in _floor_blocks(p, series.n, 0, 1, terms))
@@ -211,18 +214,40 @@ def _packed(values: list[int], width: int) -> int:
     return int.from_bytes(wide, "little")
 
 
-def _slot_sums(number: int, width: int, start: int, stop: int, slots: int) -> Sequence[int]:
-    """Slots start .. stop-1 of ``number``, packed in ``slots`` slots of ``width`` bytes."""
-    raw, offset = number.to_bytes(width * slots, "little"), width * start
-    if width > 8:
-        return list(map(int.from_bytes, struct.unpack_from(f"{width}s" * (stop - start),
-                                                           raw, offset), repeat("little")))
-    if width < 8:  # widen each slot to a 64-bit word
-        wide = bytearray(8 * (stop - start))
-        for b in range(width):
-            wide[b::8] = raw[offset + b : width * stop : width]
-        raw, offset = wide, 0
-    return struct.unpack_from(f"<{stop - start}Q", raw, offset)
+_LOW_BITS = [bytes(range(1 << r)) * (256 >> r) for r in range(8)]  # byte -> its low r bits
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by size, "<" sizes
+
+
+def _residues(raw: bytes | bytearray, width: int, start: int, stop: int,
+              p: int, m: int) -> Iterable[int]:
+    """Slots start .. stop-1 of ``raw``, ``width`` little-endian bytes each,
+    reduced mod p^m.
+
+    At p = 2 and m <= 64 each residue is the low m bits of its slot: its
+    low bytes are copied into words and the bits at and above m cleared, so
+    no slot becomes an int before it is reduced.  Otherwise each slot is
+    read whole, into a word or an int, and reduced.
+    """
+    count, offset = stop - start, width * start
+    if p == 2 and m <= 64:
+        low, bits = -(-m // 8), m % 8
+    elif width <= 8:
+        low, bits = width, 0
+    else:
+        sums = map(int.from_bytes, struct.unpack_from(f"{width}s" * count, raw, offset),
+                   repeat("little"))
+        return map(operator.mod, sums, repeat(p ** m))
+    size = 1 << (low - 1).bit_length()  # a word of 1, 2, 4 or 8 bytes
+    if size == width and not bits:  # every slot is a word already
+        words = struct.unpack_from(f"<{count}{_WORDS[size]}", raw, offset)
+    else:
+        wide = bytearray(size * count)
+        for b in range(low):
+            wide[b::size] = raw[offset + b : width * stop : width]
+        if bits:
+            wide[low - 1::size] = wide[low - 1::size].translate(_LOW_BITS[bits])
+        words = struct.unpack(f"<{count}{_WORDS[size]}", wide)
+    return words if p == 2 and m <= 64 else map(operator.mod, words, repeat(p ** m))
 
 
 class CheckStatus(enum.Enum):

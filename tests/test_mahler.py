@@ -287,17 +287,18 @@ def test_product_table_of_worst_case_coefficients(p, precision, support, count):
         assert oracle.values(precision, count) == exact
 
 
-@pytest.mark.parametrize("width", [4, 5, 8, 9])
+@pytest.mark.parametrize("width", [*range(1, 18), 24, 32, 64])
 def test_product_slots_hold_their_bound(width):
     """At q = 2^(4 width - 1) the bound 4 (q - 1)^2 fills exactly ``width``
-    bytes (at 9 bytes a slot spans two 64-bit words).  Packing 4 and 50
+    bytes (past 8 bytes a slot spans two 64-bit words).  Packing 4 and 50
     entries of q - 1 makes every slot from 3 to 49 exactly that bound, and
-    each one is read back whole."""
+    each one is read back whole, mod 2^(8 width)."""
     q, terms, count = 2 ** (4 * width - 1), 4, 50
     assert (terms * (q - 1) ** 2).bit_length() == 8 * width
     slots = count + terms - 1
     product = mahler._packed([q - 1] * terms, width) * mahler._packed([q - 1] * count, width)
-    assert list(mahler._slot_sums(product, width, 0, slots, slots)) == [
+    raw = product.to_bytes(width * slots, "little")
+    assert list(mahler._residues(raw, width, 0, slots, 2, 8 * width)) == [
         min(x + 1, terms, slots - x) * (q - 1) ** 2 for x in range(slots)
     ]
 
@@ -305,13 +306,41 @@ def test_product_slots_hold_their_bound(width):
 @pytest.mark.parametrize("width", [*range(1, 18), 24, 32, 64])
 def test_packing_round_trips_every_byte_width(width):
     """Packing is sum_i v_i 2^(8 width i) whatever the host's byte order,
-    and any run of slots reads back as the values packed there."""
+    and any run of slots reads back as the values packed there, whole at
+    p = 2 and mod 3^5 at p = 3."""
     rng, top = random.Random(width), 2 ** (8 * width) - 1
     values = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(60)]
     number = mahler._packed(values, width)
     assert number == sum(v << 8 * width * i for i, v in enumerate(values))
-    assert list(mahler._slot_sums(number, width, 0, len(values), len(values))) == values
-    assert list(mahler._slot_sums(number, width, 3, 41, len(values))) == values[3:41]
+    raw = number.to_bytes(width * len(values), "little")
+    assert list(mahler._residues(raw, width, 0, len(values), 2, 8 * width)) == values
+    assert list(mahler._residues(raw, width, 3, 41, 2, 8 * width)) == values[3:41]
+    assert list(mahler._residues(raw, width, 3, 41, 3, 5)) == [v % 3 ** 5 for v in values[3:41]]
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, m) for m in (*range(1, 18), 24, 31, 32, 33, 40, 63, 64, 65, 72)] + [(3, 20)]
+)
+def test_reads_reduce_each_slot_at_every_m(p, m):
+    """Reads at m against the Mahler sum, at precision 72 and 700 entries
+    (delay 10, so that 700 entries fit the domain p^(m+n) at m = 1): the
+    block B is 256 at M = 12, so each table spans three blocks.  Each
+    m is read from a fresh build (mod 2^max(m, 10) at p = 2, 2^10 being
+    the least power of 2 that is >= 700), and from a table kept mod p^72,
+    asked at m and then at 72.  At p = 2 and m <= 64 a read takes
+    the low m bits of each slot, which here spans 3 to 19 bytes; at m = 20
+    a p = 3 slot takes 9 bytes."""
+    precision, count, q = 72, 700, p ** 72
+    rng = random.Random(m)
+    for coeffs in ((q - 1,) * 12, tuple(rng.randrange(q) for _ in range(12))):
+        series = MahlerSeries(p=p, n=10, precision=precision, coeffs=coeffs)
+        exact = [exact_value(series, x, precision) for x in range(count)]
+        want = [v % p ** m for v in exact]
+        assert series_oracle(series).values(m, count) == want
+        kept = series_oracle(series)
+        assert kept.values(precision, count) == exact
+        assert kept.values(m, count) == want
+        assert kept.values(precision, count) == exact
 
 
 def test_one_coefficient_series_and_count_one():
