@@ -182,11 +182,6 @@ def parse_transducer(text: str, name: str = "file") -> Transducer:
         transitions[key] = nxt
         outputs[key] = out_word
 
-    states = {initial} | {s for s, _ in transitions} | set(transitions.values())
-    for s in sorted(states):
-        for a in range(p):
-            if (s, a) not in transitions:
-                raise FormatError(f"state {s!r} has no transition on letter {a}")
     if kind == "sync":
         for key, word in outputs.items():
             if len(word) != 1:
@@ -194,4 +189,7 @@ def parse_transducer(text: str, name: str = "file") -> Transducer:
                     f"synchronous machines emit exactly one letter per step; "
                     f"state {key[0]!r} letter {key[1]} emits {len(word)}"
                 )
-    return Transducer.from_tables(p, initial, transitions, outputs, name=name)
+    try:
+        return Transducer.from_tables(p, initial, transitions, outputs, name=name)
+    except ValueError as exc:
+        raise FormatError(str(exc))

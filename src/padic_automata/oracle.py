@@ -41,11 +41,11 @@ class FunctionOracle(_OracleFields):
     ..., f(count-1) mod p^m, each in [0, p^m), count <= p^(m+delay), as
     an iterable read once, which :meth:`values` copies as it is; it is
     the oracle's one route.
-    ``entry_cost`` is the work of one table entry in budget units: 1, or
-    the support of a series, whose table costs entries x terms, the work
-    bound of the build.  Every level-by-level check reads its tables from
-    :meth:`levels`, which gates and builds the top table and reads the
-    lower ones off it.
+    ``entry_cost`` is the charge of one table entry in budget units: 1,
+    or the support of a series, whose table is charged entries x terms
+    (a fixed rule, not the build's work).  Every level-by-level check
+    reads its tables from :meth:`levels`, which gates and builds the top
+    table and reads the lower ones off it.
     ``lipschitz`` says whether the oracle is known to be a genuine delay-n
     map: x == y (mod p^(m+n)) gives f(x) == f(y) (mod p^m) for every m, so
     p^n f is 1-Lipschitz.  It is a field the provider sets: True for
@@ -92,10 +92,8 @@ class FunctionOracle(_OracleFields):
         it is built when it is read, so only the last one is held throughout.
         """
         top, cost = self.p ** shapes[-1][0], self.entry_cost
-        if cost == 1:
-            check_budget(top, budget, what)
-        else:
-            check_budget(top * cost, budget, f"additions for {top} {what} at {cost} terms each")
+        what = what if cost == 1 else f"additions for {top} {what} at {cost} terms each"
+        check_budget(top * cost, budget, what)
         table = self.values(shapes[-1][1], top)
         lower = (list(map(operator.mod, islice(table, self.p ** d), repeat(self.p ** c)))
                  for d, c in shapes[:-1])

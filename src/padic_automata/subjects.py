@@ -121,14 +121,14 @@ def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
                           table=lambda m, count: repeat(0, count), lipschitz=True)
 
 
-def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
+def polynomial_oracle(p: int, coefficients: Sequence[int] | None) -> FunctionOracle:
     """f(x) = c0 + c1 x + ... over the integers; synchronous (delay 0).
 
     Integer polynomials are 1-Lipschitz in the p-adic metric, so m digits
     of input determine m digits of output.
     """
     _require_prime(p)
-    coeffs = tuple(int(c) for c in coefficients)
+    coeffs = tuple(int(c) for c in coefficients or ())
     if not coeffs:
         raise ValueError("polynomial needs at least one coefficient")
 
@@ -144,12 +144,6 @@ def polynomial_oracle(p: int, coefficients: Sequence[int]) -> FunctionOracle:
                           lipschitz=True)
 
 
-def _polynomial_builtin(p: int, n: int, coefficients: Sequence[int] | None) -> FunctionOracle:
-    if coefficients is None:
-        raise ValueError("polynomial built-in needs coefficients")
-    return polynomial_oracle(p, coefficients)
-
-
 # name -> factory(p, n, coefficients); the CLI offers the names in this order
 _BUILTINS = {
     "identity": lambda p, n, coefficients: identity_transducer(p),
@@ -158,7 +152,7 @@ _BUILTINS = {
     "delay-echo": lambda p, n, coefficients: delay_echo_transducer(p, n),
     "shift": lambda p, n, coefficients: shift_oracle(p, n),
     "zero": lambda p, n, coefficients: zero_oracle(p, n),
-    "polynomial": _polynomial_builtin,
+    "polynomial": lambda p, n, coefficients: polynomial_oracle(p, coefficients),
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
 

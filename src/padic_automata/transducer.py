@@ -25,7 +25,7 @@ reaches infinitely many states ends at its budget.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, count
+from itertools import chain, count, product
 from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,18 +35,6 @@ from .oracle import FunctionOracle
 __all__ = ["Transducer", "delay_profile", "function_of", "reachable_states", "walk"]
 
 State = Hashable
-
-
-def _lookup(table: dict, what: str) -> Callable[[State, int], object]:
-    """(state, letter) -> table entry, failing loudly on a missing key."""
-
-    def fn(s: State, a: int) -> object:
-        try:
-            return table[(s, a)]
-        except KeyError:
-            raise ValueError(f"no {what} from state {s!r} on letter {a}")
-
-    return fn
 
 
 class Transducer(NamedTuple):
@@ -71,8 +59,18 @@ class Transducer(NamedTuple):
         outputs: dict[tuple[State, int], tuple[int, ...]],
         name: str = "transducer",
     ) -> "Transducer":
-        return cls(p=p, initial=initial, delta=_lookup(transitions, "transition"),
-                   output=_lookup(outputs, "output"), name=name)
+        """The machine of two tables keyed (state, letter), with the same keys and a
+        transition from each state they name on every letter, checked in first-seen order."""
+        named = chain([initial], *((s, t) for (s, _), t in transitions.items()))
+        for s, a in product(dict.fromkeys(named), range(p)):
+            if (s, a) not in transitions:
+                raise ValueError(f"state {s!r} has no transition on letter {a}")
+        if outputs.keys() != transitions.keys():
+            differ = transitions.keys() ^ outputs.keys()
+            s, a = next(k for k in chain(transitions, outputs) if k in differ)
+            raise ValueError(f"state {s!r} on letter {a} is in only one of the two tables")
+        return cls(p=p, initial=initial, delta=lambda s, a: transitions[s, a],
+                   output=lambda s, a: outputs[s, a], name=name)
 
 
 def _row(t: Transducer, s: State, j: int, silent: bool, rows: tuple) -> None:

@@ -76,6 +76,15 @@ def test_check_derives_series_from_builtin(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("which", ["delay", "mp", "ergodic"])
+def test_check_refuses_a_synchronous_builtin(capsys, which):
+    """The coefficient conditions are stated for n >= 1, so the odometer's
+    derived series (n = 0) is an input error for each of the three."""
+    code, out, err = run(capsys, "check", "--builtin", "odometer", "--which", which)
+    assert (code, out) == (1, "")
+    assert "stated for delay n >= 1; this series declares n = 0" in err
+
+
 def test_brute_mp(capsys):
     code, out, _ = run(
         capsys, "brute", "--builtin", "shift", "--mode", "mp", "--kmax", "8"
@@ -88,6 +97,14 @@ def test_brute_mp(capsys):
     )
     assert code == 3
     assert "fail at level 2" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("brute --builtin zero --n 0 --mode mp --kmax 4", 3),
+    ("brute --builtin delay-echo --n 2 --mode cycles --kmax 5", 0),
+])
+def test_brute_builtins_at_delays_0_and_2(capsys, argv, code):
+    assert run(capsys, *argv.split())[0] == code
 
 
 @pytest.mark.parametrize(
@@ -127,6 +144,22 @@ def test_brute_cycles(capsys):
     )
     assert code == 0
     assert out.count("1 cycle(s)") == 8
+
+
+def test_brute_mp_shift_through_level_16(capsys):
+    code, out, _ = run(capsys, "brute", "--builtin", "shift", "--mode", "mp",
+                       "--kmax", "16", "--report-format", "json")
+    assert code == 0
+    assert json.loads(out)["levels"] == [
+        {"level": k, "fibers": [[2, 2 ** (k - 1)]]} for k in range(2, 17)
+    ]
+
+
+def test_brute_cycles_shift_through_level_12(capsys):
+    code, out, _ = run(capsys, "brute", "--builtin", "shift", "--mode", "cycles",
+                       "--kmax", "12", "--report-format", "json")
+    assert code == 0
+    assert json.loads(out)["cycle_counts"] == [[k, 1] for k in range(1, 13)]
 
 
 def test_brute_budget_exceeded(capsys):
@@ -274,6 +307,16 @@ def test_out_to_a_device_is_written_untruncated(capsys, tmp_path, argv):
     assert run(capsys, *argv, os.devnull) == (0, out.replace(target, os.devnull), "")
 
 
+def test_out_over_a_longer_file_is_trimmed(capsys, tmp_path):
+    """A 4 x 4 raster written over an 8 x 8 one leaves only its own 27 bytes."""
+    path = tmp_path / "y.pgm"
+    argv = ["image", "--builtin", "shift", "--kmax", "3", "--out", str(path), "--resolution"]
+    assert run(capsys, *argv, "3")[0] == 0
+    assert run(capsys, *argv, "2")[0] == 0
+    data = path.read_bytes()
+    assert data.startswith(b"P5\n4 4\n255\n") and len(data) == 27
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize("command", [
     ["check", "--builtin", "shift", "--which", "mp"],
@@ -417,6 +460,57 @@ def test_deep_precision_builds_at_the_level_modulus(capsys, tmp_path, monkeypatc
     ]
 
 
+def _mahler_values(coeffs, count, q):
+    """f(0), ..., f(count - 1) mod q for f = sum a_i C(x, i), by forward
+    differences: (a_0, a_1, ...) are the differences of f at 0, and those at
+    x + 1 are d_j + d_(j+1)."""
+    values, d = [], [a % q for a in coeffs]
+    for _ in range(count):
+        values.append(d[0])
+        d = [(u + v) % q for u, v in zip(d, d[1:] + [0])]
+    return values
+
+
+@pytest.mark.parametrize("shift, delay", [
+    pytest.param(lambda i: 0, mahler.CheckStatus.FAIL, id="blocks"),
+    # a_i a multiple of 2^(floor_log(2, i) - 1): delay-sound, so the lower
+    # levels are folded out of the top table's counts
+    pytest.param(lambda i: max(i.bit_length() - 2, 0), mahler.CheckStatus.PASS, id="sound"),
+])
+def test_brute_mp_levels_of_a_table_built_in_blocks(capsys, tmp_path, shift, delay):
+    """A 20-term series checked through level 13, so its 2^13-entry table
+    is built in several blocks: each level's fibers are those of the Mahler
+    sum, point by point."""
+    coeffs = [(2 ** 40 - 1 - 7919 ** 3 * i << shift(i)) % 2 ** 40 for i in range(20)]
+    series = MahlerSeries.from_ints(2, 1, 40, coeffs)
+    assert mahler.check_delay_conditions(series).verdict is delay
+    path = tmp_path / "blocks.series"
+    path.write_text(serialize_series(series))
+    code, out, _ = run(capsys, "brute", "--subject", str(path), "--mode", "mp", "--kmax", "13",
+                       "--report-format", "json")
+    assert code == 3
+    f = _mahler_values(coeffs, 2 ** 13, 2 ** 12)
+    want = []
+    for k in range(2, 14):
+        fibers = Counter(v % 2 ** (k - 1) for v in f[: 2 ** k])
+        counts = Counter(fibers[y] for y in range(2 ** (k - 1)))
+        want.append({"level": k, "fibers": sorted(map(list, counts.items()))})
+    assert json.loads(out)["levels"] == want
+
+
+def test_brute_cycles_of_an_85_term_series_at_p_3_n_2(capsys, tmp_path):
+    coeffs = [(3 ** 16 - 1 - 7919 ** 3 * i) % 3 ** 16 for i in range(85)]
+    path = tmp_path / "wide3.series"
+    path.write_text(serialize_series(MahlerSeries.from_ints(3, 2, 16, coeffs)))
+    code, out, _ = run(capsys, "brute", "--subject", str(path), "--mode", "cycles",
+                       "--kmax", "4", "--report-format", "json")
+    assert code == 3
+    f = _mahler_values(coeffs, 3 ** 8, 3 ** 8)
+    assert json.loads(out)["cycle_counts"] == [
+        [k, _orbit_cycles([v % 3 ** (2 * k) for v in f[: 3 ** (2 * k)]])] for k in range(1, 5)
+    ]
+
+
 def test_malformed_subject_file(capsys, tmp_path):
     path = tmp_path / "junk.series"
     path.write_text("schema padic-mahler-series-v1\np 2\nn 1\n")
@@ -527,6 +621,45 @@ def test_delay_probe_honours_the_budget(capsys, tmp_path):
     assert run(capsys, *argv)[0] == 0
 
 
+# a delay-1 machine: w reads one letter silently, then a, b and c write one
+FOUR_STATES = {("w", 0): ("a", ()), ("w", 1): ("c", ()),
+               ("a", 0): ("b", (1,)), ("a", 1): ("a", (0,)),
+               ("b", 0): ("c", (0,)), ("b", 1): ("a", (1,)),
+               ("c", 0): ("a", (1,)), ("c", 1): ("b", (1,))}
+
+
+def _four_states_value(x, letters):
+    """The machine's output for the first ``letters`` letters of x, read
+    letter by letter off the table, without the package's walk."""
+    state, out = "w", []
+    for j in range(letters):
+        state, word = FOUR_STATES[state, x >> j & 1]
+        out += word
+    return sum(b << i for i, b in enumerate(out))
+
+
+def test_four_state_document_coefficients_and_cycles(capsys, tmp_path):
+    lines = ["schema padic-transducer-v1", "p 2", "kind async", "initial w"]
+    lines += [f"trans {s} {a} {t} : " + " ".join(map(str, word))
+              for (s, a), (t, word) in FOUR_STATES.items()]
+    path = tmp_path / "four.transducer"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "coeffs", "--subject", str(path), "--terms", "16",
+                       "--precision", "10", "--report-format", "json")
+    assert code == 0
+    values = [_four_states_value(x, 11) for x in range(16)]
+    want = [sum((-1) ** (i - k) * math.comb(i, k) * values[k] for k in range(i + 1)) % 2 ** 10
+            for i in range(16)]
+    assert [c["residue"] for c in json.loads(out)["coefficients"]] == want
+    code, out, _ = run(capsys, "brute", "--subject", str(path), "--mode", "cycles",
+                       "--kmax", "6", "--report-format", "json")
+    assert code == 3
+    assert json.loads(out)["cycle_counts"] == [
+        [k, _orbit_cycles([_four_states_value(x, k + 1) for x in range(2 ** k)])]
+        for k in range(1, 7)
+    ]
+
+
 @pytest.mark.parametrize("p", [4, 1, 0, -2])
 @pytest.mark.parametrize("command", [
     ["brute", "--mode", "mp"],
@@ -611,6 +744,11 @@ def test_polynomial_builtin(capsys):
         "--mode", "cycles", "--kmax", "6",
     )
     assert code == 0  # x + 1 is the classical single-cycle subject
+
+
+def test_polynomial_builtin_needs_coefficients(capsys):
+    code, out, err = run(capsys, "brute", "--builtin", "polynomial", "--mode", "mp")
+    assert (code, out, err) == (1, "", "error: polynomial needs at least one coefficient\n")
 
 
 @pytest.mark.parametrize(
@@ -1233,10 +1371,21 @@ def test_single_letter_async_document_is_synchronous(capsys, tmp_path):
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """The console script pays for every module the package imports; the
     records are named tuples, so neither module is among them.  Modules a
-    site hook loaded before the import do not count."""
+    site hook loaded before the import do not count.  The package is its
+    modules and re-exports none of them: importing it loads no submodule,
+    and importing the oracle module loads only what that module imports."""
     src = str(Path(mahler.__file__).resolve().parents[1])
-    script = ("import sys; before = set(sys.modules); import padic_automata.cli; "
+    script = ("import sys; before = set(sys.modules)\n"
+              "ours = lambda: sorted(m for m in sys.modules if m.startswith('padic_automata'))\n"
+              "import padic_automata; print(ours())\n"
+              "import padic_automata.oracle; print(ours())\n"
+              "import padic_automata.cli\n"
               "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "['padic_automata']",
+        "['padic_automata', 'padic_automata.errors', 'padic_automata.oracle']",
+        "[]",
+    ]

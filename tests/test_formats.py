@@ -107,10 +107,22 @@ def test_transducer_malformed_documents(mutation):
         parse_transducer(mutation(ASYNC_DOC))
 
 
+def test_missing_transitions_are_named_in_first_seen_order():
+    """Of several gaps, the first state the document names comes first:
+    the initial state ``wait`` before ``echo``, though ``echo`` sorts first."""
+    doc = ASYNC_DOC.replace("trans wait 1 echo :\n", "").replace("trans echo 1 echo : 1\n", "")
+    with pytest.raises(FormatError, match="^state 'wait' has no transition on letter 1$"):
+        parse_transducer(doc)
+
+
 def test_sync_document_must_emit_single_letters():
     bad = SYNC_DOC.replace("trans carry 0 settled : 1", "trans carry 0 settled : 1 0")
     with pytest.raises(FormatError):
         parse_transducer(bad)
+    # the letter count is read before the tables are checked, so it is the
+    # error reported when a transition is missing too
+    with pytest.raises(FormatError, match="state 'carry' letter 0 emits 2$"):
+        parse_transducer(bad.replace("trans settled 1 settled : 1\n", ""))
     bad = SYNC_DOC.replace("trans carry 0 settled : 1", "trans carry 0 settled :")
     with pytest.raises(FormatError):
         parse_transducer(bad)

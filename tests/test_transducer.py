@@ -319,6 +319,53 @@ def test_reachable_states_odometer():
     assert set(reachable_states(odometer_transducer(2), 3)) == {0, 1}
 
 
+def _mixed_tables():
+    """State 0 goes to ("t", a) on letter a, and both go back to 0: int and
+    tuple states side by side, which no ordering of states can sort."""
+    transitions = {(0, a): ("t", a) for a in range(2)}
+    transitions.update({(("t", b), a): 0 for b in range(2) for a in range(2)})
+    return transitions, {key: (key[1],) for key in transitions}
+
+
+@pytest.mark.parametrize("key", [(0, 0), (0, 1), (("t", 0), 1), (("t", 1), 0)],
+                         ids=["0-0", "0-1", "t0-1", "t1-0"])
+def test_from_tables_refuses_a_missing_transition(key):
+    transitions, outputs = _mixed_tables()
+    del transitions[key], outputs[key]
+    with pytest.raises(ValueError) as raised:
+        Transducer.from_tables(2, 0, transitions, outputs)
+    assert str(raised.value) == f"state {key[0]!r} has no transition on letter {key[1]}"
+
+
+def test_from_tables_names_the_first_gap_in_first_seen_order():
+    """States are visited as the tables first name them (the initial state,
+    then each source and target), so of two gaps the one of ("t", 0) is
+    named, and states that do not sort are no obstacle."""
+    transitions, outputs = _mixed_tables()
+    for key in ((("t", 1), 0), (("t", 0), 1)):
+        del transitions[key], outputs[key]
+    with pytest.raises(ValueError, match=r"^state \('t', 0\) has no transition on letter 1$"):
+        Transducer.from_tables(2, 0, transitions, outputs)
+    # a state named only as the initial one, or only as a target
+    with pytest.raises(ValueError, match="^state 'lost' has no transition on letter 0$"):
+        Transducer.from_tables(2, "lost", *_mixed_tables())
+    transitions, outputs = _mixed_tables()
+    transitions[0, 1] = "new"
+    with pytest.raises(ValueError, match="^state 'new' has no transition on letter 0$"):
+        Transducer.from_tables(2, 0, transitions, outputs)
+
+
+def test_from_tables_refuses_an_output_table_with_other_keys():
+    transitions, outputs = _mixed_tables()
+    del outputs[("t", 1), 1]
+    with pytest.raises(ValueError, match=r"^state \('t', 1\) on letter 1 is in only one"):
+        Transducer.from_tables(2, 0, transitions, outputs)
+    transitions, outputs = _mixed_tables()
+    outputs[5, 0] = (0,)
+    with pytest.raises(ValueError, match="^state 5 on letter 0 is in only one"):
+        Transducer.from_tables(2, 0, transitions, outputs)
+
+
 def test_reachable_states_identity():
     assert reachable_states(identity_transducer(2), 5) == ["s0"]
 
