@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 from . import geometry, mahler, quotient
-from .errors import BudgetExceededError, FormatError, PrecisionError, check_budget
+from .errors import DEFAULT_BUDGET, BudgetExceededError, FormatError, PrecisionError, check_budget
 from .formats import parse_document, serialize_series, write_file
 from .mahler import MahlerSeries
 from .oracle import FunctionOracle
@@ -47,7 +47,7 @@ from .transducer import Transducer, function_of
 # image), or the error that stopped the command, looked up by its nearest class.
 EXIT_CODE = {
     "pass": 0, True: 0, None: 0,
-    FormatError: 1, ValueError: 1, OSError: 1,
+    ValueError: 1, OSError: 1,
     "insufficient-precision": 2, PrecisionError: 2,
     "fail": 3, False: 3,
     BudgetExceededError: 4,
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p", type=int, default=2, help="prime (built-ins)")
     common.add_argument("--n", type=int, default=1, help="delay parameter (built-ins)")
     common.add_argument("--coeffs", help="comma-separated integers for --builtin polynomial")
-    common.add_argument("--budget", type=positive, default=quotient.DEFAULT_BUDGET)
+    common.add_argument("--budget", type=positive, default=DEFAULT_BUDGET)
     common.add_argument("--report-format", choices=("text", "json"), default="text")
 
     c = sub.add_parser(

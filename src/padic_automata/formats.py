@@ -42,8 +42,6 @@ from .padics import is_prime
 from .transducer import Transducer
 
 __all__ = [
-    "SERIES_SCHEMA",
-    "TRANSDUCER_SCHEMA",
     "parse_document",
     "parse_series",
     "parse_transducer",
@@ -104,8 +102,6 @@ def parse_series(text: str) -> MahlerSeries:
                 f"got {index} after {len(coeffs) - 1}"
             )
         coeffs.append(value)
-    if not coeffs:
-        raise FormatError("series document lists no coefficients")
     try:
         return MahlerSeries.from_ints(p, n, precision, coeffs)
     except ValueError as exc:
@@ -154,8 +150,7 @@ def parse_transducer(text: str, name: str = "file") -> Transducer:
         raise FormatError("expected 'initial <state>'")
     initial = lines[3][1]
 
-    transitions: dict[tuple[str, int], str] = {}
-    outputs: dict[tuple[str, int], tuple[int, ...]] = {}
+    table: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {}
     for tokens in lines[4:]:
         if tokens[0] != "trans" or ":" not in tokens:
             raise FormatError(
@@ -177,19 +172,18 @@ def parse_transducer(text: str, name: str = "file") -> Transducer:
             if not 0 <= d < p:
                 raise FormatError(f"output letter {d} outside 0..{p - 1}")
         key = (state, letter)
-        if key in transitions:
+        if key in table:
             raise FormatError(f"duplicate transition for state {state!r} letter {letter}")
-        transitions[key] = nxt
-        outputs[key] = out_word
+        table[key] = nxt, out_word
 
     if kind == "sync":
-        for key, word in outputs.items():
+        for key, (_, word) in table.items():
             if len(word) != 1:
                 raise FormatError(
                     f"synchronous machines emit exactly one letter per step; "
                     f"state {key[0]!r} letter {key[1]} emits {len(word)}"
                 )
     try:
-        return Transducer.from_tables(p, initial, transitions, outputs, name=name)
+        return Transducer.from_table(p, initial, table, name=name)
     except ValueError as exc:
         raise FormatError(str(exc))

@@ -33,7 +33,6 @@ from .oracle import FunctionOracle
 
 __all__ = [
     "CycleVerdict",
-    "DEFAULT_BUDGET",
     "MeasureVerdict",
     "cycle_count",
     "is_measure_preserving_upto",

@@ -42,8 +42,7 @@ def identity_transducer(p: int) -> Transducer:
     return Transducer(
         p=p,
         initial="s0",
-        delta=lambda s, a: "s0",
-        output=lambda s, a: (a,),
+        step=lambda s, a: ("s0", (a,)),
         name="identity",
     )
 
@@ -54,8 +53,7 @@ def odometer_transducer(p: int) -> Transducer:
     return Transducer(
         p=p,
         initial=1,
-        delta=lambda carry, a: (a + carry) // p,
-        output=lambda carry, a: ((a + carry) % p,),
+        step=lambda carry, a: ((a + carry) // p, ((a + carry) % p,)),
         name="odometer",
     )
 
@@ -71,8 +69,7 @@ def delay_echo_transducer(p: int, n: int) -> Transducer:
     return Transducer(
         p=p,
         initial=n,
-        delta=lambda remaining, a: max(remaining - 1, 0),
-        output=lambda remaining, a: () if remaining > 0 else (a,),
+        step=lambda remaining, a: (max(remaining - 1, 0), () if remaining > 0 else (a,)),
         name=f"delay-echo({n})",
     )
 
@@ -90,8 +87,7 @@ def digitwise_add_family(p: int) -> Transducer:
     return Transducer(
         p=p,
         initial=0,
-        delta=lambda m, a: m // p,
-        output=lambda m, a: ((m + a) % p,),
+        step=lambda m, a: (m // p, ((m + a) % p,)),
         family=lambda depth: range(p ** depth),
         name="digitwise-add",
     )
@@ -115,8 +111,6 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
 def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
     """The constant-zero map declared with an n-unit delay."""
     _require_prime(p)
-    if n < 0:
-        raise ValueError(f"delay must be >= 0, got {n}")
     return FunctionOracle(p=p, delay=n, source="built-in",
                           table=lambda m, count: repeat(0, count), lipschitz=True)
 

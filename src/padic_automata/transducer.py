@@ -1,11 +1,12 @@
 """Transducers over the alphabet {0..p-1}.
 
 Words are digit sequences consumed least-significant-digit first, so a
-word prefix of length k is exactly a residue mod p^k.  A machine emits a
-finite (possibly empty) word per letter read.  A machine whose output is
-always exactly n letters behind its input realizes an n-unit delay map,
-exposed through :class:`~padic_automata.oracle.FunctionOracle`; a
-synchronous machine is the case n = 0, one letter per step.
+word prefix of length k is exactly a residue mod p^k.  A machine is one
+step: a letter read in a state gives the next state and a finite
+(possibly empty) output word.  A machine whose output is always exactly
+n letters behind its input realizes an n-unit delay map, exposed through
+:class:`~padic_automata.oracle.FunctionOracle`; a synchronous machine is
+the case n = 0, one letter per step.
 
 Every traversal of a machine is one :func:`walk` over all the words of
 a letter range at once; oracle tables and the family images of
@@ -38,39 +39,32 @@ State = Hashable
 
 
 class Transducer(NamedTuple):
-    """Letter-to-word machine: delta(s, a) -> state, output(s, a) -> word.
+    """Letter-to-word machine: step(s, a) -> (next state, output word).
 
     ``family``, if given, enumerates the states of exploration depth D.
     """
 
     p: int
     initial: State
-    delta: Callable[[State, int], State]
-    output: Callable[[State, int], tuple[int, ...]]
+    step: Callable[[State, int], tuple[State, tuple[int, ...]]]
     family: Callable[[int], Sequence[State]] | None = None
     name: str = "transducer"
 
     @classmethod
-    def from_tables(
+    def from_table(
         cls,
         p: int,
         initial: State,
-        transitions: dict[tuple[State, int], State],
-        outputs: dict[tuple[State, int], tuple[int, ...]],
+        table: dict[tuple[State, int], tuple[State, tuple[int, ...]]],
         name: str = "transducer",
     ) -> "Transducer":
-        """The machine of two tables keyed (state, letter), with the same keys and a
-        transition from each state they name on every letter, checked in first-seen order."""
-        named = chain([initial], *((s, t) for (s, _), t in transitions.items()))
+        """The machine of a table from (state, letter) to (next state, word), with a
+        transition from each state it names on every letter, checked in first-seen order."""
+        named = chain([initial], *((s, t) for (s, _), (t, _) in table.items()))
         for s, a in product(dict.fromkeys(named), range(p)):
-            if (s, a) not in transitions:
+            if (s, a) not in table:
                 raise ValueError(f"state {s!r} has no transition on letter {a}")
-        if outputs.keys() != transitions.keys():
-            differ = transitions.keys() ^ outputs.keys()
-            s, a = next(k for k in chain(transitions, outputs) if k in differ)
-            raise ValueError(f"state {s!r} on letter {a} is in only one of the two tables")
-        return cls(p=p, initial=initial, delta=lambda s, a: transitions[s, a],
-                   output=lambda s, a: outputs[s, a], name=name)
+        return cls(p=p, initial=initial, step=lambda s, a: table[s, a], name=name)
 
 
 def _row(t: Transducer, s: State, j: int, silent: bool, rows: tuple) -> None:
@@ -82,13 +76,14 @@ def _row(t: Transducer, s: State, j: int, silent: bool, rows: tuple) -> None:
     row that breaks its step's phase."""
     p, nexts, outs = t.p, [], []
     for a in range(p):
-        out = tuple(t.output(s, a))
+        nxt, out = t.step(s, a)
+        out = tuple(out)
         if out != () if silent else len(out) != 1 or not 0 <= out[0] < p:
             need = "nothing" if silent else f"one letter of 0..{p - 1}"
             raise ValueError(f"transducer {t.name!r} writes {out} from state {s!r} "
                              f"on letter {a}; step {j + 1} must write {need}")
         outs.append(out[0] if out else 0)
-        nexts.append(t.delta(s, a))
+        nexts.append(nxt)
     rows[silent][0][s], rows[silent][1][s] = nexts, outs
 
 
@@ -118,12 +113,12 @@ def walk(
                 _row(t, s, j, silent, rows)
         after, wrote, reached = [], [], {}
         for a in span:
-            step, shifted = {}, {}
+            moves, shifted = {}, {}
             for s in distinct:
-                step[s] = nxt = nexts[s][a]
+                moves[s] = nxt = nexts[s][a]
                 reached[nxt] = None
                 shifted[s] = writes[s][a] * scale
-            after += map(step.__getitem__, states)
+            after += map(moves.__getitem__, states)
             wrote += residues if silent else map(add, residues, map(shifted.__getitem__, states))
         states, residues, distinct = after, wrote, reached
         yield states, residues
@@ -150,7 +145,7 @@ def delay_profile(t: Transducer, *, budget: int = DEFAULT_BUDGET, rows: tuple = 
     for j in count():
         read += len(states)
         check_budget(read, budget, "delay probe states")
-        if n is None and t.output(next(iter(states)), 0):
+        if n is None and t.step(next(iter(states)), 0)[1]:
             n = j
         silent = n is None
         nexts = rows[silent][0]
@@ -207,7 +202,7 @@ def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
         if d == depth:
             continue
         for a in range(t.p):
-            nxt = t.delta(s, a)
+            nxt, _ = t.step(s, a)
             if nxt not in seen:
                 seen[nxt] = None
                 queue.append((nxt, d + 1))

@@ -19,7 +19,7 @@ valuation floors, so each sample provably belongs to its population:
 in.  ``table_machine`` draws a seeded table machine at a given delay, and
 ``simulate`` is the reference for every machine traversal: it reads one
 word letter by letter and uses nothing of the package but the machine's
-own ``output`` and ``delta``.
+own ``step``.
 """
 
 from __future__ import annotations
@@ -157,16 +157,17 @@ def table_machine(seed: int, p: int, states: int, delay: int = 0) -> Transducer:
     them enters a seeded state, so every silent letter can matter.
     """
     rng = random.Random(seed)
-    transitions = {(s, a): rng.randrange(states) for s in range(states) for a in range(p)}
-    outputs = {(s, a): (rng.randrange(p),) for s in range(states) for a in range(p)}
+    keys = [(s, a) for s in range(states) for a in range(p)]
+    # the seeded draw order: every next state, then every output
+    nexts = [rng.randrange(states) for _ in keys]
+    table = {key: (nxt, (rng.randrange(p),)) for key, nxt in zip(keys, nexts)}
     for i in range(delay):
         for r in range(p ** i):
             for a in range(p):
                 lag = ("lag", i + 1, r + a * p ** i)
-                transitions[("lag", i, r), a] = lag if i + 1 < delay else rng.randrange(states)
-                outputs[("lag", i, r), a] = ()
+                table[("lag", i, r), a] = lag if i + 1 < delay else rng.randrange(states), ()
     initial = ("lag", 0, 0) if delay else 0
-    return Transducer.from_tables(p, initial, transitions, outputs, name="table")
+    return Transducer.from_table(p, initial, table, name="table")
 
 
 def ref_word(value: int, length: int, p: int) -> tuple[int, ...]:
@@ -194,8 +195,8 @@ def simulate(t: Transducer, word, start=None) -> tuple[int, ...]:
     for a in word:
         if not 0 <= a < t.p:
             raise ValueError(f"letter {a} outside the alphabet 0..{t.p - 1}")
-        out.extend(t.output(s, a))
-        s = t.delta(s, a)
+        s, word_out = t.step(s, a)
+        out.extend(word_out)
     return tuple(out)
 
 

@@ -86,7 +86,7 @@ def test_async_transducer_parses_and_runs():
 def test_sync_transducer_parses_and_runs():
     t = parse_transducer(SYNC_DOC)
     assert isinstance(t, Transducer)
-    assert t.output("carry", 0) == (1,)
+    assert t.step("carry", 0) == ("settled", (1,))
     assert sf.simulate(t, (1, 1, 0)) == (0, 0, 1)  # odometer on 3
     assert delay_profile(t) == 0
 

@@ -139,10 +139,7 @@ def test_family_image_digitwise_add_covers_everything():
 
 
 def test_family_image_constant_output_row():
-    t = Transducer(
-        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (0,),
-        name="constant",
-    )
+    t = Transducer(p=2, initial="s", step=lambda s, a: ("s", (0,)), name="constant")
     report = cover_fraction(family_points(t, 6), 3)
     assert report.fraction == F(1, 8)
     assert all(j == 0 for _, j in report.cells)
@@ -154,7 +151,7 @@ def test_family_walks_reject_words_of_other_lengths(word):
     of 0..p-1 per step.  Each machine writes ``word`` on every letter; the
     off-grid one writes s + a instead, so 2 from state 1 on letter 1."""
     output = (lambda s, a: (s + a,)) if word == "off-grid" else (lambda s, a: word)
-    t = Transducer(p=2, initial=1, delta=lambda s, a: s, output=output,
+    t = Transducer(p=2, initial=1, step=lambda s, a: (s, output(s, a)),
                    family=lambda depth: range(2 ** depth))
     for query in (
         lambda: family_points(t, 2),
@@ -240,7 +237,7 @@ def test_points_outside_unit_square_rejected():
 
 
 def test_family_rejects_letters_outside_alphabet():
-    t = Transducer(p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (2,))
+    t = Transducer(p=2, initial="s", step=lambda s, a: ("s", (2,)))
     with pytest.raises(ValueError):
         family_points(t, 1)
 

@@ -28,8 +28,7 @@ import series_factory as sf
 
 def negation_transducer():
     return Transducer(
-        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (1 - a,),
-        name="negate",
+        p=2, initial="s", step=lambda s, a: ("s", (1 - a,)), name="negate",
     )
 
 
@@ -120,8 +119,9 @@ def _two_bad_rows():
     nexts = {("c", 0): "y", ("c", 1): "x", ("d", 0): "x", ("d", 1): "y",
              ("a", 0): "y", ("a", 1): "w", ("b", 0): "z", ("b", 1): "x"}
     nexts.update({(s, a): s for s in "wxyz" for a in (0, 1)})
-    return Transducer(p=2, initial="c", delta=lambda s, a: nexts[s, a],
-                      output=lambda s, a: (a, a) if s in "xy" else (a,), name="two-bad")
+    return Transducer(p=2, initial="c",
+                      step=lambda s, a: (nexts[s, a], (a, a) if s in "xy" else (a,)),
+                      name="two-bad")
 
 
 def test_walk_raises_the_error_of_the_first_bad_state_in_the_frontier():
@@ -151,10 +151,7 @@ def test_delay_profile_synchronous_is_zero():
 
 
 def test_delay_profile_double_emitter_not_constant():
-    t = Transducer(
-        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (a, a),
-        name="double",
-    )
+    t = Transducer(p=2, initial="s", step=lambda s, a: ("s", (a, a)), name="double")
     with pytest.raises(ValueError, match=r"writes \(0, 0\) .* step 1 must write one letter"):
         delay_profile(t)
 
@@ -163,8 +160,7 @@ def test_delay_profile_silent_machine_unwitnessed():
     # no depth cap: a machine that is silent for 5 letters has delay 5
     assert delay_profile(delay_echo_transducer(2, 5)) == 5
     # one state, silent on every letter: the probe closes at length 1
-    mute = Transducer(p=3, initial="s", delta=lambda s, a: "s", output=lambda s, a: (),
-                      name="mute")
+    mute = Transducer(p=3, initial="s", step=lambda s, a: ("s", ()), name="mute")
     with pytest.raises(ValueError, match="writes nothing on any word"):
         delay_profile(mute)
 
@@ -172,9 +168,7 @@ def test_delay_profile_silent_machine_unwitnessed():
 def test_delay_profile_branch_dependent_not_constant():
     # emits only while reading 1s: output length depends on the word read
     t = Transducer(
-        p=2, initial="s", delta=lambda s, a: "s",
-        output=lambda s, a: (a,) if a == 1 else (),
-        name="ones-only",
+        p=2, initial="s", step=lambda s, a: ("s", (a,) if a == 1 else ()), name="ones-only",
     )
     with pytest.raises(ValueError, match=r"\(1,\) .* on letter 1; step 1 must write nothing"):
         delay_profile(t)
@@ -184,9 +178,9 @@ def late_break_machine():
     """A chain c0 .. c9 of one-letter steps; c9 loops to itself writing two
     letters, so step 10 breaks the synchronous phase of the nine before."""
     chain = [f"c{i}" for i in range(10)]
-    transitions = {(s, a): chain[min(i + 1, 9)] for i, s in enumerate(chain) for a in range(2)}
-    outputs = {(s, a): (a,) * (1 + (i == 9)) for i, s in enumerate(chain) for a in range(2)}
-    return Transducer.from_tables(2, "c0", transitions, outputs, name="late-break")
+    table = {(s, a): (chain[min(i + 1, 9)], (a,) * (1 + (i == 9)))
+             for i, s in enumerate(chain) for a in range(2)}
+    return Transducer.from_table(2, "c0", table, name="late-break")
 
 
 def test_function_of_refuses_a_phase_break_past_depth_8():
@@ -198,8 +192,8 @@ def test_delay_profile_closes_on_alternating_state_sets():
     """Lengths 1, 2, 3 ... reach {1, 3}, {2, 0}, {3, 1} ...: no two lengths
     in a row reach the same states, yet at length 3 every state has its row,
     so the probe stops after reading 1 + 2 + 2 + 2 states."""
-    t = Transducer(p=2, initial=0, delta=lambda s, a: (s + 1 + 2 * a) % 4,
-                   output=lambda s, a: (a,), name="alternating")
+    t = Transducer(p=2, initial=0, step=lambda s, a: ((s + 1 + 2 * a) % 4, (a,)),
+                   name="alternating")
     assert delay_profile(t, budget=7) == 0
     with pytest.raises(BudgetExceededError):
         delay_profile(t, budget=6)
@@ -214,8 +208,9 @@ def _reference_delay(t, letters):
     def run(s, j):
         if j < letters:
             for a in range(t.p):
-                widths[j].add(len(t.output(s, a)))
-                run(t.delta(s, a), j + 1)
+                nxt, out = t.step(s, a)
+                widths[j].add(len(out))
+                run(nxt, j + 1)
 
     run(t.initial, 0)
     n = next((j for j, seen in enumerate(widths) if seen != {0}), None)
@@ -230,21 +225,21 @@ def _small_machine(rng, p, size):
     given the wrong length."""
     d = rng.randrange(size)
     chained = rng.random() < 0.5
-    transitions, outputs = {}, {}
+    table = {}
     for s in range(size):
         for a in range(p):
             if chained:
-                transitions[s, a] = s + 1 if s + 1 < d else rng.randrange(d, size)
+                nxt = s + 1 if s + 1 < d else rng.randrange(d, size)
             else:
-                transitions[s, a] = rng.randrange(size)
-            outputs[s, a] = () if s < d else (rng.randrange(p),)
+                nxt = rng.randrange(size)
+            table[s, a] = nxt, () if s < d else (rng.randrange(p),)
     if rng.random() < 0.5:
         reached = {0}
         for _ in range(rng.randrange(2 * size + 1)):
-            reached = {transitions[s, a] for s in reached for a in range(p)}
+            reached = {table[s, a][0] for s in reached for a in range(p)}
         s, a = rng.choice(sorted(reached)), rng.randrange(p)
-        outputs[s, a] = (a,) if s < d else rng.choice([(), (a, a)])
-    return Transducer.from_tables(p, 0, transitions, outputs, name="small")
+        table[s, a] = table[s, a][0], (a,) if s < d else rng.choice([(), (a, a)])
+    return Transducer.from_table(p, 0, table, name="small")
 
 
 @pytest.mark.parametrize("p, most", [(2, 4), (3, 3)])
@@ -273,8 +268,8 @@ def test_function_of_agrees_with_word_by_word_runs(p, most):
 def burst_transducer():
     """Silent for two steps, then two letters at once, then one per step."""
     outputs = {0: lambda a: (), 1: lambda a: (), 2: lambda a: (a, a), 3: lambda a: (a,)}
-    return Transducer(p=2, initial=0, delta=lambda s, a: min(s + 1, 3),
-                      output=lambda s, a: outputs[s](a), name="burst")
+    return Transducer(p=2, initial=0, step=lambda s, a: (min(s + 1, 3), outputs[s](a)),
+                      name="burst")
 
 
 def test_function_of_rejects_a_burst_after_silence():
@@ -308,9 +303,7 @@ def test_function_of_examples():
 
 
 def test_function_of_rejects_irregular_machine():
-    t = Transducer(
-        p=2, initial="s", delta=lambda s, a: "s", output=lambda s, a: (a, a),
-    )
+    t = Transducer(p=2, initial="s", step=lambda s, a: ("s", (a, a)))
     with pytest.raises(ValueError):
         function_of(t)
 
@@ -319,51 +312,41 @@ def test_reachable_states_odometer():
     assert set(reachable_states(odometer_transducer(2), 3)) == {0, 1}
 
 
-def _mixed_tables():
-    """State 0 goes to ("t", a) on letter a, and both go back to 0: int and
-    tuple states side by side, which no ordering of states can sort."""
-    transitions = {(0, a): ("t", a) for a in range(2)}
-    transitions.update({(("t", b), a): 0 for b in range(2) for a in range(2)})
-    return transitions, {key: (key[1],) for key in transitions}
+def _mixed_table():
+    """State 0 goes to ("t", a) on letter a, and both go back to 0, each
+    step writing the letter read: int and tuple states side by side, which
+    no ordering of states can sort."""
+    table = {(0, a): (("t", a), (a,)) for a in range(2)}
+    table.update({(("t", b), a): (0, (a,)) for b in range(2) for a in range(2)})
+    return table
 
 
 @pytest.mark.parametrize("key", [(0, 0), (0, 1), (("t", 0), 1), (("t", 1), 0)],
                          ids=["0-0", "0-1", "t0-1", "t1-0"])
 def test_from_tables_refuses_a_missing_transition(key):
-    transitions, outputs = _mixed_tables()
-    del transitions[key], outputs[key]
+    table = _mixed_table()
+    del table[key]
     with pytest.raises(ValueError) as raised:
-        Transducer.from_tables(2, 0, transitions, outputs)
+        Transducer.from_table(2, 0, table)
     assert str(raised.value) == f"state {key[0]!r} has no transition on letter {key[1]}"
 
 
 def test_from_tables_names_the_first_gap_in_first_seen_order():
-    """States are visited as the tables first name them (the initial state,
+    """States are visited as the table first names them (the initial state,
     then each source and target), so of two gaps the one of ("t", 0) is
     named, and states that do not sort are no obstacle."""
-    transitions, outputs = _mixed_tables()
+    table = _mixed_table()
     for key in ((("t", 1), 0), (("t", 0), 1)):
-        del transitions[key], outputs[key]
+        del table[key]
     with pytest.raises(ValueError, match=r"^state \('t', 0\) has no transition on letter 1$"):
-        Transducer.from_tables(2, 0, transitions, outputs)
+        Transducer.from_table(2, 0, table)
     # a state named only as the initial one, or only as a target
     with pytest.raises(ValueError, match="^state 'lost' has no transition on letter 0$"):
-        Transducer.from_tables(2, "lost", *_mixed_tables())
-    transitions, outputs = _mixed_tables()
-    transitions[0, 1] = "new"
+        Transducer.from_table(2, "lost", _mixed_table())
+    table = _mixed_table()
+    table[0, 1] = "new", (1,)
     with pytest.raises(ValueError, match="^state 'new' has no transition on letter 0$"):
-        Transducer.from_tables(2, 0, transitions, outputs)
-
-
-def test_from_tables_refuses_an_output_table_with_other_keys():
-    transitions, outputs = _mixed_tables()
-    del outputs[("t", 1), 1]
-    with pytest.raises(ValueError, match=r"^state \('t', 1\) on letter 1 is in only one"):
-        Transducer.from_tables(2, 0, transitions, outputs)
-    transitions, outputs = _mixed_tables()
-    outputs[5, 0] = (0,)
-    with pytest.raises(ValueError, match="^state 5 on letter 0 is in only one"):
-        Transducer.from_tables(2, 0, transitions, outputs)
+        Transducer.from_table(2, 0, table)
 
 
 def test_reachable_states_identity():
@@ -385,7 +368,7 @@ class _Unlistable(Sequence):
 
 
 def test_family_budget_checked_before_enumeration():
-    t = Transducer(p=2, initial=0, delta=lambda s, a: s, output=lambda s, a: (a,),
+    t = Transducer(p=2, initial=0, step=lambda s, a: (s, (a,)),
                    family=lambda depth: _Unlistable(), name="lazy")
     with pytest.raises(BudgetExceededError):
         family_points(t, 3, budget=1000)
@@ -459,10 +442,7 @@ def test_delay_profile_budget_bounds_the_frontier():
     # the state counts the 1s read, so length-k words reach k + 1 new states
     # and the probe never closes: the states it reads, 1 + 2 + 3 + ..., pass
     # the budget at length 3
-    counter = Transducer(
-        p=2, initial=0, delta=lambda s, a: s + a, output=lambda s, a: (a,),
-        name="counter",
-    )
+    counter = Transducer(p=2, initial=0, step=lambda s, a: (s + a, (a,)), name="counter")
     with pytest.raises(BudgetExceededError, match="10 delay probe states exceed the budget 9"):
         delay_profile(counter, budget=9)
     # a finite machine closes under the same budget
@@ -565,17 +545,17 @@ def test_walk_backed_oracle_matches_reference_simulator(t):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_values_builds_each_state_row_once_per_phase(n):
-    """The delay probe and one ``values`` call together ask ``output`` at
+    """The delay probe and one ``values`` call together ask ``step`` at
     most 2p times per state they reach, and later tables of the same
     oracle ask no more."""
     base = sf.table_machine(21 + n, 3, 6, n)
     calls = Counter()
 
-    def output(s, a):
+    def step(s, a):
         calls[s] += 1
-        return base.output(s, a)
+        return base.step(s, a)
 
-    t = Transducer(p=3, initial=base.initial, delta=base.delta, output=output)
+    t = Transducer(p=3, initial=base.initial, step=step)
     f = function_of(t)
     m = 4
     table = f.values(m, 3 ** (m + n))
@@ -583,7 +563,7 @@ def test_values_builds_each_state_row_once_per_phase(n):
     reached = {t.initial}
     frontier = {t.initial}
     for _ in range(m + n - 1):
-        frontier = {base.delta(s, a) for s in frontier for a in range(3)}
+        frontier = {base.step(s, a)[0] for s in frontier for a in range(3)}
         reached |= frontier
     assert set(calls) <= reached
     assert max(calls.values()) <= 2 * 3
