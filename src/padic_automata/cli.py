@@ -11,8 +11,10 @@ command also takes ``--budget`` (>= 1) and ``--report-format``, and only these:
 ``image``         geometric image, cover report, PGM: --kmax --resolution --depth --out
 ``transitivity``  family transitivity: --resolution (word length) --depth
 
-Each command returns one report payload; :func:`emit` prints it as JSON or
-through the command's text template and maps it to the exit code.
+Each subparser row names its command's handler and text template.
+:func:`main` loads the subject, and the handler returns a report payload;
+:func:`emit` adds the schema and the command, prints the report as JSON or
+through the template, and maps it to the exit code.
 
 Exit codes: 0 pass, 1 input error (an unwritable --out too), 2 insufficient
 precision, 3 criterion fail, 4 budget exceeded.  Machine-readable output
@@ -88,30 +90,30 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--terms", type=int, default=16, help="coefficient count M")
     c.add_argument("--precision", type=int, default=16, help="digits K")
     c.add_argument("--out", help="series document to write")
-    c.set_defaults(handler=cmd_coeffs)
+    c.set_defaults(handler=cmd_coeffs, template=_coeffs_text)
 
     c = sub.add_parser("check", parents=[common], help="decide the coefficient conditions")
-    c.add_argument("--which", choices=("delay", "mp", "ergodic"), required=True)
+    c.add_argument("--which", choices=_WHICH, required=True)
     c.add_argument("--terms", type=int, default=16, help="M when deriving a series")
     c.add_argument("--precision", type=int, default=16, help="digits K when deriving a series")
-    c.set_defaults(handler=cmd_check)
+    c.set_defaults(handler=cmd_check, template=_check_text)
 
     c = sub.add_parser("brute", parents=[common], help="finite-quotient oracle checks")
     c.add_argument("--mode", choices=("mp", "cycles"), required=True)
     c.add_argument("--kmax", type=int, default=6)
-    c.set_defaults(handler=cmd_brute)
+    c.set_defaults(handler=cmd_brute, template=_brute_text)
 
     c = sub.add_parser("image", parents=[common], help="geometric image, cover report, PGM")
     c.add_argument("--kmax", type=int, default=6, help="levels 1..K to accumulate")
     c.add_argument("--resolution", type=int, default=3, help="grid exponent m")
     c.add_argument("--depth", type=int, default=6, help="family exploration depth")
     c.add_argument("--out", help="PGM raster to write")
-    c.set_defaults(handler=cmd_image)
+    c.set_defaults(handler=cmd_image, template=_image_text)
 
     c = sub.add_parser("transitivity", parents=[common], help="family transitivity check")
     c.add_argument("--resolution", type=int, default=1, help="word length m")
     c.add_argument("--depth", type=int, default=4, help="state exploration depth")
-    c.set_defaults(handler=cmd_transitivity)
+    c.set_defaults(handler=cmd_transitivity, template=_transitivity_text)
 
     return parser
 
@@ -128,9 +130,11 @@ def load_subject(args):
                 raise FormatError("--coeffs must be comma-separated integers")
         return make_builtin(args.builtin, args.p, args.n, coeffs)
     path = Path(args.subject)
-    if not path.is_file():
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
         raise FormatError(f"no such subject file: {path}")
-    return parse_document(path.read_text(), name=str(path))
+    return parse_document(text, name=str(path))
 
 
 def to_oracle(subject, budget: int) -> FunctionOracle:
@@ -151,13 +155,12 @@ def to_series(subject, args) -> MahlerSeries:
     return mahler.coeffs_from_oracle(to_oracle(subject, args.budget), args.terms, args.precision)
 
 
-# --- commands: each returns its report payload ---------------------------------
+# --- commands: each takes the subject and returns its report payload -----------
 
 
-def cmd_coeffs(args) -> dict:
-    series = to_series(load_subject(args), args)
+def cmd_coeffs(args, subject) -> dict:
+    series = to_series(subject, args)
     payload = {
-        "command": "coeffs",
         "p": series.p,
         "n": series.n,
         "precision": series.precision,
@@ -179,11 +182,10 @@ _WHICH = {
 }
 
 
-def cmd_check(args) -> dict:
-    series = to_series(load_subject(args), args)
+def cmd_check(args, subject) -> dict:
+    series = to_series(subject, args)
     report = _WHICH[args.which](series)
     return {
-        "command": "check",
         "which": report.which,
         "p": series.p,
         "n": series.n,
@@ -197,8 +199,8 @@ def cmd_check(args) -> dict:
     }
 
 
-def cmd_brute(args) -> dict:
-    oracle = to_oracle(load_subject(args), args.budget)
+def cmd_brute(args, subject) -> dict:
+    oracle = to_oracle(subject, args.budget)
     if args.mode == "mp":
         verdict = quotient.is_measure_preserving_upto(oracle, args.kmax, args.budget)
         detail = {
@@ -210,7 +212,6 @@ def cmd_brute(args) -> dict:
         verdict = quotient.unique_cycle_upto(oracle, args.kmax, args.budget)
         detail = {"cycle_counts": [list(pair) for pair in verdict.cycle_counts]}
     return {
-        "command": "brute",
         "mode": args.mode,
         "p": oracle.p,
         "n": oracle.delay,
@@ -221,8 +222,7 @@ def cmd_brute(args) -> dict:
     }
 
 
-def cmd_image(args) -> dict:
-    subject = load_subject(args)
+def cmd_image(args, subject) -> dict:
     m = args.resolution
     oracle = to_oracle(subject, args.budget)
     if args.out:
@@ -234,7 +234,6 @@ def cmd_image(args) -> dict:
         points = geometry.accumulate_image(oracle, range(1, args.kmax + 1), args.budget)
     report = geometry.cover_fraction(points, m)
     payload = {
-        "command": "image",
         "p": report.p,
         "n": points.n,
         "levels": list(points.levels),
@@ -251,13 +250,11 @@ def cmd_image(args) -> dict:
     return payload
 
 
-def cmd_transitivity(args) -> dict:
-    subject = load_subject(args)
+def cmd_transitivity(args, subject) -> dict:
     if not isinstance(subject, Transducer) or to_oracle(subject, args.budget).delay != 0:
         raise FormatError("transitivity needs a synchronous transducer subject")
     report = geometry.family_transitivity(subject, args.resolution, args.depth, args.budget)
     return {
-        "command": "transitivity",
         "level": args.resolution,
         "depth": args.depth,
         "states": report.states_examined,
@@ -331,15 +328,6 @@ def _transitivity_text(r: dict, subject: str) -> list[str]:
             f"verdict: {verdict}"]
 
 
-_TEXT = {
-    "coeffs": _coeffs_text,
-    "check": _check_text,
-    "brute": _brute_text,
-    "image": _image_text,
-    "transitivity": _transitivity_text,
-}
-
-
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
 
@@ -367,11 +355,11 @@ def _json(value, indent: str = "\n") -> str:
 def emit(args, payload: dict) -> int:
     """Print one command's payload in the asked format; return its exit code."""
     if args.report_format == "json":
-        print(_json({"schema": REPORT_SCHEMA, **payload}))
+        print(_json({"schema": REPORT_SCHEMA, "command": args.command, **payload}))
     else:  # a built-in is named with the report's n (0 if none), not with --n
         subject = (f"built-in {args.builtin} (p={args.p}, n={payload.get('n', 0)})"
                    if args.builtin else f"file {args.subject}")
-        print("\n".join(_TEXT[payload["command"]](payload, subject)))
+        print("\n".join(args.template(payload, subject)))
     return EXIT_CODE[payload.get("verdict", payload.get("passed"))]
 
 
@@ -387,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1  # --help, or a usage error (bad input)
     try:
-        return emit(args, args.handler(args))
+        return emit(args, args.handler(args, load_subject(args)))
     except (ValueError, BudgetExceededError, OSError) as exc:
         code = next(EXIT_CODE[cls] for cls in type(exc).__mro__ if cls in EXIT_CODE)
         print(f"{ERROR_PREFIX[code]}: {exc}", file=sys.stderr)

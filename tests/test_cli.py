@@ -524,6 +524,26 @@ def test_missing_subject(capsys):
     assert code == 1
 
 
+def test_subject_is_read_from_a_pipe(capsys, tmp_path):
+    """--subject reads any readable file: a document piped into /dev/stdin
+    gives the report that the same document gives from a regular file."""
+    document = serialize_series(ODD_HEAD_SERIES)
+    path = tmp_path / "odd.series"
+    path.write_text(document)
+    argv = ["check", "--which", "mp", "--report-format", "json", "--subject"]
+    code, out, _ = run(capsys, *argv, str(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(mahler.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "padic_automata.cli", *argv, "/dev/stdin"],
+                          input=document, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+def test_directory_subject_is_an_input_error(capsys, tmp_path):
+    code, _, err = run(capsys, "check", "--subject", str(tmp_path), "--which", "mp")
+    assert code == 1
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def test_usage_error_maps_to_input_error(capsys):
     assert main(["check", "--builtin", "nonsense", "--which", "mp"]) == 1
     capsys.readouterr()

@@ -54,6 +54,12 @@ def test_square_coefficients():
     assert series.coeffs == (0, 1, 2, 0)
 
 
+@pytest.mark.parametrize("K", [1, 6])
+def test_one_coefficient_is_the_value_at_zero(K):
+    series = coeffs_from_oracle(polynomial_oracle(3, [5, 2]), 1, K)
+    assert series.coeffs == (5 % 3 ** K,)
+
+
 def test_shift_coefficients_match_triangular_solve():
     K = 8
     shift_values = [j // 2 for j in range(6)]

@@ -161,6 +161,14 @@ def test_transducer_route_agrees_with_builtin_dynamics():
     assert is_measure_preserving_upto(machine, 6).passed
 
 
+@pytest.mark.parametrize("coeffs, verdict", [
+    ((1, 1), CycleVerdict(passed=True, first_failing_level=None, cycle_counts=((1, 1),))),
+    ((0, 1), CycleVerdict(passed=False, first_failing_level=1, cycle_counts=((1, 2),))),
+], ids=["odometer", "identity"])
+def test_unique_cycle_at_k_max_1(coeffs, verdict):
+    assert unique_cycle_upto(polynomial_oracle(2, coeffs), 1) == verdict
+
+
 def test_unique_cycle_identity_fails_immediately():
     verdict = unique_cycle_upto(polynomial_oracle(2, [0, 1]), 3)
     assert not verdict.passed
