@@ -17,7 +17,8 @@ Each subparser row names its command's handler and text template.
 through the template, and maps it to the exit code.
 
 Exit codes: 0 pass, 1 input error (an unwritable --out too), 2 insufficient
-precision, 3 criterion fail, 4 budget exceeded.  Machine-readable output
+precision, 3 criterion fail, 4 budget exceeded; a closed stdout keeps the
+verdict's code and prints nothing.  Machine-readable output
 (``--report-format json``) is deterministic: two runs of one job give
 identical bytes.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
@@ -353,13 +355,25 @@ def _json(value, indent: str = "\n") -> str:
 
 
 def emit(args, payload: dict) -> int:
-    """Print one command's payload in the asked format; return its exit code."""
+    """Print one command's payload in the asked format; return its exit code.
+
+    A reader that closes stdout early (``| head``) does not change the
+    code: the rest of the report is dropped, and stdout is pointed at
+    ``os.devnull`` so that the flush at interpreter exit prints nothing.
+    """
     if args.report_format == "json":
-        print(_json({"schema": REPORT_SCHEMA, "command": args.command, **payload}))
+        text = _json({"schema": REPORT_SCHEMA, "command": args.command, **payload})
     else:  # a built-in is named with the report's n (0 if none), not with --n
         subject = (f"built-in {args.builtin} (p={args.p}, n={payload.get('n', 0)})"
                    if args.builtin else f"file {args.subject}")
-        print("\n".join(args.template(payload, subject)))
+        text = "\n".join(args.template(payload, subject))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_CODE[payload.get("verdict", payload.get("passed"))]
 
 

@@ -10,7 +10,6 @@ a genuine delay-n map (``lipschitz``).
 
 from __future__ import annotations
 
-import operator
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -94,18 +93,29 @@ def digitwise_add_family(p: int) -> Transducer:
 
 
 def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
-    """x -> floor(x / p^n): drops the first n digits; the canonical n-unit delay."""
+    """x -> floor(x / p^n): drops the first n digits; the canonical n-unit delay.
+
+    With q = p^n, the table over x < count is 0, 1, ..., each value
+    repeated q times, cut at count; each entry is already reduced, since
+    x < p^(m+n) gives x // q < p^m.  It is built as q copies of
+    range(ceil(count / q)) sorted into one run (Timsort merges the q
+    sorted runs at C speed): each value is one int object repeated, with
+    no division per entry, so the reads of the table (fiber counts,
+    lower-level reductions, cycle walks) touch count / q distinct objects,
+    not count.
+    """
     _require_prime(p)
     if n < 1:
         raise ValueError(f"shift delay must be >= 1, got {n}")
     q = p ** n
-    return FunctionOracle(
-        p=p,
-        delay=n,
-        source="built-in",
-        table=lambda m, count: map(operator.floordiv, range(count), repeat(q)),
-        lipschitz=True,
-    )
+
+    def table(m: int, count: int) -> list[int]:
+        values = list(range(-(-count // q))) * q
+        values.sort()
+        del values[count:]
+        return values
+
+    return FunctionOracle(p=p, delay=n, source="built-in", table=table, lipschitz=True)
 
 
 def zero_oracle(p: int, n: int = 1) -> FunctionOracle:

@@ -544,6 +544,20 @@ def test_directory_subject_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and "Is a directory" in err
 
 
+def test_closed_stdout_keeps_the_verdict_quietly():
+    """A reader that closes stdout before the report is written is not an
+    input error: the job exits with its verdict's code and stderr is empty,
+    with no broken-pipe line at interpreter exit either."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mahler.__file__).resolve().parents[1])}
+    argv = ["brute", "--builtin", "shift", "--mode", "mp", "--kmax", "12"]
+    proc = subprocess.Popen([sys.executable, "-m", "padic_automata.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
 def test_usage_error_maps_to_input_error(capsys):
     assert main(["check", "--builtin", "nonsense", "--which", "mp"]) == 1
     capsys.readouterr()

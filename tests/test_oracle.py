@@ -79,10 +79,11 @@ BUILTIN_TABLES = {
     "polynomial": (lambda p: polynomial_oracle(p, (3, -1, 0, 2)), lambda x, p: 3 - x + 2 * x ** 3),
     "shift-n1": (lambda p: shift_oracle(p, 1), lambda x, p: x // p),
     "shift-n2": (lambda p: shift_oracle(p, 2), lambda x, p: x // p ** 2),
+    "shift-n3": (lambda p: shift_oracle(p, 3), lambda x, p: x // p ** 3),
 }
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("name", BUILTIN_TABLES)
 def test_builtin_tables_match_closed_forms(name, p):
     """Each built-in's table against its closed form at every count shape,
@@ -97,6 +98,14 @@ def test_builtin_tables_match_closed_forms(name, p):
         table = f.values(m, domain)
         for x in (domain, 3 * domain + p, -1, -domain - 2):
             assert f.value(x, m) == table[x % domain], (m, x)
+
+
+def test_shift_table_holds_one_int_per_value():
+    """The shift's table repeats one int object per value, also for values
+    past the small-int cache, instead of a fresh quotient per entry."""
+    table = shift_oracle(2, 1).values(12, 2 ** 13)
+    assert table[-1] == 2 ** 12 - 1
+    assert len(set(map(id, table))) == len(set(table)) == 2 ** 12
 
 
 def _readings(n, k_max):
