@@ -16,9 +16,12 @@ Each point is one integer code over the set's denominator ``den``: a
 mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1} over
 p^L, scaled up to ``den`` and read off one digit-reversal table, and the
 point (X/den, Y/den) has code X * den + Y.  As 0 <= Y < den, code order is
-(X, Y) order, so dedup, sorting and gridding work on plain ints; pairs
-appear only at the boundary (``PointSet2D.coords``, ``CoverReport.cells``),
-``Fraction``s only in ``PointSet2D.points`` and ``CoverReport.fraction``.
+(X, Y) order, so gridding works on plain ints.  An oracle image's levels
+come out as ascending runs, merged by one sort with repeats dropped as
+neighbours; a family image's unordered per-word blocks go through a set
+and a sort.  Pairs appear only at the boundary (``PointSet2D.coords``,
+``CoverReport.cells``), ``Fraction``s only in ``PointSet2D.points`` and
+``CoverReport.fraction``.
 Cover fractions are exact; the PGM rasterizer is byte-deterministic.
 """
 
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import lcm
-from operator import add, lt, mul
+from operator import add, lt, mul, ne
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -118,6 +121,11 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     per residue x mod p^(n+k), pairing the input word of length n+k with
     the output word of length k, f(x) mod p^k; the tables of every level
     come from one :meth:`FunctionOracle.levels` call.
+
+    The mirror table over den = p^(n+top) is an involution, and level k's
+    input numerators X are the multiples of step = p^(top-k), at x =
+    mirror[X]: ``mirror[::step]`` lists level k's inputs in ascending X, so
+    its codes are one ascending run.  One sort merges the runs.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -128,11 +136,13 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     tables = f.levels([(n + k, k) for k in levels], budget,
                       f"oracle evaluations ({p}^{n + top}, level {top})")
     den, mirror = p ** (n + top), _mirror(p, n + top)
-    xs = list(map(mul, mirror, repeat(den)))  # map stops at level k's p^(n+k) outputs
-    codes: set[int] = set()
-    for outs in tables:
-        codes.update(map(add, xs, map(mirror.__getitem__, outs)))
-    return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=tuple(sorted(codes)))
+    steps = [p ** (top - k) for k in levels]  # level k's X are the multiples of its step
+    runs = (map(add, range(0, den * den, step * den),
+                map(mirror.__getitem__, map(outs.__getitem__, mirror[::step])))
+            for step, outs in zip(steps, tables))
+    merged = sorted(chain.from_iterable(runs))  # Timsort merges the runs
+    codes = tuple(compress(merged, map(ne, merged, chain([-1], merged))))  # drop repeats
+    return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=codes)
 
 
 class CoverReport(NamedTuple):

@@ -158,7 +158,7 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
     p, coeffs, terms = series.p, series.coeffs, series.support
     table, width, kept = bytearray(), 1, 0  # slots of width bytes, each == f(x) (mod p^kept)
 
-    def build(m: int, count: int) -> Iterable[int]:
+    def build(m: int, count: int) -> list[int]:
         nonlocal table, width, kept
         if m > series.precision:
             raise PrecisionError(
@@ -192,7 +192,7 @@ def series_oracle(series: MahlerSeries) -> FunctionOracle:
                 product = (_packed(poly, width) * column).to_bytes(
                     (len(poly) + block - 1) * width, "little")
                 table += memoryview(product)[:min(block, size - s) * width]
-        return _residues(table, width, 0, count, p, m)
+        return list(_residues(table, width, 0, count, p, m))
 
     lipschitz = not any(e > 0 and any(map((p ** e).__rmod__, coeffs[low:high]))
                         for low, high, e in _floor_blocks(p, series.n, 0, 1, terms))

@@ -3,8 +3,8 @@
 An oracle answers "f(x) mod p^m given x mod p^(m+n)", where n is the
 declared delay (n = 0 for synchronous / 1-Lipschitz maps), as one table:
 f(x) mod p^m for the canonical residues x = 0, 1, ... of Z/p^(m+n).
-Every provider's ``table`` yields it already reduced, the residues in
-[0, p^m), so reading it is one copy.
+Every provider's ``table`` returns it as a new list, already reduced, the
+residues in [0, p^m), and ``values`` hands that list on without a copy.
 ``value`` reads a single residue off that table after canonicalizing x
 modulo p^(m+n), so every answer is the one at the zero-extended canonical
 representative.  For a genuine n-unit delay map the answer is independent
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import check_budget
 
@@ -28,7 +28,7 @@ class _OracleFields(NamedTuple):
     p: int
     delay: int
     source: str
-    table: Callable[[int, int], Iterable[int]]
+    table: Callable[[int, int], list[int]]
     entry_cost: int = 1
     lipschitz: bool = False
 
@@ -37,10 +37,10 @@ class FunctionOracle(_OracleFields):
     """Evaluator for f: Z_p -> Z_p with an n-unit output delay.
 
     ``source`` records provenance ("transducer", "mahler-series" or
-    "built-in").  ``table(m, count)`` yields the residues f(0) mod p^m,
+    "built-in").  ``table(m, count)`` returns the residues f(0) mod p^m,
     ..., f(count-1) mod p^m, each in [0, p^m), count <= p^(m+delay), as
-    an iterable read once, which :meth:`values` copies as it is; it is
-    the oracle's one route.
+    a new list that no one else holds, which :meth:`values` returns after
+    its checks; it is the oracle's one route.
     ``entry_cost`` is the charge of one table entry in budget units: 1,
     or the support of a series, whose table is charged entries x terms
     (a fixed rule, not the build's work).  Every level-by-level check
@@ -77,7 +77,7 @@ class FunctionOracle(_OracleFields):
             raise ValueError(
                 f"count {count} exceeds the residue domain p^(m+delay)"
             )
-        return list(self.table(m, count))
+        return self.table(m, count)
 
     def levels(
         self, shapes: Sequence[tuple[int, int]], budget: int, what: str

@@ -4,14 +4,13 @@ Everything here is constructed from first principles so that every
 acceptance check can run with zero authoring: the identity and odometer
 machines, the n-step delayed echo, the digitwise-add family (the bundled
 transitive family), plus directly-coded map oracles (shift, constant
-zero, integer polynomials), each of which yields its level table and is
-a genuine delay-n map (``lipschitz``).
+zero, integer polynomials), each of which returns its level table as a
+new list and is a genuine delay-n map (``lipschitz``).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .oracle import FunctionOracle
 from .padics import is_prime
@@ -122,7 +121,7 @@ def zero_oracle(p: int, n: int = 1) -> FunctionOracle:
     """The constant-zero map declared with an n-unit delay."""
     _require_prime(p)
     return FunctionOracle(p=p, delay=n, source="built-in",
-                          table=lambda m, count: repeat(0, count), lipschitz=True)
+                          table=lambda m, count: [0] * count, lipschitz=True)
 
 
 def polynomial_oracle(p: int, coefficients: Sequence[int] | None) -> FunctionOracle:
@@ -136,13 +135,14 @@ def polynomial_oracle(p: int, coefficients: Sequence[int] | None) -> FunctionOra
     if not coeffs:
         raise ValueError("polynomial needs at least one coefficient")
 
-    def horner(m: int, count: int) -> Iterator[int]:
-        mod = p ** m
+    def horner(m: int, count: int) -> list[int]:
+        mod, values = p ** m, []
         for x in range(count):
             acc = 0
             for c in reversed(coeffs):
                 acc = (acc * x + c) % mod
-            yield acc
+            values.append(acc)
+        return values
 
     return FunctionOracle(p=p, delay=0, source="built-in", table=horner,
                           lipschitz=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain, count, product
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget
 from .oracle import FunctionOracle
@@ -172,7 +172,7 @@ def function_of(t: Transducer, budget: int = DEFAULT_BUDGET) -> FunctionOracle:
     rows = ({}, {}), ({}, {})  # shared by the probe and every walk of this oracle
     n, p = delay_profile(t, budget=budget, rows=rows), t.p
 
-    def table(m: int, count: int) -> Iterable[int]:
+    def table(m: int, count: int) -> list[int]:
         letters = [range(p if p ** j < count else 1) for j in range(m + n)]
         *_, (_, last) = walk(t, [t.initial], n, letters, rows)
         return last[:count]

@@ -323,6 +323,8 @@ def _reference_oracles():
         for p, n in ((2, 1), (3, 1), (2, 2), (3, 2))
     ]
     return oracles + [
+        polynomial_oracle(3, [1, 2, 3]),
+        function_of(odometer_transducer(2)),
         shift_oracle(2, 1),
         shift_oracle(3, 1),
         function_of(delay_echo_transducer(2, 1)),
@@ -330,11 +332,19 @@ def _reference_oracles():
     ]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_image_matches_fraction_reference(m, tmp_path):
+@pytest.mark.parametrize(
+    "levels",
+    [pytest.param(range(m, m + 4), id=str(m)) for m in (1, 2, 3, 4)]
+    + [pytest.param((6, 1, 3, 3), id="6-1-3-3"), pytest.param((2, 5), id="2-5")],
+)
+def test_image_matches_fraction_reference(levels, tmp_path):
+    """Delays 0, 1 and 2, gridded at the lowest level.  The gapped,
+    unordered and repeated level sets give levels k whose inputs lie
+    p^(top-k) > p apart in the mirrored order."""
+    m = min(levels)
     for oracle in _reference_oracles():
-        levels = range(m, m + 4)
         pts = accumulate_image(oracle, levels)
+        assert pts.levels == tuple(sorted(set(levels)))
         _assert_matches_reference(pts, _ref_image(oracle, levels), m, tmp_path)
 
 

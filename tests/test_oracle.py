@@ -209,11 +209,12 @@ trans c 2 b : 2
 
 
 def _assert_reduced(f, m):
-    """``table`` yields residues in [0, p^m), and ``values`` is the
-    reference reduction of that table, at the full domain and below it."""
+    """``table`` returns a new list of residues in [0, p^m), and ``values``
+    is the reference reduction of that table, at the full domain and below it."""
     mod, domain = f.p ** m, f.p ** (m + f.delay)
     for count in (domain, domain - 1, domain // f.p + 1):
-        table = list(f.table(m, count))
+        table = f.table(m, count)
+        assert type(table) is list and f.table(m, count) is not table
         assert len(table) == count
         assert all(0 <= v < mod for v in table), (m, count)
         assert f.values(m, count) == list(map(operator.mod, table, repeat(mod)))
@@ -315,7 +316,7 @@ def test_builtin_and_machine_oracles_are_lipschitz(subject):
 
 
 def test_an_oracle_built_by_hand_is_not_known_to_be_lipschitz():
-    f = FunctionOracle(p=2, delay=1, source="built-in", table=lambda m, count: repeat(0, count))
+    f = FunctionOracle(p=2, delay=1, source="built-in", table=lambda m, count: [0] * count)
     assert f.lipschitz is False
 
 
@@ -348,7 +349,7 @@ def test_records_reject_attribute_assignment(cls, build):
     with pytest.raises(AttributeError):
         record.extra = None
     with pytest.raises(ValueError, match="delay must be >= 0"):
-        FunctionOracle(p=2, delay=-1, source="built-in", table=lambda m, count: repeat(0, count))
+        FunctionOracle(p=2, delay=-1, source="built-in", table=lambda m, count: [0] * count)
 
 
 def test_result_records_hold_only_what_their_check_decided():
@@ -372,7 +373,7 @@ def _replacements():
                      {"coeffs": (1, 3)}, id="MahlerSeries"),
         pytest.param(points, {"codes": points.codes[::-1]}, {"levels": (2,)}, id="PointSet2D"),
         pytest.param(shift_oracle(2), {"delay": -1},
-                     {"table": lambda m, count: repeat(0, count)}, id="FunctionOracle"),
+                     {"table": lambda m, count: [0] * count}, id="FunctionOracle"),
     ]
 
 

@@ -188,7 +188,7 @@ def test_upto_checks_budget_before_any_level(n):
 
     def counted(m, count):
         calls.append(count)
-        return (x % 2 ** m for x in range(count))
+        return [x % 2 ** m for x in range(count)]
 
     oracle = FunctionOracle(p=2, delay=n, source="built-in", table=counted)
     # level 2 fits in 2^8 entries, level 30 does not
