@@ -12,26 +12,23 @@ fractions of prefix-transitive families are unchanged; what it buys is
 that extending a word (reading more letters) keeps the point inside the
 cell of its prefix.
 
-Each point is one integer code over the set's denominator ``den``: a
-mirrored word w of length L has numerator w_0 p^(L-1) + ... + w_{L-1} over
-p^L, scaled up to ``den`` and read off one digit-reversal table, and the
-point (X/den, Y/den) has code X * den + Y.  As 0 <= Y < den, code order is
-(X, Y) order, so gridding works on plain ints.  An oracle image's levels
-come out as ascending runs, merged by one sort with repeats dropped as
-neighbours; a family image's unordered per-word blocks go through a set
-and a sort.  Pairs appear only at the boundary (``PointSet2D.coords``,
-``CoverReport.cells``), ``Fraction``s only in ``PointSet2D.points`` and
-``CoverReport.fraction``.
+A word of at most L letters and its zero-extension are one point and have
+one residue, so a point is the integer code u * den + v of its words'
+residues u, v < den = p^L, and distinct codes are distinct points.  An
+oracle image's levels come out as ascending runs, merged by one sort with
+repeats dropped as neighbours; a family image's unordered per-word blocks
+go through a set and a sort.  The mirror is applied only to the distinct
+values reported, with no table sized by p^m or den: ``PointSet2D.coords``
+and the cells of ``cover_fraction``.  ``Fraction``s appear only in
+``PointSet2D.points`` and ``CoverReport.fraction``.
 Cover fractions are exact; the PGM rasterizer is byte-deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
-from math import lcm
-from operator import add, lt, mul, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import add, lt, ne
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,16 +41,27 @@ __all__ = ["CoverReport", "PointSet2D", "TransitivityReport", "accumulate_image"
            "family_points", "family_transitivity", "render_pgm"]
 
 
-def _mirror(p: int, top: int) -> list[int]:
-    """mirror[x], x < p^top: numerator over p^top of x's mirrored word, letter j
-    adding its digit times p^(top-1-j).  A word of L <= top letters mirrors as
-    its zero-extension, so the prefix x < p^L is the table of length L."""
-    mirror = [0]
-    for e in reversed(range(top)):
-        base = mirror[:]
-        for d in range(p ** e, p ** (e + 1), p ** e):
-            mirror += map(add, base, repeat(d))
-    return mirror
+def _length(p: int, den: int) -> int:
+    """L with den = p^L; :class:`ValueError` unless p >= 2 and den is a power of p."""
+    length = next(j for j in count() if p < 2 or p ** j >= den)
+    if p < 2 or p ** length != den:
+        raise ValueError(f"denominator must be a power of p >= 2, got {den} at p = {p}")
+    return length
+
+
+def _mirrored_pairs(codes: Iterable[int], side: int, p: int,
+                    length: int) -> tuple[tuple[int, int], ...]:
+    """(mirror(u), mirror(v)) for the codes u * side + v, in ascending order.
+    mirror(x) reverses x's ``length`` base-p digits, once per distinct x."""
+    pairs = list(map(divmod, codes, repeat(side)))
+    mirror = dict.fromkeys(chain.from_iterable(pairs))
+    for x in mirror:
+        rest, mirrored = x, 0
+        for _ in range(length):
+            rest, digit = divmod(rest, p)
+            mirrored = mirrored * p + digit
+        mirror[x] = mirrored
+    return tuple(sorted((mirror[u], mirror[v]) for u, v in pairs))
 
 
 class _PointFields(NamedTuple):
@@ -67,9 +75,10 @@ class _PointFields(NamedTuple):
 class PointSet2D(_PointFields):
     """Deduplicated exact points in [0, 1)^2, one integer code each.
 
-    Point i is (X/den, Y/den) for ``codes[i] = X * den + Y``, 0 <= X, Y <
-    den; ``codes`` strictly increases, so the points are distinct and in
-    (X, Y) order.  ``levels`` records which word lengths contributed.
+    ``codes[i] = u * den + v`` over den = p^L is the point (mirror(u),
+    mirror(v)) / den of the words with residues u, v < den, mirror reversing
+    L base-p digits.  ``codes`` strictly increases, so the points are
+    distinct.  ``levels`` records which word lengths contributed.
     """
 
     __slots__ = ()
@@ -77,8 +86,7 @@ class PointSet2D(_PointFields):
 
     def __new__(cls, *args, **kwargs) -> "PointSet2D":
         self = super().__new__(cls, *args, **kwargs)
-        if self.den < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.den}")
+        _length(self.p, self.den)
         codes = self.codes
         if codes and not (0 <= codes[0] and codes[-1] < self.den ** 2):
             raise ValueError(f"a code lies outside [0, {self.den}^2): not in [0, 1)^2")
@@ -88,8 +96,8 @@ class PointSet2D(_PointFields):
 
     @property
     def coords(self) -> tuple[tuple[int, int], ...]:
-        """The numerator pairs (X, Y), in ascending order."""
-        return tuple(map(divmod, self.codes, repeat(self.den)))
+        """The mirrored numerator pairs (X, Y) over den, in ascending order."""
+        return _mirrored_pairs(self.codes, self.den, self.p, _length(self.p, self.den))
 
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -102,14 +110,13 @@ class PointSet2D(_PointFields):
         if not sets:
             raise ValueError("cannot union zero point sets")
         first = sets[0]
-        den = lcm(*(ps.den for ps in sets))
+        den = max(ps.den for ps in sets)
         codes: set[int] = set()
         levels: set[int] = set()
         for ps in sets:
             if ps.p != first.p:
                 raise ValueError("point sets disagree on the prime")
-            scale = den // ps.den
-            codes.update((x * den + y) * scale for x, y in ps.coords)
+            codes.update(u * den + v for u, v in map(divmod, ps.codes, repeat(ps.den)))
             levels.update(ps.levels)
         return PointSet2D(p=first.p, n=first.n, levels=tuple(sorted(levels)),
                           den=den, codes=tuple(sorted(codes)))
@@ -122,10 +129,8 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     the output word of length k, f(x) mod p^k; the tables of every level
     come from one :meth:`FunctionOracle.levels` call.
 
-    The mirror table over den = p^(n+top) is an involution, and level k's
-    input numerators X are the multiples of step = p^(top-k), at x =
-    mirror[X]: ``mirror[::step]`` lists level k's inputs in ascending X, so
-    its codes are one ascending run.  One sort merges the runs.
+    Over den = p^(n+top), level k's codes x * den + f(x) mod p^k ascend
+    with x, so each level is one ascending run.  One sort merges the runs.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -135,11 +140,8 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     p, n, top = f.p, f.delay, levels[-1]
     tables = f.levels([(n + k, k) for k in levels], budget,
                       f"oracle evaluations ({p}^{n + top}, level {top})")
-    den, mirror = p ** (n + top), _mirror(p, n + top)
-    steps = [p ** (top - k) for k in levels]  # level k's X are the multiples of its step
-    runs = (map(add, range(0, den * den, step * den),
-                map(mirror.__getitem__, map(outs.__getitem__, mirror[::step])))
-            for step, outs in zip(steps, tables))
+    den = p ** (n + top)
+    runs = (map(add, range(0, len(outs) * den, den), outs) for outs in tables)
     merged = sorted(chain.from_iterable(runs))  # Timsort merges the runs
     codes = tuple(compress(merged, map(ne, merged, chain([-1], merged))))  # drop repeats
     return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=codes)
@@ -162,43 +164,38 @@ class CoverReport(NamedTuple):
 def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
     """Grid the point set at resolution m (cells of side p^-m).
 
-    (X, Y)/den lies in cell (X * grid // den, Y * grid // den), so each
-    occupied column is one run of the sorted codes: those below B * den,
-    B the first X of the next column.
+    The point of residues (u, v) lies in the cell (mirror(u mod p^m),
+    mirror(v mod p^m)), also for m > L, so the reduced residues are
+    deduplicated as codes over p^m and only the occupied cells mirrored.
     """
     if m < 1:
         raise ValueError(f"resolution must be >= 1, got {m}")
     grid, den, codes = points.p ** m, points.den, points.codes
-    cells: list[tuple[int, int]] = []
-    lo = 0
-    while lo < len(codes):
-        col = codes[lo] // den * grid // den
-        hi = bisect_left(codes, -(-(col + 1) * den // grid) * den, lo)
-        cells += zip(repeat(col), sorted({c % den * grid // den for c in codes[lo:hi]}))
-        lo = hi
+    low = min(grid, den)  # v mod p^m is the code mod min(p^m, den)
+    occupied = {c // den % grid * grid + c % low for c in codes}
+    cells = _mirrored_pairs(occupied, grid, points.p, m)
     return CoverReport(p=points.p, m=m, occupied=len(cells),
-                       fraction=Fraction(len(cells), grid * grid), cells=tuple(cells))
+                       fraction=Fraction(len(cells), grid * grid), cells=cells)
 
 
 def _family_codes(t: Transducer, depth: int, lengths: Sequence[int], budget: int,
                   what: str) -> tuple[Sequence[State], set[int]]:
     """The states known at ``depth``, and the codes over den = p^L, L =
     ``lengths[-1]``, of every (u, output) pair they write for the words u
-    of each length in ``lengths`` (consecutive, ascending), both mirrored.
+    of each length in ``lengths`` (consecutive, ascending), both as residues.
 
     All states' words are one synchronous :func:`~padic_automata.transducer.walk`,
-    each word's x-code repeated once per state.  :class:`BudgetExceededError`, naming
+    each word's code u * den repeated once per state.  :class:`BudgetExceededError`, naming
     ``what``, is raised before any state is listed when the nodes walked,
     len(states) * (p + ... + p^L), exceed ``budget``."""
     p, top = t.p, lengths[-1]
     states = reachable_states(t, depth)
     check_budget(family_size(states) * sum(p ** j for j in range(1, top + 1)), budget, what)
-    den, mirror = p ** top, _mirror(p, top)
-    scaled = list(map(mul, mirror, repeat(den)))
-    xs = list(chain.from_iterable(zip(*[scaled] * len(states))))  # once per state, word by word
+    den = p ** top
+    xs = list(chain.from_iterable(zip(*[range(0, den * den, den)] * len(states))))  # word by word
     codes: set[int] = set()
     for _, residues in islice(walk(t, states, 0, [range(p)] * top), lengths[0] - 1, None):
-        codes.update(map(add, xs, map(mirror.__getitem__, residues)))  # map stops at length j's
+        codes.update(map(add, xs, residues))  # map stops at length j's
     return states, codes
 
 
@@ -237,7 +234,8 @@ def family_transitivity(
     """Check that for all words u, v of length ``level`` (residues mod
     p^level) some state of the synchronous family known at ``depth`` maps
     u to v: over den = p^level each code of the family's words of that
-    length is its own cell, so all p^(2 level) codes must occur.
+    length is its own cell, so all p^(2 level) codes must occur, and the
+    counterexample (u, v) is the first gap in the sorted codes.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -245,9 +243,8 @@ def family_transitivity(
     size = t.p ** level
     missing = None
     if len(codes) < size * size:
-        mirror = _mirror(t.p, level)
-        missing = next((u, v) for u in range(size) for v in range(size)
-                       if mirror[u] * size + mirror[v] not in codes)
+        gap = next(compress(count(), map(ne, count(), sorted(codes))), len(codes))
+        missing = divmod(gap, size)
     return TransitivityReport(
         passed=missing is None,
         states_examined=len(states),

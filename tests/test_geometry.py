@@ -1,6 +1,6 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -85,9 +85,13 @@ def test_cover_identity_exactly_diagonal():
 
 
 def test_cover_single_point():
-    pts = PointSet2D(p=2, n=0, levels=(1,), den=21, codes=(7 * 21 + 3,))  # (7, 3) / 21
-    for m in (1, 2, 3):
-        assert cover_fraction(pts, m).fraction == F(1, 2 ** (2 * m))
+    # residues (6, 3) over 2^3: words (0, 1, 1) and (1, 1, 0), the point (3/8, 6/8)
+    pts = PointSet2D(p=2, n=0, levels=(3,), den=8, codes=(6 * 8 + 3,))
+    assert pts.coords == ((3, 6),)
+    for m in range(1, 6):  # m > 3 pads both words with zeros
+        report = cover_fraction(pts, m)
+        assert report.fraction == F(1, 2 ** (2 * m))
+        assert report.cells == ((3 * 2 ** m // 8, 6 * 2 ** m // 8),)
 
 
 def test_cover_shift_quarter_at_m3():
@@ -375,35 +379,38 @@ def test_family_and_graph_match_fraction_reference(t, tmp_path):
 
 def test_cover_square_edges_match_fraction_reference(tmp_path):
     # points on the lower edges of [0, 1)^2 and just below the upper ones:
-    # (0, 0), (0, 26), (13, 1), (26, 0) and (26, 26) over 27
-    codes = (0, 26, 13 * 27 + 1, 26 * 27, 26 * 27 + 26)
-    pts = PointSet2D(p=3, n=0, levels=(1,), den=27, codes=codes)
-    for m in (1, 2, 3):
-        ref = {(F(c // 27, 27), F(c % 27, 27)) for c in codes}
+    # (0, 0), (0, 26), (13, 1), (26, 0) and (26, 26) over 27, the residues
+    # 0 and 26 mirroring to themselves, 13 to 13 and 9 to 1
+    pairs = ((0, 0), (0, 26), (13, 9), (26, 0), (26, 26))
+    pts = PointSet2D(p=3, n=0, levels=(3,), den=27, codes=tuple(u * 27 + v for u, v in pairs))
+    assert pts.coords == ((0, 0), (0, 26), (13, 1), (26, 0), (26, 26))
+    ref = {(mirror_fraction(u, 3, 3), mirror_fraction(v, 3, 3)) for u, v in pairs}
+    for m in range(1, 6):
         _assert_matches_reference(pts, ref, m, tmp_path)
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_codes_match_pair_reference(data, tmp_path_factory):
-    """Random point sets over denominators that need not be powers of p,
-    gridded where p^m need not divide den, against the pair references;
-    the union of two denominators against the union of their points."""
+    """Random residue pairs over den = p^L, L = 0..3, gridded at m = 1..L+2
+    (so also where the words are shorter than m), against the mirrored pair
+    references; the union of two denominators against the union of their
+    points."""
     p = data.draw(st.sampled_from([2, 3]))
-    dens = st.sampled_from([1, 4, 9, 12, 21, 27])
 
     def draw_set():
-        den = data.draw(dens)
+        length = data.draw(st.integers(0, 3))
+        den = p ** length
         pairs = data.draw(st.sets(st.tuples(st.integers(0, den - 1), st.integers(0, den - 1)),
                                   max_size=40))
-        codes = tuple(sorted(x * den + y for x, y in pairs))
-        ref = {(F(x, den), F(y, den)) for x, y in pairs}
-        return PointSet2D(p=p, n=0, levels=(1,), den=den, codes=codes), pairs, ref
+        codes = tuple(sorted(u * den + v for u, v in pairs))
+        ref = {(mirror_fraction(u, length, p), mirror_fraction(v, length, p)) for u, v in pairs}
+        return PointSet2D(p=p, n=0, levels=(1,), den=den, codes=codes), length, ref
 
-    a, pairs, ref = draw_set()
-    assert a.coords == tuple(sorted(pairs))
+    a, length, ref = draw_set()
+    assert a.coords == tuple(sorted((x * a.den, y * a.den) for x, y in ref))
     assert a.points == tuple(sorted(ref))
-    m = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, length + 2))
     grid = p ** m
     cells = _ref_cells(ref, grid)
     report = cover_fraction(a, m)
@@ -414,8 +421,26 @@ def test_codes_match_pair_reference(data, tmp_path_factory):
     assert render_pgm(report, m, path) == _ref_pgm(cells, grid)
     b, _, ref_b = draw_set()
     union = PointSet2D.union([a, b])
-    assert union.den == lcm(a.den, b.den)
+    assert union.den == max(a.den, b.den)
     assert union.points == tuple(sorted(ref | ref_b))
+
+
+def test_cover_and_coords_build_no_table_of_the_denominator():
+    """One point over den = 2^20, gridded at m = 20: mirroring only the
+    values reported keeps the calls' memory far below a table of 2^20
+    entries."""
+    u, v = 0b1011, 0b110  # mirror over 20 digits: 0b1101 << 16 and 0b011 << 17
+    pts = PointSet2D(p=2, n=0, levels=(20,), den=2 ** 20, codes=(u * 2 ** 20 + v,))
+    pair = (mirror_fraction(u, 20, 2) * 2 ** 20, mirror_fraction(v, 20, 2) * 2 ** 20)
+    tracemalloc.start()
+    try:
+        report = cover_fraction(pts, 20)
+        coords = pts.coords
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.cells == coords == (pair,)
+    assert peak < 64 * 1024
 
 
 def test_accumulate_image_evaluates_one_table():

@@ -82,7 +82,14 @@ IDENTITY, SHIFT = ("--builtin", "identity"), ("--builtin", "shift")
                  "level must be >= 1, got 0", ["transitivity", *IDENTITY, "--resolution", "0"],
                  id="transitivity-level"),
     pytest.param(lambda: PointSet2D(p=2, n=0, levels=(1,), den=0, codes=()), ValueError,
-                 "denominator must be >= 1, got 0", None, id="point-set-denominator"),
+                 "denominator must be a power of p >= 2, got 0 at p = 2", None,
+                 id="point-set-denominator"),
+    pytest.param(lambda: PointSet2D(p=2, n=0, levels=(1,), den=6, codes=()), ValueError,
+                 "denominator must be a power of p >= 2, got 6 at p = 2", None,
+                 id="point-set-denominator-not-a-power"),
+    pytest.param(lambda: PointSet2D(p=1, n=0, levels=(1,), den=4, codes=()), ValueError,
+                 "denominator must be a power of p >= 2, got 4 at p = 1", None,
+                 id="point-set-prime-below-2"),
     pytest.param(lambda: PointSet2D.union([]), ValueError, "cannot union zero point sets",
                  None, id="union-of-none"),
     pytest.param(lambda: coeffs_from_oracle(shift_oracle(2), 0, 4), ValueError,
