@@ -150,11 +150,12 @@ def to_oracle(subject, budget: int) -> FunctionOracle:
 def to_series(subject, args) -> MahlerSeries:
     if isinstance(subject, MahlerSeries):
         return subject
-    # the difference triangle of M values takes M(M+1)/2 subtractions
-    check_budget(
-        args.terms * (args.terms + 1) // 2, args.budget, f"differences for {args.terms} terms"
-    )
-    return mahler.coeffs_from_oracle(to_oracle(subject, args.budget), args.terms, args.precision)
+    # M values of K + n input digits each are read, and their difference
+    # triangle takes M(M+1)/2 subtractions
+    oracle, terms = to_oracle(subject, args.budget), args.terms
+    check_budget(terms * (args.precision + oracle.delay) + terms * (terms + 1) // 2, args.budget,
+                 f"input digits and differences for {terms} terms")
+    return mahler.coeffs_from_oracle(oracle, terms, args.precision)
 
 
 # --- commands: each takes the subject and returns its report payload -----------
@@ -237,8 +238,8 @@ def cmd_image(args, subject) -> dict:
     report = geometry.cover_fraction(points, m)
     payload = {
         "p": report.p,
-        "n": points.n,
-        "levels": list(points.levels),
+        "n": oracle.delay,
+        "levels": list(range(1, (args.depth if family else args.kmax) + 1)),
         "m": report.m,
         "occupied": report.occupied,
         "fraction": [report.fraction.numerator, report.fraction.denominator],

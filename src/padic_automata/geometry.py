@@ -14,7 +14,9 @@ cell of its prefix.
 
 A word of at most L letters and its zero-extension are one point and have
 one residue, so a point is the integer code u * den + v of its words'
-residues u, v < den = p^L, and distinct codes are distinct points.  An
+residues u, v < den = p^L, and distinct codes are distinct points.  A
+point set is only (p, L, codes): den is p^L by construction, and what a
+caller asked for (the delay, the levels) stays with the caller.  An
 oracle image's levels come out as ascending runs, merged by one sort with
 repeats dropped as neighbours; a family image's unordered per-word blocks
 go through a set and a sort.  The mirror is applied only to the distinct
@@ -41,19 +43,10 @@ __all__ = ["CoverReport", "PointSet2D", "TransitivityReport", "accumulate_image"
            "family_points", "family_transitivity", "render_pgm"]
 
 
-def _length(p: int, den: int) -> int:
-    """L with den = p^L; :class:`ValueError` unless p >= 2 and den is a power of p."""
-    length = next(j for j in count() if p < 2 or p ** j >= den)
-    if p < 2 or p ** length != den:
-        raise ValueError(f"denominator must be a power of p >= 2, got {den} at p = {p}")
-    return length
-
-
-def _mirrored_pairs(codes: Iterable[int], side: int, p: int,
-                    length: int) -> tuple[tuple[int, int], ...]:
-    """(mirror(u), mirror(v)) for the codes u * side + v, in ascending order.
+def _mirrored_pairs(codes: Iterable[int], p: int, length: int) -> tuple[tuple[int, int], ...]:
+    """(mirror(u), mirror(v)) for the codes u * p^length + v, in ascending order.
     mirror(x) reverses x's ``length`` base-p digits, once per distinct x."""
-    pairs = list(map(divmod, codes, repeat(side)))
+    pairs = list(map(divmod, codes, repeat(p ** length)))
     mirror = dict.fromkeys(chain.from_iterable(pairs))
     for x in mirror:
         rest, mirrored = x, 0
@@ -66,19 +59,17 @@ def _mirrored_pairs(codes: Iterable[int], side: int, p: int,
 
 class _PointFields(NamedTuple):
     p: int
-    n: int
-    levels: tuple[int, ...]
-    den: int
+    length: int
     codes: tuple[int, ...]
 
 
 class PointSet2D(_PointFields):
     """Deduplicated exact points in [0, 1)^2, one integer code each.
 
-    ``codes[i] = u * den + v`` over den = p^L is the point (mirror(u),
+    ``codes[i] = u * den + v`` over den = p^length is the point (mirror(u),
     mirror(v)) / den of the words with residues u, v < den, mirror reversing
-    L base-p digits.  ``codes`` strictly increases, so the points are
-    distinct.  ``levels`` records which word lengths contributed.
+    ``length`` base-p digits.  ``codes`` strictly increases, so the points
+    are distinct.
     """
 
     __slots__ = ()
@@ -86,40 +77,39 @@ class PointSet2D(_PointFields):
 
     def __new__(cls, *args, **kwargs) -> "PointSet2D":
         self = super().__new__(cls, *args, **kwargs)
-        _length(self.p, self.den)
-        codes = self.codes
-        if codes and not (0 <= codes[0] and codes[-1] < self.den ** 2):
-            raise ValueError(f"a code lies outside [0, {self.den}^2): not in [0, 1)^2")
+        p, length, codes = self
+        if p < 2 or length < 0:
+            raise ValueError(f"point sets need p >= 2 and length >= 0, "
+                             f"got p = {p}, length = {length}")
+        if codes and not (0 <= codes[0] and codes[-1] < p ** (2 * length)):
+            raise ValueError(f"a code lies outside [0, {p ** length}^2): not in [0, 1)^2")
         if not all(map(lt, codes, codes[1:])):
             raise ValueError("point codes must strictly increase")
         return self
 
     @property
     def coords(self) -> tuple[tuple[int, int], ...]:
-        """The mirrored numerator pairs (X, Y) over den, in ascending order."""
-        return _mirrored_pairs(self.codes, self.den, self.p, _length(self.p, self.den))
+        """The mirrored numerator pairs (X, Y) over p^length, in ascending order."""
+        return _mirrored_pairs(self.codes, self.p, self.length)
 
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The points as exact rationals, in ascending order."""
-        den = self.den
+        den = self.p ** self.length
         return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.coords)
 
     @staticmethod
     def union(sets: Sequence["PointSet2D"]) -> "PointSet2D":
+        """The points of all ``sets``, each code re-encoded over the longest length."""
         if not sets:
             raise ValueError("cannot union zero point sets")
-        first = sets[0]
-        den = max(ps.den for ps in sets)
-        codes: set[int] = set()
-        levels: set[int] = set()
+        p, length = sets[0].p, max(ps.length for ps in sets)
+        den, codes = p ** length, set()
         for ps in sets:
-            if ps.p != first.p:
+            if ps.p != p:
                 raise ValueError("point sets disagree on the prime")
-            codes.update(u * den + v for u, v in map(divmod, ps.codes, repeat(ps.den)))
-            levels.update(ps.levels)
-        return PointSet2D(p=first.p, n=first.n, levels=tuple(sorted(levels)),
-                          den=den, codes=tuple(sorted(codes)))
+            codes.update(u * den + v for u, v in map(divmod, ps.codes, repeat(p ** ps.length)))
+        return PointSet2D(p=p, length=length, codes=tuple(sorted(codes)))
 
 
 def accumulate_image(f: FunctionOracle, levels: Iterable[int],
@@ -144,7 +134,7 @@ def accumulate_image(f: FunctionOracle, levels: Iterable[int],
     runs = (map(add, range(0, len(outs) * den, den), outs) for outs in tables)
     merged = sorted(chain.from_iterable(runs))  # Timsort merges the runs
     codes = tuple(compress(merged, map(ne, merged, chain([-1], merged))))  # drop repeats
-    return PointSet2D(p=p, n=n, levels=tuple(levels), den=den, codes=codes)
+    return PointSet2D(p=p, length=n + top, codes=codes)
 
 
 class CoverReport(NamedTuple):
@@ -170,10 +160,10 @@ def cover_fraction(points: PointSet2D, m: int) -> CoverReport:
     """
     if m < 1:
         raise ValueError(f"resolution must be >= 1, got {m}")
-    grid, den, codes = points.p ** m, points.den, points.codes
+    grid, den, codes = points.p ** m, points.p ** points.length, points.codes
     low = min(grid, den)  # v mod p^m is the code mod min(p^m, den)
     occupied = {c // den % grid * grid + c % low for c in codes}
-    cells = _mirrored_pairs(occupied, grid, points.p, m)
+    cells = _mirrored_pairs(occupied, points.p, m)
     return CoverReport(p=points.p, m=m, occupied=len(cells),
                        fraction=Fraction(len(cells), grid * grid), cells=cells)
 
@@ -210,9 +200,8 @@ def family_points(t: Transducer, depth: int, budget: int = DEFAULT_BUDGET) -> Po
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    levels = tuple(range(1, depth + 1))
-    _, codes = _family_codes(t, depth, levels, budget, "family image nodes")
-    return PointSet2D(p=t.p, n=0, levels=levels, den=t.p ** depth, codes=tuple(sorted(codes)))
+    _, codes = _family_codes(t, depth, range(1, depth + 1), budget, "family image nodes")
+    return PointSet2D(p=t.p, length=depth, codes=tuple(sorted(codes)))
 
 
 class TransitivityReport(NamedTuple):

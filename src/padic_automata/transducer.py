@@ -25,7 +25,6 @@ reaches infinitely many states ends at its budget.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, count, product
 from operator import add
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
@@ -101,13 +100,13 @@ def walk(
     is raised on a row that breaks this, or on a letter outside the alphabet.
     Walks of one machine and its delay probe can share ``rows``."""
     rows = rows or (({}, {}), ({}, {}))
-    states, residues = list(starts), [0] * len(starts)
+    states, residues, scale = list(starts), [0] * len(starts), 1  # scale p^(j - n) once writing
     distinct = dict.fromkeys(states)  # each state once, in order of first appearance
     for j, span in enumerate(letters):
         if span and not 0 <= span[0] <= span[-1] < t.p:
             raise ValueError(f"letters {span} outside the alphabet 0..{t.p - 1}")
         silent = j < n
-        (nexts, writes), scale = rows[silent], 0 if silent else t.p ** (j - n)
+        nexts, writes = rows[silent]
         for s in distinct:
             if s not in nexts:
                 _row(t, s, j, silent, rows)
@@ -121,6 +120,7 @@ def walk(
             after += map(moves.__getitem__, states)
             wrote += residues if silent else map(add, residues, map(shifted.__getitem__, states))
         states, residues, distinct = after, wrote, reached
+        scale = scale if silent else scale * t.p
         yield states, residues
 
 
@@ -168,12 +168,16 @@ def function_of(t: Transducer, budget: int = DEFAULT_BUDGET) -> FunctionOracle:
     ``budget`` (a synchronous machine comes out at n = 0), so every table it
     answers is one of a genuine delay-n map (``lipschitz``); each table is
     one :func:`walk` over the probe's rows.  A table of f(x), x < count,
-    reads letter j from 0..p-1 while p^j < count, else 0."""
+    reads letters 0..p-1 at its first ``full`` positions, p^full the least
+    power of p that is >= count, and 0 after them."""
     rows = ({}, {}), ({}, {})  # shared by the probe and every walk of this oracle
     n, p = delay_profile(t, budget=budget, rows=rows), t.p
 
     def table(m: int, count: int) -> list[int]:
-        letters = [range(p if p ** j < count else 1) for j in range(m + n)]
+        full, size = 0, 1
+        while size < count:
+            full, size = full + 1, size * p
+        letters = [range(p)] * full + [range(1)] * (m + n - full)
         *_, (_, last) = walk(t, [t.initial], n, letters, rows)
         return last[:count]
 
@@ -185,7 +189,8 @@ def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
     """States known at exploration depth ``depth``, in deterministic order.
 
     For a table machine this is breadth-first closure from the initial
-    state over all letters (discovery order).  A parametric family
+    state over all letters (discovery order), one word length at a time,
+    up to the first length that reaches no new state.  A parametric family
     supplies its own depth-indexed enumeration instead, since its states
     need not be reachable from one another by transitions; its sequence
     is returned as it is, so callers can check ``len`` against a budget
@@ -196,14 +201,11 @@ def reachable_states(t: Transducer, depth: int) -> Sequence[State]:
     if t.family is not None:
         return t.family(depth)
     seen: dict[State, None] = {t.initial: None}
-    queue = deque([(t.initial, 0)])
-    while queue:
-        s, d = queue.popleft()
-        if d == depth:
-            continue
-        for a in range(t.p):
-            nxt, _ = t.step(s, a)
-            if nxt not in seen:
-                seen[nxt] = None
-                queue.append((nxt, d + 1))
+    frontier = seen
+    for _ in range(depth):  # the states first reached by the words of each length
+        frontier = {nxt: None for s in frontier for a in range(t.p)
+                    if (nxt := t.step(s, a)[0]) not in seen}
+        if not frontier:
+            break
+        seen.update(frontier)
     return list(seen)

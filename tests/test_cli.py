@@ -382,15 +382,23 @@ def test_transitivity_needs_sync_subject(capsys, tmp_path):
 
 
 def test_budget_bounds_series_derivation(capsys, tmp_path):
-    """M terms take M(M+1)/2 differences; over --budget, nothing is evaluated."""
+    """M terms read M values of K + n input digits and take M(M+1)/2
+    differences; over --budget, nothing is evaluated."""
     code, out, err = run(
         capsys, "coeffs", "--builtin", "shift", "--terms", "4000", "--budget", "16"
     )
     assert (code, out) == (4, "")
     assert "budget" in err
     argv = ["check", "--builtin", "shift", "--which", "mp", "--terms", "6"]
-    assert run(capsys, *argv, "--budget", "20")[0] == 4
-    assert run(capsys, *argv, "--budget", "21")[0] == 0
+    assert run(capsys, *argv, "--budget", "122")[0] == 4  # 6 * (16 + 1) + 21 = 123
+    assert run(capsys, *argv, "--budget", "123")[0] == 0
+    # 16 values of 80000 + 1 input digits: refused before the machine is walked
+    deep = ["check", "--builtin", "delay-echo", "--n", "1", "--which", "delay",
+            "--terms", "16", "--precision", "80000"]
+    code, out, err = run(capsys, *deep, "--budget", "200")
+    assert (code, out) == (4, "")
+    assert err == ("budget exceeded: 1280152 input digits and differences for 16 terms "
+                   "exceed the budget 200\n")
     # a series document is read, not derived
     path = tmp_path / "good.series"
     path.write_text(serialize_series(MahlerSeries.from_ints(2, 1, 8, [0, 0, 1])))

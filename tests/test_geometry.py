@@ -86,7 +86,7 @@ def test_cover_identity_exactly_diagonal():
 
 def test_cover_single_point():
     # residues (6, 3) over 2^3: words (0, 1, 1) and (1, 1, 0), the point (3/8, 6/8)
-    pts = PointSet2D(p=2, n=0, levels=(3,), den=8, codes=(6 * 8 + 3,))
+    pts = PointSet2D(p=2, length=3, codes=(6 * 8 + 3,))
     assert pts.coords == ((3, 6),)
     for m in range(1, 6):  # m > 3 pads both words with zeros
         report = cover_fraction(pts, m)
@@ -175,7 +175,7 @@ def _pgm_parts(data: bytes):
 
 
 def test_render_pgm_empty_all_white(tmp_path):
-    pts = PointSet2D(p=2, n=0, levels=(), den=1, codes=())
+    pts = PointSet2D(p=2, length=0, codes=())
     data = render_pgm(cover_fraction(pts, 2), 2, tmp_path / "empty.pgm")
     w, h, pixels = _pgm_parts(data)
     assert (w, h) == (4, 4)
@@ -233,11 +233,11 @@ def test_union_rejects_mixed_primes():
 
 
 def test_points_outside_unit_square_rejected():
-    """Codes X * 4 + Y over den 4 lie in [0, 16) and strictly increase."""
-    PointSet2D(p=2, n=0, levels=(1,), den=4, codes=(0, 15))
+    """Codes X * 4 + Y over den 2^2 lie in [0, 16) and strictly increase."""
+    PointSet2D(p=2, length=2, codes=(0, 15))
     for codes in ((-1,), (16,), (0, 16), (5, 3), (3, 3)):
         with pytest.raises(ValueError):
-            PointSet2D(p=2, n=0, levels=(1,), den=4, codes=codes)
+            PointSet2D(p=2, length=2, codes=codes)
 
 
 def test_family_rejects_letters_outside_alphabet():
@@ -348,7 +348,7 @@ def test_image_matches_fraction_reference(levels, tmp_path):
     m = min(levels)
     for oracle in _reference_oracles():
         pts = accumulate_image(oracle, levels)
-        assert pts.levels == tuple(sorted(set(levels)))
+        assert pts.length == oracle.delay + max(levels)
         _assert_matches_reference(pts, _ref_image(oracle, levels), m, tmp_path)
 
 
@@ -371,6 +371,7 @@ def test_family_and_graph_match_fraction_reference(t, tmp_path):
     the machine's own function, the words read from the initial state."""
     for depth in range(1, 7 if t.p == 2 else 5):
         pts = family_points(t, depth)
+        assert pts.length == depth
         ref = _ref_family(t, depth)
         for m in range(1, depth + 1):
             _assert_matches_reference(pts, ref, m, tmp_path)
@@ -382,7 +383,7 @@ def test_cover_square_edges_match_fraction_reference(tmp_path):
     # (0, 0), (0, 26), (13, 1), (26, 0) and (26, 26) over 27, the residues
     # 0 and 26 mirroring to themselves, 13 to 13 and 9 to 1
     pairs = ((0, 0), (0, 26), (13, 9), (26, 0), (26, 26))
-    pts = PointSet2D(p=3, n=0, levels=(3,), den=27, codes=tuple(u * 27 + v for u, v in pairs))
+    pts = PointSet2D(p=3, length=3, codes=tuple(u * 27 + v for u, v in pairs))
     assert pts.coords == ((0, 0), (0, 26), (13, 1), (26, 0), (26, 26))
     ref = {(mirror_fraction(u, 3, 3), mirror_fraction(v, 3, 3)) for u, v in pairs}
     for m in range(1, 6):
@@ -394,7 +395,7 @@ def test_cover_square_edges_match_fraction_reference(tmp_path):
 def test_codes_match_pair_reference(data, tmp_path_factory):
     """Random residue pairs over den = p^L, L = 0..3, gridded at m = 1..L+2
     (so also where the words are shorter than m), against the mirrored pair
-    references; the union of two denominators against the union of their
+    references; the union of two lengths against the union of their
     points."""
     p = data.draw(st.sampled_from([2, 3]))
 
@@ -405,10 +406,10 @@ def test_codes_match_pair_reference(data, tmp_path_factory):
                                   max_size=40))
         codes = tuple(sorted(u * den + v for u, v in pairs))
         ref = {(mirror_fraction(u, length, p), mirror_fraction(v, length, p)) for u, v in pairs}
-        return PointSet2D(p=p, n=0, levels=(1,), den=den, codes=codes), length, ref
+        return PointSet2D(p=p, length=length, codes=codes), length, ref
 
     a, length, ref = draw_set()
-    assert a.coords == tuple(sorted((x * a.den, y * a.den) for x, y in ref))
+    assert a.coords == tuple(sorted((x * p ** length, y * p ** length) for x, y in ref))
     assert a.points == tuple(sorted(ref))
     m = data.draw(st.integers(1, length + 2))
     grid = p ** m
@@ -421,16 +422,16 @@ def test_codes_match_pair_reference(data, tmp_path_factory):
     assert render_pgm(report, m, path) == _ref_pgm(cells, grid)
     b, _, ref_b = draw_set()
     union = PointSet2D.union([a, b])
-    assert union.den == max(a.den, b.den)
+    assert union.length == max(a.length, b.length)
     assert union.points == tuple(sorted(ref | ref_b))
 
 
 def test_cover_and_coords_build_no_table_of_the_denominator():
-    """One point over den = 2^20, gridded at m = 20: mirroring only the
+    """One point of length 20, gridded at m = 20: mirroring only the
     values reported keeps the calls' memory far below a table of 2^20
     entries."""
     u, v = 0b1011, 0b110  # mirror over 20 digits: 0b1101 << 16 and 0b011 << 17
-    pts = PointSet2D(p=2, n=0, levels=(20,), den=2 ** 20, codes=(u * 2 ** 20 + v,))
+    pts = PointSet2D(p=2, length=20, codes=(u * 2 ** 20 + v,))
     pair = (mirror_fraction(u, 20, 2) * 2 ** 20, mirror_fraction(v, 20, 2) * 2 ** 20)
     tracemalloc.start()
     try:

@@ -81,14 +81,11 @@ IDENTITY, SHIFT = ("--builtin", "identity"), ("--builtin", "shift")
     pytest.param(lambda: family_transitivity(identity_transducer(2), 0, 1), ValueError,
                  "level must be >= 1, got 0", ["transitivity", *IDENTITY, "--resolution", "0"],
                  id="transitivity-level"),
-    pytest.param(lambda: PointSet2D(p=2, n=0, levels=(1,), den=0, codes=()), ValueError,
-                 "denominator must be a power of p >= 2, got 0 at p = 2", None,
-                 id="point-set-denominator"),
-    pytest.param(lambda: PointSet2D(p=2, n=0, levels=(1,), den=6, codes=()), ValueError,
-                 "denominator must be a power of p >= 2, got 6 at p = 2", None,
-                 id="point-set-denominator-not-a-power"),
-    pytest.param(lambda: PointSet2D(p=1, n=0, levels=(1,), den=4, codes=()), ValueError,
-                 "denominator must be a power of p >= 2, got 4 at p = 1", None,
+    pytest.param(lambda: PointSet2D(p=2, length=-1, codes=()), ValueError,
+                 "point sets need p >= 2 and length >= 0, got p = 2, length = -1", None,
+                 id="point-set-length"),
+    pytest.param(lambda: PointSet2D(p=1, length=2, codes=()), ValueError,
+                 "point sets need p >= 2 and length >= 0, got p = 1, length = 2", None,
                  id="point-set-prime-below-2"),
     pytest.param(lambda: PointSet2D.union([]), ValueError, "cannot union zero point sets",
                  None, id="union-of-none"),

@@ -371,7 +371,8 @@ def _replacements():
     return [
         pytest.param(MahlerSeries.from_ints(2, 1, 4, [0, 1]), {"p": 4, "coeffs": (99,)},
                      {"coeffs": (1, 3)}, id="MahlerSeries"),
-        pytest.param(points, {"codes": points.codes[::-1]}, {"levels": (2,)}, id="PointSet2D"),
+        pytest.param(points, {"codes": points.codes[::-1]}, {"length": points.length + 1},
+                     id="PointSet2D"),
         pytest.param(shift_oracle(2), {"delay": -1},
                      {"table": lambda m, count: [0] * count}, id="FunctionOracle"),
     ]
