@@ -123,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
 def load_subject(args):
     if bool(args.subject) == bool(args.builtin):
         raise FormatError("give exactly one of --subject FILE or --builtin NAME")
+    if args.coeffs is not None and args.builtin != "polynomial":
+        raise FormatError("--coeffs is read only by --builtin polynomial")
     if args.builtin:
-        coeffs = None
-        if args.coeffs:
-            try:
-                coeffs = [int(tok) for tok in args.coeffs.split(",")]
-            except ValueError:
-                raise FormatError("--coeffs must be comma-separated integers")
+        try:
+            coeffs = [int(tok) for tok in args.coeffs.split(",")] if args.coeffs else None
+        except ValueError:
+            raise FormatError("--coeffs must be comma-separated integers")
         return make_builtin(args.builtin, args.p, args.n, coeffs)
     path = Path(args.subject)
     try:

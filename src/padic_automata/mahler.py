@@ -329,24 +329,26 @@ def _check(
     return CoefficientCheck(index, label, floor, observed, status)
 
 
+def _unit(series: MahlerSeries, index: int) -> CoefficientCheck:
+    """One row: a_index is a unit (an index at or past the support is zero)."""
+    observed = valuation(series.p, series.precision,
+                         series.coeffs[index] if index < series.support else 0)
+    return CoefficientCheck(index, f"a_{index}", 0, observed,
+                            CheckStatus.PASS if observed == 0 else CheckStatus.FAIL)
+
+
 def _conditions(
-    series: MahlerSeries, which: str, gate: str,
-    head: list[CoefficientCheck], start: int, c: int,
+    series: MahlerSeries, which: str, head: list[CoefficientCheck],
+    start: int, c: int, shift: int,
 ) -> ConditionReport:
-    """The report ``which``: the ``head`` rows, then v(a_i) >= floor_log(p, i)
-    - n + c for every supported i >= ``start``.  The ``gate`` conditions all
-    need n >= 1.
+    """The report ``which``: the ``head`` rows, then v(a_i) >=
+    floor_log(p, i + ``shift``) - n + c for every supported i >= ``start``.
     """
     p, n, precision = series.p, series.n, series.precision
-    if n < 1:
-        raise ValueError(
-            f"the {gate} conditions are stated for delay n >= 1; "
-            f"this series declares n = {n}"
-        )
     checks = list(head)
-    for low, high, e in _floor_blocks(p, n, c, start, series.support):
+    for low, high, e in _floor_blocks(p, n, c, start + shift, series.support + shift):
         checks += (_check(i, f"a_{i}", series.coeffs[i], e, p, precision)
-                   for i in range(low, high))
+                   for i in range(low - shift, high - shift))
     return ConditionReport(which, tuple(checks))
 
 
@@ -359,9 +361,10 @@ def check_delay_conditions(series: MahlerSeries) -> ConditionReport:
     If x ≡ y (mod p^(m+n)), each term a_i (C(x, i) - C(y, i)) then has
     valuation >= (floor_log(p, i) - n) + (m + n) - floor_log(p, i) = m, so
     inputs agreeing on m + n digits give outputs agreeing on m.  Indices
-    below p^(n+1) demand nothing (the floor is <= 0 there).
+    below p^(n+1) demand nothing (the floor is <= 0 there).  The floors are
+    necessary too, at every p and n: at n = 0 the check decides 1-Lipschitz.
     """
-    return _conditions(series, "delay", "delay", [], 1, 0)
+    return _conditions(series, "delay", [], 1, 0, 0)
 
 
 def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport:
@@ -375,34 +378,31 @@ def check_measure_preserving_conditions(series: MahlerSeries) -> ConditionReport
     C(x, p^n) == C(r, p^n) + t p^(m-1) (mod p^m).  So the p lifts of r land
     on the p lifts of one residue mod p^(m-1), and the fibers of
     Z/p^(m+n) -> Z/p^m are those of Z/p^(m+n-1) -> Z/p^(m-1): p^n at every
-    m.  At n = 1 the floor is floor_log(p, i); at n = 0 it would be
-    Anashin's floor_log(p, i) + 1 for 1-Lipschitz maps.
+    m.  At n = 0 these are Anashin's conditions (Math. Notes 55, 1994),
+    necessary and sufficient at p = 2 and only sufficient at odd p, where a
+    FAIL means "conditions not met", as at n >= 1.
 
     A support that ends at or before index p^n fails the unit condition
     outright (that coefficient is exactly zero).
     """
     q = series.p ** series.n
-    observed = valuation(series.p, series.precision,
-                         series.coeffs[q] if q < series.support else 0)
-    unit = CoefficientCheck(q, f"a_{q}", 0, observed,
-                            CheckStatus.PASS if observed == 0 else CheckStatus.FAIL)
-    return _conditions(series, "measure-preserving", "measure-preservation",
-                       [unit], q + 1, 1)
+    return _conditions(series, "measure-preserving", [_unit(series, q)], q + 1, 1, 0)
 
 
 def check_ergodicity_conditions(series: MahlerSeries) -> ConditionReport:
-    """Coefficient conditions for ergodicity of a delay-n map:
-    a_1 + ... + a_{p^n - 1} ≡ 0 (mod p), a_{p^n} ≡ 1 (mod p), and the
-    same tail floors as :func:`check_measure_preserving_conditions`,
-    a_i ≡ 0 (mod p^(floor_log(p, i) - n + 1)) past p^n.
+    """Coefficient conditions for ergodicity of a delay-n map: at n >= 1,
+    a_1 + ... + a_{p^n - 1} ≡ 0 (mod p), a_{p^n} ≡ 1 (mod p) and the tail
+    floors of :func:`check_measure_preserving_conditions` past p^n; at n = 0,
+    Anashin's a_0 a unit, a_1 ≡ 1 (mod p, mod 4 at p = 2) and v(a_i) >=
+    floor_log(p, i + 1) + 1 past 1, necessary and sufficient at p = 2 and
+    only sufficient at odd p, where a FAIL means "conditions not met".
 
     This decides "the conditions hold", not "the map is ergodic"; the
     finite-quotient cycle oracle is the independent witness.
     """
-    p, q, precision = series.p, series.p ** series.n, series.precision
-    head = sum(series.coeffs[1:q])
+    p, n, precision, q = series.p, series.n, series.precision, series.p ** series.n
     unit_minus_one = series.coeffs[q] - 1 if q < series.support else -1
-    return _conditions(series, "ergodic", "ergodicity", [
-        _check(0, f"a_1 + ... + a_{q - 1}" if q > 2 else "a_1", head, 1, p, precision),
-        _check(q, f"a_{q} - 1", unit_minus_one, 1, p, precision),
-    ], q + 1, 1)
+    first = _unit(series, 0) if n == 0 else _check(
+        0, f"a_1 + ... + a_{q - 1}" if q > 2 else "a_1", sum(series.coeffs[1:q]), 1, p, precision)
+    last = _check(q, f"a_{q} - 1", unit_minus_one, 2 if n == 0 and p == 2 else 1, p, precision)
+    return _conditions(series, "ergodic", [first, last], q + 1, 1, 1 if n == 0 else 0)

@@ -59,11 +59,11 @@ def odometer_transducer(p: int) -> Transducer:
 def delay_echo_transducer(p: int, n: int) -> Transducer:
     """Silent for the first n letters, then echoes; realizes x -> floor(x / p^n).
 
-    The state counts letters still to swallow.
+    The state counts letters still to swallow; n = 0 gives the identity.
     """
     _require_prime(p)
-    if n < 1:
-        raise ValueError(f"delay must be >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"delay must be >= 0, got {n}")
     return Transducer(
         p=p,
         initial=n,
@@ -92,7 +92,7 @@ def digitwise_add_family(p: int) -> Transducer:
 
 
 def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
-    """x -> floor(x / p^n): drops the first n digits; the canonical n-unit delay.
+    """x -> floor(x / p^n), the canonical n-unit delay; the identity at n = 0.
 
     With q = p^n, the table over x < count is 0, 1, ..., each value
     repeated q times, cut at count; each entry is already reduced, since
@@ -104,8 +104,6 @@ def shift_oracle(p: int, n: int = 1) -> FunctionOracle:
     not count.
     """
     _require_prime(p)
-    if n < 1:
-        raise ValueError(f"shift delay must be >= 1, got {n}")
     q = p ** n
 
     def table(m: int, count: int) -> list[int]:

@@ -77,12 +77,14 @@ def test_check_derives_series_from_builtin(capsys):
 
 
 @pytest.mark.parametrize("which", ["delay", "mp", "ergodic"])
-def test_check_refuses_a_synchronous_builtin(capsys, which):
-    """The coefficient conditions are stated for n >= 1, so the odometer's
-    derived series (n = 0) is an input error for each of the three."""
-    code, out, err = run(capsys, "check", "--builtin", "odometer", "--which", which)
-    assert (code, out) == (1, "")
-    assert "stated for delay n >= 1; this series declares n = 0" in err
+def test_check_decides_a_synchronous_builtin(capsys, which):
+    """The odometer x + 1 (n = 0) is 1-Lipschitz, measure-preserving and
+    ergodic, and its derived series meets each of the three conditions."""
+    for p in ("2", "3"):
+        code, out, err = run(capsys, "check", "--builtin", "odometer", "--p", p, "--which", which)
+        assert (code, err) == (0, "")
+        assert f" conditions for built-in odometer (p={p}, n=0)\n" in out
+        assert out.endswith("verdict: pass\n")
 
 
 def test_brute_mp(capsys):
@@ -1091,17 +1093,17 @@ GOLDEN = {
     "check --builtin zero --terms 6 --precision 6 --which ergodic --report-format json":
         (3, "068c6c8a97f6a1e3216ec1e8f6f421cc71de3413c7bf41172958c225edbfe7e3"),
     "check --builtin polynomial --coeffs 0,1 --which delay":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "5849ce20a0dac72b2d74e25d2f59b3807f5e69526cda3ed17f1c56a7767a948d"),
     "check --builtin polynomial --coeffs 0,1 --which delay --report-format json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "353d39da5e095deb8ead1835c82b40e64089f3e9e7d106bef2ce6b56c3305ecd"),
     "check --builtin polynomial --coeffs 0,1 --which mp":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "3872d8a799cf99a418d37306360f0a81afe3b088a4faf49a00ba8652ca31c9fa"),
     "check --builtin polynomial --coeffs 0,1 --which mp --report-format json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "b77b6fe61e132cb4ab2dfa21675704bd77613e6364ebeaecfa3d0fe08be133e1"),
     "check --builtin polynomial --coeffs 0,1 --which ergodic":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (3, "072acabb1e86cdde786c653b5a3b3da4fbd09bd19e9d69000f271c65709f2c94"),
     "check --builtin polynomial --coeffs 0,1 --which ergodic --report-format json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (3, "6d3e29d478abce8a692c76e25b1dd9fdbaeaf5582d00eb3298bc534e933297fe"),
     "check --subject async.transducer --terms 8 --precision 10 --which delay":
         (0, "47f90c03fe8fcfb222f7b3f5d58e532008f12391f8c8dceae6695dca97b8929d"),
     "check --subject async.transducer --terms 8 --precision 10 --which delay --report-format json":

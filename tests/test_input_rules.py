@@ -67,6 +67,9 @@ IDENTITY, SHIFT = ("--builtin", "identity"), ("--builtin", "shift")
     pytest.param(_loaded("--builtin", "polynomial", "--coeffs", "1,x"), FormatError,
                  "--coeffs must be comma-separated integers",
                  ["coeffs", "--builtin", "polynomial", "--coeffs", "1,x"], id="cli-coeffs"),
+    pytest.param(_loaded("--subject", "any.series", "--coeffs", "9,9"), FormatError,
+                 "--coeffs is read only by --builtin polynomial",
+                 ["check", *SHIFT, "--coeffs", "9,9", "--which", "mp"], id="cli-coeffs-unread"),
     pytest.param(_loaded("--subject", "missing.series"), FormatError,
                  "no such subject file: missing.series",
                  ["coeffs", "--subject", "missing.series"], id="cli-subject-file"),

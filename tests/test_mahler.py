@@ -17,6 +17,7 @@ from padic_automata.mahler import (
 )
 from padic_automata.oracle import FunctionOracle
 from padic_automata.padics import valuation
+from padic_automata.quotient import is_measure_preserving_upto, unique_cycle_upto
 from padic_automata.subjects import polynomial_oracle, shift_oracle, zero_oracle
 
 import series_factory as sf
@@ -408,19 +409,17 @@ def test_delay_conditions_all_zero_passes():
     assert check_delay_conditions(series).passed
 
 
-@pytest.mark.parametrize("check, which", [
-    (check_delay_conditions, "delay"),
-    (check_measure_preserving_conditions, "measure-preservation"),
-    (check_ergodicity_conditions, "ergodicity"),
-])
-def test_delay_conditions_reject_synchronous(check, which):
-    """One gate for the three checks, each named in its own message."""
-    series = MahlerSeries.from_ints(2, 0, 8, [0, 1])
-    message = (f"the {which} conditions are stated for delay n >= 1; "
-               "this series declares n = 0")
-    with pytest.raises(ValueError) as excinfo:
-        check(series)
-    assert str(excinfo.value) == message
+@pytest.mark.parametrize("check, verdict, failing", [
+    (check_delay_conditions, CheckStatus.PASS, []),
+    (check_measure_preserving_conditions, CheckStatus.PASS, []),
+    (check_ergodicity_conditions, CheckStatus.FAIL, ["a_0"]),
+], ids=["delay", "mp", "ergodic"])
+def test_conditions_on_the_synchronous_identity(check, verdict, failing):
+    """At n = 0 the identity x = C(x, 1) is 1-Lipschitz and measure-preserving
+    but fixes every point, and the ergodicity head asks a_0 to be a unit."""
+    report = check(MahlerSeries.from_ints(2, 0, 8, [0, 1]))
+    assert report.verdict is verdict
+    assert [c.label for c in report.checks if c.status is CheckStatus.FAIL] == failing
 
 
 def test_insufficient_precision_reported():
@@ -549,6 +548,57 @@ def test_ergodic_implies_mp_on_random_series():
             hits += 1
             assert check_measure_preserving_conditions(series).passed
     assert hits >= 200  # the implication was exercised, not vacuous
+
+
+def _synchronous_draw(rng, p, support, precision):
+    """A 1-Lipschitz series (n = 0) near Anashin's floors: a_0 free, a_1
+    free or == 1 (mod p^2), and each later a_i a multiple of
+    p^(floor_log(p, i + 1) + 1), the ergodicity floor, or, one draw in
+    seven, of p^floor_log(p, i) only, the delay floor."""
+    mod = p ** precision
+    values = [rng.randrange(mod), rng.choice((1 + p * p * rng.randrange(mod), rng.randrange(mod)))]
+    for i in range(2, support):
+        e = floor_log(p, i) if rng.randrange(7) == 0 else floor_log(p, i + 1) + 1
+        values.append(p ** e * rng.randrange(mod))
+    return MahlerSeries.from_ints(p, 0, precision, values)
+
+
+@pytest.mark.parametrize("p, k_max, draws", [(2, 8, 400), (3, 6, 200), (5, 4, 200)])
+def test_synchronous_conditions_against_brute(p, k_max, draws):
+    """At n = 0 the mp and ergodicity conditions are Anashin's.  At p = 2
+    they are necessary and sufficient, so through level 8 the mp check is
+    brute mp, and the ergodicity check is brute mp with one cycle at every
+    level (a cycle count alone also passes non-bijections).  At odd p they
+    are only sufficient: a PASS is never refuted by brute."""
+    rng = random.Random(36 + p)
+    seen = set()
+    for _ in range(draws):
+        series = _synchronous_draw(rng, p, rng.randrange(2, 13), 10)
+        f = series_oracle(series)
+        assert check_delay_conditions(series).passed
+        mp = is_measure_preserving_upto(f, k_max).passed
+        ergodic = mp and unique_cycle_upto(f, k_max).passed
+        checks = (check_measure_preserving_conditions(series).passed,
+                  check_ergodicity_conditions(series).passed)
+        if p == 2:
+            assert checks == (mp, ergodic), series
+        else:
+            assert (not checks[0] or mp) and (not checks[1] or ergodic), series
+        seen.update(zip(("mp", "ergodic"), checks))
+    assert len(seen) == 4  # each check both passed and failed
+
+
+def test_synchronous_ergodicity_floor_steps_at_p_pow_j_minus_1():
+    """The ergodicity tail at n = 0 demands floor_log(p, i + 1) + 1, one more
+    than the mp tail at i = p^j - 1: a_3 = 4 at p = 2 meets the mp floor 2
+    but not the ergodicity floor 3, and brute sees two cycles at level 3."""
+    series = MahlerSeries.from_ints(2, 0, 10, [1, 1, 0, 4])
+    assert check_measure_preserving_conditions(series).passed
+    report = check_ergodicity_conditions(series)
+    assert [c.label for c in report.checks if c.status is CheckStatus.FAIL] == ["a_3"]
+    f = series_oracle(series)
+    assert is_measure_preserving_upto(f, 8).passed
+    assert unique_cycle_upto(f, 8).first_failing_level == 3
 
 
 # --- delay conditions vs actual digit dependence -----------------------------
